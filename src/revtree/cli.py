@@ -103,13 +103,14 @@ def _dump_json(path: Path, payload: dict) -> None:
     )
 
 
-def _build_embedder(config: RunConfig):
-    if config.embedder == "hashed":
-        return embedding.HashedEmbedder(dim=config.dim, seed=config.seed)
-    if config.embedder == "remote":
+def _build_embedder(kind: str, dim: int, seed: int,
+                    embeddings_path: Optional[str] = None):
+    if kind == "remote":
         return embedding.RemoteEmbedder()
-    fallback = embedding.HashedEmbedder(dim=config.dim, seed=config.seed)
-    return embedding.PrecomputedEmbeddings(config.embeddings_path, fallback=fallback)
+    hashed = embedding.HashedEmbedder(dim=dim, seed=seed)
+    if kind == "hashed":
+        return hashed
+    return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed)
 
 
 def _build_llm_provider(config: RunConfig):
@@ -121,10 +122,7 @@ def _build_llm_provider(config: RunConfig):
 def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.embedder == "hashed":
-        provider = embedding.HashedEmbedder(dim=args.dim, seed=args.seed)
-    else:
-        provider = embedding.RemoteEmbedder()
+    provider = _build_embedder(args.embedder, args.dim, args.seed)
     index = ingest_corpus(args.corpus, provider, embed_title=not args.no_embed_title)
 
     embeddings_path = out_dir / "embeddings.jsonl"
@@ -143,10 +141,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
-             llm_provider, demos: dict) -> tuple[dict, Optional[RunTrace]]:
+             llm_provider, demos: dict) -> tuple[dict, RunTrace]:
     client = LlmClient(llm_provider)
     estimator = make_token_estimator(config.estimator)
-    trace: Optional[RunTrace] = None
 
     if config.mode == "tor":
         pool, stats, trace = run_tree(example.question, config.tree_config(),
@@ -158,17 +155,8 @@ def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
                                        per_turn_k=config.per_turn_k,
                                        demos=demos.get("review", ()))
     else:
-        pool, stats = run_oner(example.question, config.oner_k, index, embedder)
-        trace = RunTrace(
-            question=example.question,
-            mode="oner",
-            meta={"k": config.oner_k},
-            evidence=[{
-                "path": list(e.paragraph_ids()),
-                "brief_analysis": e.brief_analysis,
-                "accepted_at_call": e.accepted_at_call,
-            } for e in pool],
-        )
+        pool, stats, trace = run_oner(example.question, config.oner_k, index,
+                                      embedder)
 
     strategy = FusionStrategy(config.fusion)
     answer = generate_answer(example.question, pool, strategy, client,
@@ -187,8 +175,6 @@ def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
         "scored_ids": list(scored),
         "stats": stats.to_dict(),
     }
-    if trace is not None:
-        trace.stats = stats.to_dict()
     return record, trace
 
 
@@ -198,7 +184,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
-    embedder = _build_embedder(config)
+    embedder = _build_embedder(config.embedder, config.dim, config.seed,
+                               config.embeddings_path)
     llm_provider = _build_llm_provider(config)
     index = build_index(load_paragraphs(config.corpus_path), embedder,
                         embed_title=config.embed_title)
@@ -228,9 +215,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 records[example.id] = {"id": example.id, "error": str(exc)}
                 continue
             records[example.id] = record
-            if trace is not None:
-                (traces_dir / f"{example.id}.json").write_text(
-                    trace.to_json(), encoding="utf-8")
+            (traces_dir / f"{example.id}.json").write_text(
+                trace.to_json(), encoding="utf-8")
 
     with open(out_dir / "answers.jsonl", "w", encoding="utf-8") as handle:
         for example in dataset:
@@ -250,12 +236,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         "mean_distinct_docs": sum(r["stats"]["distinct_docs"] for r in ok_records) / n if n else 0.0,
         "mean_evidence": sum(r["stats"]["evidence_count"] for r in ok_records) / n if n else 0.0,
         "total_parse_failures": sum(r["stats"]["parse_failures"] for r in ok_records),
+        "total_provider_failures": sum(r["stats"]["provider_failures"]
+                                       for r in ok_records),
         "total_fusion_calls": sum(r.get("fusion_calls", 0) for r in ok_records),
     }
     _dump_json(out_dir / "stats_summary.json", summary)
     _dump_json(out_dir / "config.json", config.to_dict())
     print(f"ran {len(dataset)} questions ({failures} failed) -> {out_dir}")
-    return 0
+    # a run that answered nothing is not a success, though its files stand
+    return 0 if n else 1
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

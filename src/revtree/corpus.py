@@ -34,15 +34,14 @@ class Paragraph:
             raise ValueError(f"paragraph '{self.id}' has empty text")
 
 
-def compose_embedding_text(paragraph: Paragraph, embed_title: bool = True) -> str:
-    """Text actually fed to the embedder for a paragraph.
+def format_documents(paragraphs: Iterable[Paragraph]) -> str:
+    """The text prompts show and the embedder reads for paragraphs.
 
-    Whether the title should be prepended is configurable; the default joins
-    ``title`` and ``text`` with a newline.
+    Each paragraph renders as ``title\ntext``, or its text alone when the
+    title is blank; paragraphs are separated by a blank line.
     """
-    if embed_title and paragraph.title.strip():
-        return f"{paragraph.title}\n{paragraph.text}"
-    return paragraph.text
+    return "\n\n".join(f"{p.title}\n{p.text}" if p.title.strip() else p.text
+                       for p in paragraphs)
 
 
 class CorpusIndex:
@@ -167,7 +166,8 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
     """Embed paragraphs with ``provider`` and assemble an index."""
     plist = list(paragraphs)
     embeddings = {
-        p.id: provider.embed_paragraph(p, compose_embedding_text(p, embed_title))
+        p.id: provider.embed_paragraph(
+            p, format_documents([p]) if embed_title else p.text)
         for p in plist
     }
     return CorpusIndex(plist, embeddings, provider.provider_id)

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import CorpusError, ProviderConfigError, TransportError
+from .errors import CorpusError, ProviderConfigError
+from .llm import new_session, post_json, read_env, with_retries
 
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import Paragraph
@@ -106,70 +105,33 @@ class RemoteEmbedder(EmbeddingProvider):
 
     def __init__(self, session=None, timeout: float = 60.0, max_attempts: int = 3,
                  backoff_s: float = 0.5):
-        base_url = os.environ.get(EMBED_BASE_URL_VAR)
-        api_key = os.environ.get(EMBED_API_KEY_VAR)
-        model = os.environ.get(EMBED_MODEL_VAR)
-        missing = [
-            name
-            for name, value in (
-                (EMBED_BASE_URL_VAR, base_url),
-                (EMBED_API_KEY_VAR, api_key),
-                (EMBED_MODEL_VAR, model),
-            )
-            if not value
-        ]
-        if missing:
-            raise ProviderConfigError(
-                "remote embedder not configured; missing environment "
-                f"variables: {', '.join(missing)}"
-            )
+        base_url, self._api_key, self.model = read_env(
+            (EMBED_BASE_URL_VAR, EMBED_API_KEY_VAR, EMBED_MODEL_VAR),
+            "remote embedder")
         self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.provider_id = f"remote:{model}"
+        self.provider_id = f"remote:{self.model}"
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self._api_key = api_key
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else new_session()
 
     def embed_text(self, text: str) -> np.ndarray:
         if not text.strip():
             raise ValueError("cannot embed empty or whitespace-only text")
-        import requests
-
-        last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
-            try:
-                resp = self._session.post(
-                    f"{self.base_url}/embeddings",
-                    json={"model": self.model, "input": [text]},
-                    headers={"Authorization": f"Bearer {self._api_key}"},
-                    timeout=self.timeout,
-                )
-                if resp.status_code >= 500 or resp.status_code in (408, 429):
-                    raise TransportError(
-                        f"embedding service returned {resp.status_code}"
-                    )
-                resp.raise_for_status()
-                values = resp.json()["data"][0]["embedding"]
-                vec = np.asarray(values, dtype=np.float64)
-                if self.dim is None:
-                    self.dim = vec.shape[0]
-                elif vec.shape[0] != self.dim:
-                    raise ProviderConfigError(
-                        f"embedding dim changed mid-run: {vec.shape[0]} != {self.dim}"
-                    )
-                return vec
-            except (TransportError, requests.ConnectionError, requests.Timeout) as exc:
-                last_error = exc
-                if attempt + 1 < self.max_attempts:
-                    time.sleep(self.backoff_s * (2 ** attempt))
-        raise TransportError(f"embedding request failed after {self.max_attempts} "
-                             f"attempts: {last_error}")
+        values = with_retries(
+            lambda: post_json(self._session, f"{self.base_url}/embeddings",
+                              self._api_key, {"model": self.model, "input": [text]},
+                              self.timeout, "embedding",
+                              lambda body: body["data"][0]["embedding"]),
+            self.max_attempts, self.backoff_s, "embedding request")
+        vec = np.asarray(values, dtype=np.float64)
+        if self.dim is None:
+            self.dim = vec.shape[0]
+        elif vec.shape[0] != self.dim:
+            raise ProviderConfigError(
+                f"embedding dim changed mid-run: {vec.shape[0]} != {self.dim}"
+            )
+        return vec
 
 
 class PrecomputedEmbeddings(EmbeddingProvider):
@@ -215,6 +177,12 @@ class PrecomputedEmbeddings(EmbeddingProvider):
                         f"{self.path}: line {lineno}: duplicate embedding id '{pid}'"
                     )
                 self._vectors[pid] = vec
+        if fallback is not None and None not in (fallback.dim, dim) \
+                and fallback.dim != dim:
+            raise CorpusError(
+                f"{self.path}: query embedder dim {fallback.dim} does not match "
+                f"the file's embedding dim {dim}"
+            )
         self.dim = dim
         self.provider_id = f"precomputed:{self.path.name}"
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .corpus import cosine_similarity
+from .corpus import cosine_similarity, format_documents
 from .embedding import EmbeddingProvider
 from .llm import CompletionRequest, LlmClient, estimate_tokens, load_template, \
     render_prompt
-from .search import Evidence, EvidencePool
+from .search import Evidence, EvidencePool, distinct_paragraphs
 
 ANSWER_MARKER = "the answer is"
 
@@ -53,14 +53,6 @@ class AnswerResult:
     pattern_found: bool = True
 
 
-def _render_paragraph(p) -> str:
-    return f"{p.title}\n{p.text}" if p.title.strip() else p.text
-
-
-def _render_documents(paragraphs) -> str:
-    return "\n\n".join(_render_paragraph(p) for p in paragraphs)
-
-
 def render_context(evidences: Sequence[Evidence],
                    strategy: FusionStrategy) -> str:
     """Render an evidence list as the context block for its strategy."""
@@ -69,16 +61,9 @@ def render_context(evidences: Sequence[Evidence],
     if strategy is FusionStrategy.ANALYSIS:
         return "\n".join(e.brief_analysis for e in evidences)
     if strategy is FusionStrategy.PARAGRAPH:
-        seen: set[str] = set()
-        docs = []
-        for e in evidences:
-            for p in e.path:
-                if p.id not in seen:
-                    seen.add(p.id)
-                    docs.append(p)
-        return _render_documents(docs)
+        return format_documents(distinct_paragraphs(evidences))
     blocks = [
-        f"Assertions:{e.brief_analysis}\nDocuments:{_render_documents(e.path)}"
+        f"Assertions:{e.brief_analysis}\nDocuments:{format_documents(e.path)}"
         for e in evidences
     ]
     return "\n\n".join(blocks)
@@ -160,7 +145,7 @@ def generate_answer(question: str, pool: EvidencePool, strategy: FusionStrategy,
 
 
 def _evidence_text(evidence: Evidence) -> str:
-    text = _render_documents(evidence.path)
+    text = format_documents(evidence.path)
     if evidence.brief_analysis:
         text = f"{text}\n{evidence.brief_analysis}"
     return text
@@ -190,14 +175,5 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
                                   response_vec)
         scored.append((score, order, evidence))
     scored.sort(key=lambda item: (-item[0], item[1]))
-
-    out: list[str] = []
-    seen: set[str] = set()
-    for _score, _order, evidence in scored:
-        for p in evidence.path:
-            if p.id not in seen:
-                seen.add(p.id)
-                out.append(p.id)
-                if len(out) == limit:
-                    return out
-    return out
+    ranked = distinct_paragraphs(evidence for _score, _order, evidence in scored)
+    return [p.id for p in ranked[:limit]]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (
     OracleMissError,
@@ -30,6 +30,8 @@ from .errors import (
 LLM_BASE_URL_VAR = "REVTREE_LLM_BASE_URL"
 LLM_API_KEY_VAR = "REVTREE_LLM_API_KEY"
 LLM_MODEL_VAR = "REVTREE_LLM_MODEL"
+
+T = TypeVar("T")
 
 TEMPLATE_NAMES = (
     "review_cot",
@@ -255,6 +257,72 @@ class ScriptedOracle:
         return out
 
 
+def read_env(names: Sequence[str], what: str) -> list[str]:
+    """Values of the environment variables ``names``; a missing or empty one
+    is a :class:`ProviderConfigError` that names every such variable."""
+    values = [os.environ.get(name) for name in names]
+    missing = [name for name, value in zip(names, values) if not value]
+    if missing:
+        raise ProviderConfigError(
+            f"{what} not configured; missing environment variables: "
+            f"{', '.join(missing)}"
+        )
+    return values
+
+
+def new_session():
+    import requests
+
+    return requests.Session()
+
+
+def post_json(session, url: str, api_key: str, payload: dict, timeout: float,
+              what: str, extract: Callable[[Any], T]) -> T:
+    """POST ``payload`` once and ``extract`` the result from the JSON reply.
+
+    Connection failures, timeouts and 5xx/408/429 replies raise the retryable
+    :class:`TransportError`; other 4xx replies and replies ``extract`` cannot
+    read raise :class:`ProviderError`.
+    """
+    import requests
+
+    try:
+        resp = session.post(url, json=payload,
+                            headers={"Authorization": f"Bearer {api_key}"},
+                            timeout=timeout)
+    except (requests.ConnectionError, requests.Timeout) as exc:
+        raise TransportError(f"{what} request failed: {exc}") from exc
+    if resp.status_code >= 500 or resp.status_code in (408, 429):
+        raise TransportError(f"{what} service returned {resp.status_code}")
+    if resp.status_code >= 400:
+        raise ProviderError(
+            f"{what} service rejected the request: {resp.status_code} "
+            f"{resp.text[:200]}"
+        )
+    try:
+        return extract(resp.json())
+    except (KeyError, IndexError, ValueError) as exc:
+        raise ProviderError(f"malformed {what} payload: {exc}") from exc
+
+
+def with_retries(attempt: Callable[[], T], max_attempts: int, backoff_s: float,
+                 what: str, sleep: Callable[[float], None] = time.sleep) -> T:
+    """Call ``attempt`` until it returns, retrying :class:`TransportError`
+    with exponential backoff; anything else surfaces at once.  Exhausted
+    attempts raise :class:`ProviderError`."""
+    last_error: Exception | None = None
+    for i in range(max_attempts):
+        try:
+            return attempt()
+        except TransportError as exc:
+            last_error = exc
+            if i + 1 < max_attempts:
+                sleep(backoff_s * (2 ** i))
+    raise ProviderError(
+        f"{what} failed after {max_attempts} attempts: {last_error}"
+    ) from last_error
+
+
 class RemoteChatProvider:
     """Client for a chat-completion endpoint over HTTPS.
 
@@ -264,61 +332,26 @@ class RemoteChatProvider:
     """
 
     def __init__(self, session=None, timeout: float = 120.0):
-        base_url = os.environ.get(LLM_BASE_URL_VAR)
-        api_key = os.environ.get(LLM_API_KEY_VAR)
-        model = os.environ.get(LLM_MODEL_VAR)
-        missing = [
-            name
-            for name, value in (
-                (LLM_BASE_URL_VAR, base_url),
-                (LLM_API_KEY_VAR, api_key),
-                (LLM_MODEL_VAR, model),
-            )
-            if not value
-        ]
-        if missing:
-            raise ProviderConfigError(
-                "remote completion provider not configured; missing environment "
-                f"variables: {', '.join(missing)}"
-            )
+        base_url, self._api_key, self.model = read_env(
+            (LLM_BASE_URL_VAR, LLM_API_KEY_VAR, LLM_MODEL_VAR),
+            "remote completion provider")
         self.base_url = base_url.rstrip("/")
-        self.model = model
         self.timeout = timeout
-        self._api_key = api_key
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
+        self._session = session if session is not None else new_session()
 
     def generate(self, request: CompletionRequest, call_index: int) -> str:
-        import requests
-
-        try:
-            resp = self._session.post(
-                f"{self.base_url}/chat/completions",
-                json={
-                    "model": self.model,
-                    "messages": [{"role": "user", "content": request.prompt}],
-                    "temperature": request.temperature,
-                    "max_tokens": request.max_context_tokens,
-                },
-                headers={"Authorization": f"Bearer {self._api_key}"},
-                timeout=self.timeout,
-            )
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            raise TransportError(f"completion request failed: {exc}") from exc
-        if resp.status_code >= 500 or resp.status_code in (408, 429):
-            raise TransportError(f"completion service returned {resp.status_code}")
-        if resp.status_code >= 400:
-            raise ProviderError(
-                f"completion service rejected the request: {resp.status_code} "
-                f"{resp.text[:200]}"
-            )
-        try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ProviderError(f"malformed completion payload: {exc}") from exc
+        """One attempt; retries are :class:`LlmClient`'s job."""
+        return post_json(
+            self._session, f"{self.base_url}/chat/completions", self._api_key,
+            {
+                "model": self.model,
+                "messages": [{"role": "user", "content": request.prompt}],
+                "temperature": request.temperature,
+                "max_tokens": request.max_context_tokens,
+            },
+            self.timeout, "completion",
+            lambda body: body["choices"][0]["message"]["content"],
+        )
 
 
 class LlmClient:
@@ -348,20 +381,9 @@ class LlmClient:
         with self._lock:
             call_index = self._calls + 1
             started = time.monotonic()
-            last_error: Exception | None = None
-            for attempt in range(self.max_attempts):
-                try:
-                    text = self.provider.generate(request, call_index)
-                    break
-                except TransportError as exc:
-                    last_error = exc
-                    if attempt + 1 < self.max_attempts:
-                        self._sleep(self.backoff_s * (2 ** attempt))
-            else:
-                raise ProviderError(
-                    f"completion failed after {self.max_attempts} attempts: "
-                    f"{last_error}"
-                ) from last_error
+            text = with_retries(lambda: self.provider.generate(request, call_index),
+                                self.max_attempts, self.backoff_s, "completion",
+                                self._sleep)
             self._calls = call_index
         latency_ms = int((time.monotonic() - started) * 1000)
         return CompletionResponse(text=text, provider_latency_ms=latency_ms,

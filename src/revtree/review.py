@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .corpus import Paragraph
+from .corpus import Paragraph, format_documents
 from .llm import CompletionRequest, LlmClient, load_template, render_prompt
 
 REL = "[RELEVANT]"
@@ -248,14 +248,6 @@ def render_mpc_output(query: str, answer: str = "",
     if answer:
         lines.append(f"- Answer: {ANS} {answer}")
     return "\n".join(lines)
-
-
-def format_documents(path: Sequence[Paragraph]) -> str:
-    """Render the paragraphs along a path, root to leaf."""
-    blocks = []
-    for p in path:
-        blocks.append(f"{p.title}\n{p.text}" if p.title.strip() else p.text)
-    return "\n\n".join(blocks)
 
 
 def _request(template_name: str, bindings: dict, question: str,

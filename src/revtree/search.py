@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Optional, Sequence, Union
 
-from .corpus import CorpusIndex, Paragraph, retrieve
+from .corpus import CorpusIndex, Paragraph, format_documents, retrieve
 from .embedding import EmbeddingProvider
 from .llm import CompletionRequest, LlmClient, load_template, render_prompt
 from .review import (
@@ -26,7 +26,6 @@ from .review import (
     ExpansionStrategy,
     ParseFailure,
     ReviewDecision,
-    format_documents,
     parse_review_output,
     review_path,
 )
@@ -48,9 +47,6 @@ class TreeConfig:
     repetitive_pruning: bool = True
     expansion: ExpansionStrategy = ExpansionStrategy.MPC
     within_path_dedup: bool = True
-    # stricter repetitive-pruning variant: drop anything retrieved before,
-    # not just paragraphs already inside the evidence pool
-    prune_previously_seen: bool = False
 
     def __post_init__(self):
         if self.max_depth <= 0:
@@ -97,14 +93,20 @@ class EvidencePool:
 
     def distinct_paragraphs(self) -> list[Paragraph]:
         """Distinct paragraphs in acceptance order, then path order."""
-        out: list[Paragraph] = []
-        seen: set[str] = set()
-        for evidence in self.evidences:
-            for p in evidence.path:
-                if p.id not in seen:
-                    seen.add(p.id)
-                    out.append(p)
-        return out
+        return distinct_paragraphs(self.evidences)
+
+
+def distinct_paragraphs(evidences: Iterable[Evidence]) -> list[Paragraph]:
+    """Paragraphs of ``evidences`` in their order, then path order, each id
+    kept at its first occurrence."""
+    out: list[Paragraph] = []
+    seen: set[str] = set()
+    for evidence in evidences:
+        for p in evidence.path:
+            if p.id not in seen:
+                seen.add(p.id)
+                out.append(p)
+    return out
 
 
 @dataclass
@@ -124,16 +126,7 @@ class RunStats:
         self.rate = self.distinct_docs / self.api_calls if self.api_calls > 0 else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "api_calls": self.api_calls,
-            "distinct_docs": self.distinct_docs,
-            "rate": self.rate,
-            "evidence_count": self.evidence_count,
-            "parse_failures": self.parse_failures,
-            "pruned_repetitive": self.pruned_repetitive,
-            "pruned_relevance": self.pruned_relevance,
-            "provider_failures": self.provider_failures,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -254,7 +247,6 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     pool = EvidencePool()
     stats = RunStats()
     retrieved_ids: set[str] = set()
-    seen_ids: set[str] = set()
     nodes: list[_TreeNode] = []
     pruned_records: list[dict] = []
 
@@ -273,29 +265,20 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
         path_ids = parent.path_ids() if parent is not None else set()
         created: list[_TreeNode] = []
         for rank, (paragraph, _score) in enumerate(results):
-            if config.repetitive_pruning:
-                blocked = seen_ids if config.prune_previously_seen \
-                    else pool.accepted_ids
-                if paragraph.id in blocked:
-                    stats.pruned_repetitive += 1
-                    pruned_records.append({
-                        "paragraph_id": paragraph.id,
-                        "depth": child_depth,
-                        "parent": parent.index if parent is not None else None,
-                        "rank": rank,
-                        "query": query,
-                        "reason": "repetitive",
-                        "at_call": client.calls,
-                    })
-                    continue
-            if config.within_path_dedup and paragraph.id in path_ids:
+            reason = None
+            if config.repetitive_pruning and paragraph.id in pool.accepted_ids:
+                stats.pruned_repetitive += 1
+                reason = "repetitive"
+            elif config.within_path_dedup and paragraph.id in path_ids:
+                reason = "on_path"
+            if reason is not None:
                 pruned_records.append({
                     "paragraph_id": paragraph.id,
                     "depth": child_depth,
                     "parent": parent.index if parent is not None else None,
                     "rank": rank,
                     "query": query,
-                    "reason": "on_path",
+                    "reason": reason,
                     "at_call": client.calls,
                 })
                 continue
@@ -312,7 +295,6 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
             if parent is not None:
                 parent.children.append(node.index)
             created.append(node)
-        seen_ids.update(p.id for p, _ in results)
         return created
 
     def visit(node: _TreeNode) -> None:
@@ -358,34 +340,18 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     for root_child in expand(None, question, 1):
         visit(root_child)
 
-    stats.api_calls = client.calls
-    stats.distinct_docs = len(retrieved_ids)
-    stats.evidence_count = len(pool)
-    stats.finalize()
-
-    trace = RunTrace(
-        question=question,
-        mode="tor",
-        meta={
-            "max_depth": config.max_depth,
-            "widths": list(config.widths),
-            "expansion": config.expansion.value,
-            "relevance_pruning": config.relevance_pruning,
-            "repetitive_pruning": config.repetitive_pruning,
-            "within_path_dedup": config.within_path_dedup,
-            "prune_previously_seen": config.prune_previously_seen,
-            "candidate_filtering": "post_topk",
-        },
-        nodes=[n.to_record() for n in nodes],
-        pruned=pruned_records,
-        evidence=[{
-            "path": list(e.paragraph_ids()),
-            "brief_analysis": e.brief_analysis,
-            "accepted_at_call": e.accepted_at_call,
-        } for e in pool],
-        stats=stats.to_dict(),
-    )
-    return pool, stats, trace
+    meta = {
+        "max_depth": config.max_depth,
+        "widths": list(config.widths),
+        "expansion": config.expansion.value,
+        "relevance_pruning": config.relevance_pruning,
+        "repetitive_pruning": config.repetitive_pruning,
+        "within_path_dedup": config.within_path_dedup,
+        "candidate_filtering": "post_topk",
+    }
+    return _finish_run(question, "tor", meta, pool, stats, client.calls,
+                       retrieved_ids, nodes=[n.to_record() for n in nodes],
+                       pruned=pruned_records)
 
 
 def run_chain(question: str, index: CorpusIndex, embedder: EmbeddingProvider,
@@ -471,28 +437,13 @@ def run_chain(question: str, index: CorpusIndex, embedder: EmbeddingProvider,
             break
         query = outcome.new_query
 
-    stats.api_calls = client.calls
-    stats.distinct_docs = len(retrieved_ids)
-    stats.evidence_count = len(pool)
-    stats.finalize()
-
-    trace = RunTrace(
-        question=question,
-        mode="cor",
-        meta={"max_turns": max_turns, "per_turn_k": per_turn_k},
-        turns=turns,
-        evidence=[{
-            "path": list(e.paragraph_ids()),
-            "brief_analysis": e.brief_analysis,
-            "accepted_at_call": e.accepted_at_call,
-        } for e in pool],
-        stats=stats.to_dict(),
-    )
-    return pool, stats, trace
+    return _finish_run(question, "cor",
+                       {"max_turns": max_turns, "per_turn_k": per_turn_k},
+                       pool, stats, client.calls, retrieved_ids, turns=turns)
 
 
 def run_oner(question: str, k: int, index: CorpusIndex,
-             embedder: EmbeddingProvider) -> tuple[EvidencePool, RunStats]:
+             embedder: EmbeddingProvider) -> tuple[EvidencePool, RunStats, RunTrace]:
     """One-shot retrieval baseline: a single retrieval, no review calls.
 
     The pool holds one pseudo-evidence with the retrieved paragraphs and no
@@ -501,13 +452,33 @@ def run_oner(question: str, k: int, index: CorpusIndex,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     pool = EvidencePool()
-    stats = RunStats()
     results = retrieve(index, question, k, embedder)
     if results:
         pool.add(Evidence(path=tuple(p for p, _ in results), brief_analysis="",
                           accepted_at_call=0))
-    stats.api_calls = 0
-    stats.distinct_docs = len({p.id for p, _ in results})
+    return _finish_run(question, "oner", {"k": k}, pool, RunStats(), 0,
+                       {p.id for p, _ in results})
+
+
+def _finish_run(question: str, mode: str, meta: dict, pool: EvidencePool,
+                stats: RunStats, api_calls: int, retrieved_ids: set[str],
+                **records) -> tuple[EvidencePool, RunStats, RunTrace]:
+    """Complete ``stats`` and build the run's trace; ``records`` fills the
+    trace's mode-specific lists (``nodes``, ``pruned``, ``turns``)."""
+    stats.api_calls = api_calls
+    stats.distinct_docs = len(retrieved_ids)
     stats.evidence_count = len(pool)
     stats.finalize()
-    return pool, stats
+    trace = RunTrace(
+        question=question,
+        mode=mode,
+        meta=meta,
+        evidence=[{
+            "path": list(e.paragraph_ids()),
+            "brief_analysis": e.brief_analysis,
+            "accepted_at_call": e.accepted_at_call,
+        } for e in pool],
+        stats=stats.to_dict(),
+        **records,
+    )
+    return pool, stats, trace

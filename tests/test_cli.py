@@ -103,10 +103,11 @@ class TestRun:
         assert trace["mode"] == "tor"
         assert trace["stats"]["api_calls"] >= 1
 
+    @pytest.mark.parametrize("mode", ["tor", "cor", "oner"])
     def test_rerun_same_config_is_byte_identical(self, tmp_path, corpus_file,
-                                                 dataset_file, rules_file):
+                                                 dataset_file, rules_file, mode):
         out = tmp_path / "run"
-        args = run_args(corpus_file, dataset_file, out, rules_file)
+        args = run_args(corpus_file, dataset_file, out, rules_file, "--mode", mode)
         assert main(args) == 0
         snapshot = {
             p.relative_to(out): p.read_bytes()
@@ -183,6 +184,40 @@ class TestRun:
         assert "error" not in by_id["ok"]
         assert data["summary"]["failed"] == 1
 
+    def test_no_completed_question_exits_one(self, tmp_path, corpus_file):
+        dataset = tmp_path / "two.jsonl"
+        write_jsonl(dataset, [
+            {"id": "a", "question": "boston city", "gold_answers": ["B"]},
+            {"id": "b", "question": "census figures", "gold_answers": ["B"]},
+        ])
+        # no fusion rule and no default: every answer generation fails
+        rules = tmp_path / "no_fusion.jsonl"
+        accept = render_review_output(ReviewDecision.accept("it is Boston"))
+        write_jsonl(rules, [{"template": "review_cot", "response": accept}])
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset, out, rules)) == 1
+        summary = read_run_dir(out)["summary"]
+        assert summary["failed"] == summary["n"] == 2
+        assert summary["completed"] == 0
+
+    def test_summary_totals_provider_failures(self, tmp_path, corpus_file):
+        dataset = tmp_path / "two.jsonl"
+        write_jsonl(dataset, [
+            {"id": "a", "question": "boston city", "gold_answers": ["B"]},
+            {"id": "b", "question": "census figures", "gold_answers": ["B"]},
+        ])
+        # no review rule and no default: each of the three layer-1 reviews
+        # misses the oracle, is counted, and the question still completes
+        rules = tmp_path / "fusion_only.jsonl"
+        write_jsonl(rules, [{"template": "fusion_evidence",
+                             "response": "The answer is Boston."}])
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset, out, rules)) == 0
+        data = read_run_dir(out)
+        assert data["summary"]["completed"] == 2
+        assert [r["stats"]["provider_failures"] for r in data["answers"]] == [3, 3]
+        assert data["summary"]["total_provider_failures"] == 6
+
     def test_parallel_runs_match_serial(self, tmp_path, corpus_file, rules_file):
         dataset = tmp_path / "many.jsonl"
         write_jsonl(dataset, [
@@ -219,6 +254,20 @@ class TestRun:
         # all-hashed run exactly
         assert (out / "answers.jsonl").read_bytes() == \
             (baseline / "answers.jsonl").read_bytes()
+
+    def test_dim_mismatch_fails_before_the_first_question(self, tmp_path,
+                                                          corpus_file,
+                                                          dataset_file,
+                                                          rules_file):
+        index_dir = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus_file), "--out",
+                     str(index_dir), "--dim", "32"]) == 0
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--embedder", "precomputed", "--embeddings",
+                             str(index_dir / "embeddings.jsonl"),
+                             "--dim", "64")) == 1
+        assert not (out / "answers.jsonl").exists()
 
     def test_run_with_demos_dir(self, tmp_path, corpus_file, dataset_file,
                                 rules_file):

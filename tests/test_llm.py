@@ -12,6 +12,7 @@ from revtree import (
     CompletionRequest,
     LlmClient,
     RemoteChatProvider,
+    RemoteEmbedder,
     ScriptedOracle,
     ScriptedRule,
     estimate_tokens,
@@ -299,6 +300,92 @@ class TestRemoteProvider:
         with pytest.raises(ProviderError):
             client.complete(CompletionRequest(prompt="hi"))
         assert Rejecting.calls == 1
+
+
+class FakeReply:
+    def __init__(self, status_code: int, payload=None):
+        self.status_code = status_code
+        self.text = f"status {status_code}"
+        self._payload = payload
+
+    def json(self):
+        return self._payload
+
+
+class FakeSession:
+    """Replies with ``statuses`` in turn, repeating the last one; a 200
+    carries ``payload``."""
+
+    def __init__(self, statuses, payload):
+        self.statuses = list(statuses)
+        self.payload = payload
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        status = self.statuses[min(self.posts, len(self.statuses) - 1)]
+        self.posts += 1
+        return FakeReply(status, self.payload if status == 200 else None)
+
+
+def _chat(session):
+    client = LlmClient(RemoteChatProvider(session=session), max_attempts=3,
+                       backoff_s=0, sleep=lambda s: None)
+    return client.complete(CompletionRequest(prompt="hi")).text
+
+
+def _embed(session):
+    return list(RemoteEmbedder(session=session, max_attempts=3,
+                               backoff_s=0).embed_text("hi"))
+
+
+# client name -> (env vars, 200 payload, what the call returns, call)
+REMOTE_CLIENTS = {
+    "chat": (("REVTREE_LLM_BASE_URL", "REVTREE_LLM_API_KEY", "REVTREE_LLM_MODEL"),
+             {"choices": [{"message": {"content": "hello"}}]}, "hello", _chat),
+    "embedder": (("REVTREE_EMBED_BASE_URL", "REVTREE_EMBED_API_KEY",
+                  "REVTREE_EMBED_MODEL"),
+                 {"data": [{"embedding": [1.0, 2.0]}]}, [1.0, 2.0], _embed),
+}
+
+
+class TestSharedRemotePath:
+    """Both remote clients read their env, sort status codes and retry the
+    same way."""
+
+    @pytest.fixture(params=sorted(REMOTE_CLIENTS))
+    def remote(self, request, monkeypatch):
+        env_vars, payload, expected, call = REMOTE_CLIENTS[request.param]
+        for var in env_vars:
+            monkeypatch.setenv(var, "https://remote.example/v1")
+        return env_vars, payload, expected, call
+
+    def test_every_missing_env_var_is_named(self, remote, monkeypatch):
+        env_vars, payload, _expected, call = remote
+        for var in env_vars:
+            monkeypatch.delenv(var)
+        with pytest.raises(ProviderConfigError) as info:
+            call(FakeSession([200], payload))
+        assert all(var in str(info.value) for var in env_vars)
+
+    def test_503_then_200_succeeds_on_second_attempt(self, remote):
+        _env_vars, payload, expected, call = remote
+        session = FakeSession([503, 200], payload)
+        assert call(session) == expected
+        assert session.posts == 2
+
+    def test_exhausted_attempts_raise_provider_error(self, remote):
+        _env_vars, payload, _expected, call = remote
+        session = FakeSession([503], payload)
+        with pytest.raises(ProviderError, match="after 3 attempts"):
+            call(session)
+        assert session.posts == 3
+
+    def test_400_raises_provider_error_after_one_post(self, remote):
+        _env_vars, payload, _expected, call = remote
+        session = FakeSession([400], payload)
+        with pytest.raises(ProviderError, match="rejected the request: 400"):
+            call(session)
+        assert session.posts == 1
 
 
 class TestTokenEstimators:

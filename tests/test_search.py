@@ -213,24 +213,6 @@ def assert_creation_respects_pool(trace):
         assert node["paragraph_id"] not in accepted_then
 
 
-class TestSeenScopePruning:
-    def test_prune_previously_seen_is_stricter(self, embedder):
-        index = build_index(
-            [Paragraph(c, "", "seed") for c in "abc"], embedder
-        )
-        base = dict(max_depth=2, widths=(3, 3), expansion=ExpansionStrategy.COT)
-        evidence_scope = TreeConfig(**base)
-        seen_scope = TreeConfig(**base, prune_previously_seen=True)
-        oracle = always_search_oracle(query="seed")
-        _, stats_evidence, _ = run_tree("seed", evidence_scope, index, embedder,
-                                        oracle)
-        _, stats_seen, _ = run_tree("seed", seen_scope, index, embedder, oracle)
-        # every candidate was already seen at layer one, so the strict scope
-        # reviews only that layer
-        assert stats_seen.api_calls == 3
-        assert stats_seen.api_calls < stats_evidence.api_calls
-
-
 class GarbageAtCall:
     """Delegates to an inner provider except at one call index."""
 
@@ -457,7 +439,7 @@ class TestRunChain:
 
 class TestRunOner:
     def test_clamps_to_corpus_size(self, embedder, small_index):
-        pool, stats = run_oner("boston", 15, small_index, embedder)
+        pool, stats, _trace = run_oner("boston", 15, small_index, embedder)
         assert len(pool.evidences[0].path) == 5
         assert stats.api_calls == 0
         assert stats.rate == 0.0
@@ -465,7 +447,8 @@ class TestRunOner:
     def test_matches_retrieve_output(self, embedder, small_index):
         from revtree import retrieve
 
-        pool, stats = run_oner("boston population", 3, small_index, embedder)
+        pool, stats, _trace = run_oner("boston population", 3, small_index,
+                                       embedder)
         expected = [p.id for p, _ in retrieve(small_index, "boston population",
                                               3, embedder)]
         assert list(pool.evidences[0].paragraph_ids()) == expected
@@ -478,6 +461,14 @@ class TestRunOner:
     def test_k_must_be_positive(self, embedder, small_index):
         with pytest.raises(ValueError):
             run_oner("q", 0, small_index, embedder)
+
+    def test_trace_carries_the_returned_stats(self, embedder, small_index):
+        pool, stats, trace = run_oner("boston", 3, small_index, embedder)
+        assert trace.mode == "oner"
+        assert trace.meta == {"k": 3}
+        assert trace.stats == stats.to_dict()
+        assert trace.evidence == [{"path": list(pool.evidences[0].paragraph_ids()),
+                                   "brief_analysis": "", "accepted_at_call": 0}]
 
 
 class TestTreeConfig:

@@ -84,7 +84,6 @@ def simulate(question: str, config: TreeConfig, index, embedder,
              policy: Policy) -> dict:
     """Independent reference walk over the same corpus and policy."""
     accepted: set[str] = set()
-    seen: set[str] = set()
     reviews: list[tuple[str, ...]] = []
     evidence: list[tuple[str, ...]] = []
     calls = 0
@@ -99,14 +98,12 @@ def simulate(question: str, config: TreeConfig, index, embedder,
                                          embedder)]
         kept = []
         for pid in ids:
-            blocked = seen if config.prune_previously_seen else accepted
-            if config.repetitive_pruning and pid in blocked:
+            if config.repetitive_pruning and pid in accepted:
                 pruned_repetitive += 1
                 continue
             if config.within_path_dedup and pid in parent_path:
                 continue
             kept.append((pid, query))
-        seen.update(ids)
         return kept
 
     def walk(candidates: list[tuple[str, str]],
@@ -165,7 +162,6 @@ def test_tree_matches_reference_simulator_across_random_scenarios():
             relevance_pruning=rng.random() < 0.5,
             repetitive_pruning=rng.random() < 0.5,
             within_path_dedup=rng.random() < 0.5,
-            prune_previously_seen=rng.random() < 0.3,
             expansion=rng.choice([ExpansionStrategy.COT, ExpansionStrategy.MPC]),
         )
         policy = Policy(seed=scenario * 7 + 1, vocab_size=vocab_size)
@@ -178,7 +174,7 @@ def test_tree_matches_reference_simulator_across_random_scenarios():
 
         context = (scenario, widths, config.expansion.value,
                    config.relevance_pruning, config.repetitive_pruning,
-                   config.within_path_dedup, config.prune_previously_seen)
+                   config.within_path_dedup)
         assert provider.review_paths == reference["reviews"], context
         assert stats.api_calls == reference["calls"], context
         assert [e.paragraph_ids() for e in pool] == reference["evidence"], context

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import embedding
 from .corpus import CorpusIndex, build_index, ingest_corpus, load_paragraphs
-from .errors import RevtreeError
+from .errors import CorpusError, RevtreeError
 from .fusion import FusionStrategy, generate_answer, select_scored_paragraphs
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
@@ -103,6 +103,32 @@ def _dump_json(path: Path, payload: dict) -> None:
     )
 
 
+def _file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _check_manifest(embeddings_path: str, query_embedder) -> None:
+    """Refuse an embeddings file whose ingest manifest, when one sits beside
+    it, names another embedder than the one queries use, or another
+    checksum than the file has."""
+    manifest_path = Path(embeddings_path).with_name("manifest.json")
+    if not manifest_path.exists():
+        return
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if manifest.get("provider_id") != query_embedder.provider_id:
+        raise CorpusError(
+            f"{embeddings_path} was embedded by {manifest.get('provider_id')!r} "
+            f"(per {manifest_path}), but queries are embedded by "
+            f"{query_embedder.provider_id!r}")
+    if manifest.get("checksum") != _file_sha256(embeddings_path):
+        raise CorpusError(
+            f"{embeddings_path} does not match the checksum in {manifest_path}")
+
+
 def _build_embedder(kind: str, dim: int, seed: int,
                     embeddings_path: Optional[str] = None):
     if kind == "remote":
@@ -110,6 +136,7 @@ def _build_embedder(kind: str, dim: int, seed: int,
     hashed = embedding.HashedEmbedder(dim=dim, seed=seed)
     if kind == "hashed":
         return hashed
+    _check_manifest(embeddings_path, hashed)
     return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed)
 
 
@@ -127,7 +154,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     embeddings_path = out_dir / "embeddings.jsonl"
     embedding.write_embeddings_file(embeddings_path, index.embeddings)
-    checksum = hashlib.sha256(embeddings_path.read_bytes()).hexdigest()
+    checksum = _file_sha256(embeddings_path)
     _dump_json(out_dir / "manifest.json", {
         "corpus": str(args.corpus),
         "count": len(index),
@@ -243,8 +270,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     _dump_json(out_dir / "stats_summary.json", summary)
     _dump_json(out_dir / "config.json", config.to_dict())
     print(f"ran {len(dataset)} questions ({failures} failed) -> {out_dir}")
-    # a run that answered nothing is not a success, though its files stand
-    return 0 if n else 1
+    # a run that answered nothing, or whose every retrieval came back empty,
+    # is not a success, though its files stand
+    if any(r["stats"]["distinct_docs"] for r in ok_records):
+        return 0
+    if n:
+        logger.error("no question retrieved a paragraph")
+    return 1
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

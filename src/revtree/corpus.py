@@ -4,6 +4,13 @@ cosine retrieval.
 The index holds every embedding in memory; at desk scale (up to ~1e5
 paragraphs) an exact scan beats maintaining an ANN structure.  Scores are raw
 cosine values; downstream code only consumes the ranking.
+
+Raw embeddings live in one ``(n, dim)`` matrix in ascending-id order, and
+their unit vectors in one column-major ``(dim, n)`` array.  A score is the
+sum over dimensions of ``unit[j] * query[j]``, added in the pairwise order
+numpy uses for ``(unit * query).sum(axis=1)``, so every score is bit-identical
+to that expression and identical embeddings tie exactly.  Top-k keeps every
+row that reaches the k-th score, ties included, and sorts only those.
 """
 
 from __future__ import annotations
@@ -69,23 +76,30 @@ class CorpusIndex:
         self.provider_id = provider_id
         self._ids: tuple[str, ...] = tuple(sorted(by_id))
         self._by_id = by_id
-        self._embeddings = {pid: np.asarray(embeddings[pid], dtype=np.float64)
-                            for pid in self._ids}
+        self._row = {pid: i for i, pid in enumerate(self._ids)}
 
-        if self._ids:
-            dims = {vec.shape for vec in self._embeddings.values()}
-            if len(dims) != 1 or len(next(iter(dims))) != 1:
-                raise CorpusError(f"inconsistent embedding shapes: {sorted(dims)}")
-            self.dim: Optional[int] = next(iter(dims))[0]
-            matrix = np.stack([self._embeddings[pid] for pid in self._ids])
-            norms = np.linalg.norm(matrix, axis=1)
-            if np.any(norms == 0.0):
-                zero = [pid for pid, n in zip(self._ids, norms) if n == 0.0]
-                raise CorpusError(f"all-zero embeddings for ids: {zero[:5]}")
-            self._unit_matrix = matrix / norms[:, None]
-        else:
-            self.dim = None
-            self._unit_matrix = np.zeros((0, 0), dtype=np.float64)
+        vectors = [np.asarray(embeddings[pid], dtype=np.float64) for pid in self._ids]
+        shapes = {vec.shape for vec in vectors}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise CorpusError(f"inconsistent embedding shapes: {sorted(shapes)}")
+        self.dim: Optional[int] = vectors[0].shape[0] if vectors else None
+        self._matrix = np.stack(vectors) if vectors else np.zeros((0, 0))
+        del vectors  # converted copies go before the unit array is made
+        self._matrix.flags.writeable = False
+
+        finite = np.isfinite(self._matrix).all(axis=1)
+        if not finite.all():
+            bad = [self._ids[i] for i in np.flatnonzero(~finite)[:5]]
+            raise CorpusError(f"non-finite embeddings for ids: {bad}")
+        norms = np.linalg.norm(self._matrix, axis=1)
+        if np.any(norms == 0.0):
+            zero = [self._ids[i] for i in np.flatnonzero(norms == 0.0)[:5]]
+            raise CorpusError(f"all-zero embeddings for ids: {zero}")
+        # column j holds dimension j of every unit vector; divided straight
+        # into place, so no second (n, dim) copy exists at once
+        self._unit_cols = np.empty(self._matrix.shape[::-1])
+        np.divide(self._matrix.T, norms, out=self._unit_cols)
+        self._unit_cols.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -105,11 +119,12 @@ class CorpusIndex:
         return self._by_id[pid]
 
     def embedding(self, pid: str) -> np.ndarray:
-        return self._embeddings[pid]
+        """The raw (not normalised) vector of ``pid``, as given."""
+        return self._matrix[self._row[pid]]
 
     @property
     def embeddings(self) -> dict[str, np.ndarray]:
-        return dict(self._embeddings)
+        return dict(zip(self._ids, self._matrix))
 
 
 def cosine_similarity(a: Sequence[float] | np.ndarray,
@@ -147,18 +162,62 @@ def retrieve(index: CorpusIndex, query: str, k: int,
         raise CorpusError(
             f"query embedding dim {qvec.shape[0]} does not match index dim {index.dim}"
         )
+    if not np.isfinite(qvec).all():
+        raise ValueError("query embedded to a non-finite vector")
     qnorm = float(np.linalg.norm(qvec))
     if qnorm == 0.0:
         raise ValueError("query embedded to a zero vector")
 
-    # elementwise multiply + per-row reduction, not a BLAS matvec: dgemv may
-    # accumulate different rows along different code paths, so identical
-    # embeddings could disagree in the last ulp and corrupt the id tie-break
-    scores = (index._unit_matrix * (qvec / qnorm)).sum(axis=1)
-    # rows are in ascending-id order, so a stable sort on -score alone yields
-    # the (score desc, id asc) contract
-    order = np.argsort(-scores, kind="stable")[: min(k, len(index))]
+    # elementwise products summed in numpy's fixed pairwise order, not a BLAS
+    # matvec: dgemv may accumulate different rows along different code paths,
+    # so identical embeddings could disagree in the last ulp and corrupt the
+    # id tie-break.  numpy's reduce also adds its result to 0.0, which turns
+    # a -0.0 sum into +0.0.
+    scores = _pairwise_dot(index._unit_cols, qvec / qnorm, 0, index.dim)
+    scores += 0.0
+    # every row scoring at least the k-th score is a candidate, so rows tied
+    # with it all compete; candidates are in ascending-id order, so a stable
+    # sort on -score alone yields the (score desc, id asc) contract
+    n = len(index)
+    k = min(k, n)
+    candidates = np.arange(n)
+    if k < n:
+        kth = np.partition(scores, n - k)[n - k]
+        candidates = np.flatnonzero(scores >= kth)
+    order = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
     return [(index.get(index.ids[i]), float(scores[i])) for i in order]
+
+
+# numpy sums at most this many terms with eight accumulators before it splits
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_dot(cols: np.ndarray, q: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``sum(cols[j] * q[j] for lo <= j < hi)``, added in numpy's pairwise
+    summation order.
+
+    Fewer than 8 terms are added in sequence; up to ``_PAIRWISE_BLOCK`` terms
+    go to eight strided accumulators, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the remainder is added;
+    longer runs split at a multiple of 8 near the middle and recurse.
+    """
+    n = hi - lo
+    if n > _PAIRWISE_BLOCK:
+        mid = lo + n // 2 - (n // 2) % 8
+        return _pairwise_dot(cols, q, lo, mid) + _pairwise_dot(cols, q, mid, hi)
+    term = np.empty(cols.shape[1])
+    if n < 8:
+        acc, rest = cols[lo] * q[lo], lo + 1
+    else:
+        r = [cols[lo + i] * q[lo + i] for i in range(8)]
+        rest = hi - n % 8
+        for j in range(lo + 8, rest, 8):
+            for i in range(8):
+                r[i] += np.multiply(cols[j + i], q[j + i], out=term)
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(rest, hi):
+        acc += np.multiply(cols[j], q[j], out=term)
+    return acc
 
 
 def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,

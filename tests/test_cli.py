@@ -269,6 +269,52 @@ class TestRun:
                              "--dim", "64")) == 1
         assert not (out / "answers.jsonl").exists()
 
+    def test_manifest_seed_mismatch_fails_before_the_first_question(
+            self, tmp_path, corpus_file, dataset_file, rules_file, caplog):
+        index_dir = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus_file), "--out",
+                     str(index_dir), "--seed", "1"]) == 0
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--embedder", "precomputed", "--embeddings",
+                             str(index_dir / "embeddings.jsonl"),
+                             "--seed", "0")) == 1
+        assert not (out / "answers.jsonl").exists()
+        assert "hashed:dim=64,seed=1" in caplog.text
+
+    def test_manifest_checksum_mismatch_fails_before_the_first_question(
+            self, tmp_path, corpus_file, dataset_file, rules_file, caplog):
+        index_dir = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus_file), "--out",
+                     str(index_dir)]) == 0
+        path = index_dir / "embeddings.jsonl"
+        data = bytearray(path.read_bytes())
+        # one digit of the first value changes: still a valid file
+        at = data.index(b'"values": [') + len(b'"values": [') + 1
+        while not chr(data[at]).isdigit():
+            at += 1
+        data[at] = ord("7") if data[at] != ord("7") else ord("3")
+        path.write_bytes(bytes(data))
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--embedder", "precomputed", "--embeddings",
+                             str(path))) == 1
+        assert not (out / "answers.jsonl").exists()
+        assert "checksum" in caplog.text
+
+    def test_run_in_which_no_retrieval_succeeded_exits_one(
+            self, tmp_path, corpus_file, dataset_file, rules_file, monkeypatch):
+        def failing_retrieve(*args, **kwargs):
+            raise RuntimeError("retrieval is down")
+
+        monkeypatch.setattr("revtree.search.retrieve", failing_retrieve)
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file)) == 1
+        data = read_run_dir(out)
+        assert data["summary"]["completed"] == data["summary"]["n"] == 1
+        assert data["answers"][0]["stats"]["distinct_docs"] == 0
+        assert (out / "traces" / "q1.json").exists()
+
     def test_run_with_demos_dir(self, tmp_path, corpus_file, dataset_file,
                                 rules_file):
         demos_dir = tmp_path / "demos"

@@ -20,8 +20,8 @@ from revtree import (
     ingest_corpus,
     retrieve,
 )
-from revtree.corpus import load_paragraphs
-from revtree.embedding import write_embeddings_file
+from revtree.corpus import CorpusIndex, load_paragraphs
+from revtree.embedding import EmbeddingProvider, write_embeddings_file
 from revtree.errors import CorpusError, ProviderConfigError
 
 
@@ -192,6 +192,94 @@ class TestRetrieve:
                 assert got == brute_force_topk(index, query, k, embedder)
 
 
+class FixedQuery(EmbeddingProvider):
+    """Embeds every query to one given vector."""
+
+    def __init__(self, vector):
+        self.vector = np.asarray(vector, dtype=np.float64)
+
+    def embed_text(self, text):
+        return self.vector
+
+
+def vector_index(vectors: dict) -> CorpusIndex:
+    return CorpusIndex([Paragraph(pid, "", "text") for pid in vectors],
+                       vectors, "fixed")
+
+
+class TestScoring:
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 64, 129, 384])
+    def test_scores_equal_the_row_sum_bit_for_bit(self, dim):
+        # the ranking contract is stated in terms of this expression; a numpy
+        # whose pairwise sum changes order would show up here
+        rng = np.random.default_rng(dim)
+        matrix = rng.standard_normal((50, dim))
+        matrix[:5] = matrix[5]  # exact duplicates must tie exactly
+        ids = [f"p{i:02d}" for i in range(50)]
+        index = vector_index(dict(zip(ids, matrix)))
+        qvec = rng.standard_normal(dim)
+        unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+        expected = (unit * (qvec / np.linalg.norm(qvec))).sum(axis=1)
+        scores = dict((p.id, s) for p, s in
+                      retrieve(index, "q", 50, FixedQuery(qvec)))
+        assert np.array_equal([scores[pid] for pid in ids], expected)
+
+    def test_tie_straddling_the_kth_score_breaks_by_id(self):
+        q = np.array([1.0, 0.0, 0.0])
+        tied = ["m3", "c0", "x9", "a5", "k2", "b1", "z0", "e4", "n8", "d7"]
+        vectors = {"y1": [1.0, 0.1, 0.0], "f6": [1.0, 0.2, 0.0]}
+        vectors.update({pid: [1.0, 1.0, 0.0] for pid in tied})
+        vectors.update({"a0": [0.0, 1.0, 0.0], "zz": [-1.0, 0.0, 1.0]})
+        index = vector_index(vectors)
+        expected = ["y1", "f6"] + sorted(tied) + ["a0", "zz"]
+        for k in range(1, 13):
+            got = retrieve(index, "q", k, FixedQuery(q))
+            assert [p.id for p, _ in got] == expected[:k]
+            assert len({s for p, s in got if p.id in tied}) <= 1
+
+    def test_embeddings_come_back_bit_exact(self):
+        rng = np.random.default_rng(3)
+        vectors = {f"p{i}": rng.standard_normal(16) * 10.0 ** (i - 3)
+                   for i in range(8)}
+        index = vector_index(vectors)
+        for pid, vec in vectors.items():
+            assert np.array_equal(index.embedding(pid), vec)
+        assert list(index.embeddings) == sorted(vectors)
+        assert all(np.array_equal(index.embeddings[pid], vec)
+                   for pid, vec in vectors.items())
+
+    def test_empty_index_retrieves_nothing(self):
+        index = vector_index({})
+        assert len(index) == 0 and index.embeddings == {}
+        assert retrieve(index, "q", 5, FixedQuery([1.0, 0.0])) == []
+
+    def test_k_beyond_the_index_returns_every_row_ranked(self):
+        index = vector_index({"b": [1.0, 0.0], "a": [1.0, 0.0], "c": [0.0, 1.0]})
+        got = retrieve(index, "q", 10, FixedQuery([1.0, 0.5]))
+        assert [p.id for p, _ in got] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_are_named(self, bad):
+        vectors = {"a": [1.0, 0.0], "b": [bad, 1.0], "c": [0.0, 1.0],
+                   "d": [1.0, bad]}
+        with pytest.raises(CorpusError, match=r"non-finite.*\['b', 'd'\]"):
+            vector_index(vectors)
+
+    def test_non_finite_query_is_rejected(self):
+        index = vector_index({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        with pytest.raises(ValueError, match="non-finite"):
+            retrieve(index, "q", 1, FixedQuery([np.nan, 1.0]))
+
+    def test_nan_from_a_precomputed_file_is_refused(self, tmp_path):
+        # json accepts NaN, so a file can carry one
+        path = tmp_path / "embeddings.jsonl"
+        path.write_text('{"id": "a", "values": [1.0, NaN]}\n'
+                        '{"id": "b", "values": [0.0, 1.0]}\n')
+        paragraphs = [Paragraph("a", "", "alpha"), Paragraph("b", "", "beta")]
+        with pytest.raises(CorpusError, match="'a'"):
+            build_index(paragraphs, PrecomputedEmbeddings(path))
+
+
 class TestProviders:
     def test_hashed_embedder_deterministic(self):
         a = HashedEmbedder(dim=32, seed=5)
@@ -261,6 +349,12 @@ class TestProviders:
         provider = PrecomputedEmbeddings(path)
         with pytest.raises(CorpusError, match="'b'"):
             provider.embed_paragraph(Paragraph("b", "", "beta"), "beta")
+
+    def test_precomputed_refuses_a_fallback_of_another_dim(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        write_embeddings_file(path, {"a": np.ones(4)})
+        with pytest.raises(CorpusError, match="dim 64 does not match"):
+            PrecomputedEmbeddings(path, fallback=HashedEmbedder(dim=64))
 
     def test_precomputed_without_fallback_cannot_embed_queries(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"

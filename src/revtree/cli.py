@@ -9,7 +9,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -17,6 +17,7 @@ from . import embedding
 from .corpus import CorpusIndex, build_index, ingest_corpus, load_paragraphs
 from .errors import CorpusError, RevtreeError
 from .fusion import FusionStrategy, generate_answer, select_scored_paragraphs
+from .jsonl import read_jsonl
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
 from .metrics import ExampleResult, evaluate_run, load_dataset
@@ -28,7 +29,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for one batch run; serialized next to its outputs."""
+    """Every setting of one batch run, checked once when it is built, and
+    serialized next to the run's outputs.  Each ``run`` flag sets the field
+    its argparse ``dest`` names."""
 
     mode: str = "tor"
     corpus_path: str = ""
@@ -41,13 +44,13 @@ class RunConfig:
     dim: int = 64
     seed: int = 0
     embed_title: bool = True
-    max_depth: int = 3
     widths: tuple[int, ...] = (5, 3, 3)
     expansion: str = "mpc"
     relevance_pruning: bool = True
     repetitive_pruning: bool = True
     within_path_dedup: bool = True
-    fusion: str = "evidence"
+    # unset, it is "paragraph" under oner and "evidence" otherwise
+    fusion: Optional[str] = None
     budget_tokens: int = 4096
     estimator: str = "whitespace"
     oner_k: int = 15
@@ -57,8 +60,19 @@ class RunConfig:
     demos_dir: Optional[str] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # exact types, since a bool is also an int; a None default
+            # admits a string
+            if type(value) is not type(f.default) and not (
+                    f.default is None and isinstance(value, str)):
+                raise ValueError(f"config field '{f.name}' has the wrong type: "
+                                 f"{value!r}")
         if self.mode not in ("tor", "cor", "oner"):
             raise ValueError(f"unknown mode '{self.mode}'")
+        if not self.corpus_path or not self.dataset_path or not self.output_dir:
+            raise ValueError("run needs --corpus, --dataset and --out (or a "
+                             "--config file carrying them)")
         if self.provider not in ("scripted", "remote"):
             raise ValueError(f"unknown provider '{self.provider}'")
         if self.provider == "scripted" and not self.rules_path:
@@ -67,33 +81,32 @@ class RunConfig:
             raise ValueError(f"unknown embedder '{self.embedder}'")
         if self.embedder == "precomputed" and not self.embeddings_path:
             raise ValueError("precomputed embedder requires --embeddings")
-        if self.parallel < 1:
-            raise ValueError("--parallel must be >= 1")
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["widths"] = list(self.widths)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if "widths" in data:
-            data = dict(data, widths=tuple(data["widths"]))
-        return cls(**data)
-
-    def tree_config(self) -> TreeConfig:
-        return TreeConfig(
-            max_depth=self.max_depth,
+        for name in ("oner_k", "max_turns", "per_turn_k", "parallel"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.fusion is None:
+            object.__setattr__(self, "fusion",
+                               "paragraph" if self.mode == "oner" else "evidence")
+        # built once here, so that a bad value fails the run before its index
+        object.__setattr__(self, "tree", TreeConfig(
             widths=self.widths,
             relevance_pruning=self.relevance_pruning,
             repetitive_pruning=self.repetitive_pruning,
             expansion=ExpansionStrategy(self.expansion),
             within_path_dedup=self.within_path_dedup,
-        )
+        ))
+        object.__setattr__(self, "fusion_strategy", FusionStrategy(self.fusion))
+        object.__setattr__(self, "token_estimator",
+                           make_token_estimator(self.estimator))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        if isinstance(data.get("widths"), list):
+            data = dict(data, widths=tuple(data["widths"]))
+        return cls(**data)
 
 
 def _dump_json(path: Path, payload: dict) -> None:
@@ -140,12 +153,6 @@ def _build_embedder(kind: str, dim: int, seed: int,
     return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed)
 
 
-def _build_llm_provider(config: RunConfig):
-    if config.provider == "scripted":
-        return ScriptedOracle.from_file(config.rules_path)
-    return RemoteChatProvider()
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,10 +177,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
              llm_provider, demos: dict) -> tuple[dict, RunTrace]:
     client = LlmClient(llm_provider)
-    estimator = make_token_estimator(config.estimator)
-
     if config.mode == "tor":
-        pool, stats, trace = run_tree(example.question, config.tree_config(),
+        pool, stats, trace = run_tree(example.question, config.tree,
                                       index, embedder, client,
                                       demos=demos.get("review", ()))
     elif config.mode == "cor":
@@ -185,10 +190,9 @@ def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
         pool, stats, trace = run_oner(example.question, config.oner_k, index,
                                       embedder)
 
-    strategy = FusionStrategy(config.fusion)
-    answer = generate_answer(example.question, pool, strategy, client,
-                             budget_tokens=config.budget_tokens,
-                             estimator=estimator,
+    answer = generate_answer(example.question, pool, config.fusion_strategy,
+                             client, budget_tokens=config.budget_tokens,
+                             estimator=config.token_estimator,
                              demos=demos.get("fusion", ()))
     scored = select_scored_paragraphs(pool, answer.full_response, embedder)
     record = {
@@ -211,12 +215,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
+    dataset = load_dataset(config.dataset_path)
+    llm_provider = (ScriptedOracle.from_file(config.rules_path)
+                    if config.provider == "scripted" else RemoteChatProvider())
     embedder = _build_embedder(config.embedder, config.dim, config.seed,
                                config.embeddings_path)
-    llm_provider = _build_llm_provider(config)
     index = build_index(load_paragraphs(config.corpus_path), embedder,
                         embed_title=config.embed_title)
-    dataset = load_dataset(config.dataset_path)
     demos = {}
     if config.demos_dir:
         demos = {
@@ -268,7 +273,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "total_fusion_calls": sum(r.get("fusion_calls", 0) for r in ok_records),
     }
     _dump_json(out_dir / "stats_summary.json", summary)
-    _dump_json(out_dir / "config.json", config.to_dict())
+    _dump_json(out_dir / "config.json", asdict(config))
     print(f"ran {len(dataset)} questions ({failures} failed) -> {out_dir}")
     # a run that answered nothing, or whose every retrieval came back empty,
     # is not a success, though its files stand
@@ -283,22 +288,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     run_dir = Path(args.run)
     results: dict[str, ExampleResult] = {}
-    with open(run_dir / "answers.jsonl", "r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if "error" in record:
-                continue
-            stats_data = record.get("stats", {})
-            stats = RunStats(**{k: v for k, v in stats_data.items()
+    answers_path = run_dir / "answers.jsonl"
+    for lineno, record in read_jsonl(answers_path, RevtreeError):
+        if "error" in record:
+            continue
+        try:
+            stats = RunStats(**{k: v for k, v in record.get("stats", {}).items()
                                 if k in RunStats.__dataclass_fields__})
             results[record["id"]] = ExampleResult(
-                example_id=record["id"],
-                answer=record.get("answer", ""),
-                scored_ids=tuple(record.get("scored_ids", ())),
-                stats=stats,
-            )
+                example_id=record["id"], answer=record.get("answer", ""),
+                scored_ids=tuple(record.get("scored_ids", ())), stats=stats)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise RevtreeError(
+                f"{answers_path}: line {lineno}: invalid answer record: {exc!r}") from exc
     report = evaluate_run(dataset, results)
     out_path = Path(args.out) if args.out else run_dir / "report.json"
     _dump_json(out_path, report.to_dict())
@@ -307,46 +309,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
+    """The file ``--config`` names, if any, with every given flag over it."""
+    given = {k: v for k, v in vars(args).items()
+             if k in RunConfig.__dataclass_fields__}
+    data = {}
+    if "config" in args:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        config = RunConfig.from_dict(data)
-    else:
-        config = RunConfig(
-            mode=args.mode,
-            corpus_path=args.corpus,
-            dataset_path=args.dataset,
-            output_dir=args.out,
-            provider=args.provider,
-            rules_path=args.rules,
-            embedder=args.embedder,
-            embeddings_path=args.embeddings,
-            dim=args.dim,
-            seed=args.seed,
-            embed_title=not args.no_embed_title,
-            max_depth=args.depth,
-            widths=tuple(int(w) for w in args.widths.split(",")),
-            expansion=args.expansion,
-            relevance_pruning=not args.no_relevance_pruning,
-            repetitive_pruning=not args.no_repetitive_pruning,
-            within_path_dedup=not args.no_within_path_dedup,
-            fusion=args.fusion or ("paragraph" if args.mode == "oner" else "evidence"),
-            budget_tokens=args.budget,
-            estimator=args.estimator,
-            oner_k=args.k,
-            max_turns=args.max_turns,
-            per_turn_k=args.per_turn_k,
-            parallel=args.parallel,
-            demos_dir=args.demos_dir,
-        )
-    overrides = {}
-    if args.config and args.out:
-        overrides["output_dir"] = args.out
-    if overrides:
-        config = replace(config, **overrides)
-    if not config.corpus_path or not config.dataset_path or not config.output_dir:
-        raise ValueError("run needs --corpus, --dataset and --out (or a --config "
-                         "file carrying them)")
-    return config
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: a config file holds one JSON object")
+    return RunConfig.from_dict({**data, **given})
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,36 +341,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--no-embed-title", action="store_true")
     p_ingest.set_defaults(func=cmd_ingest)
 
-    p_run = sub.add_parser("run", help="run a batch of questions")
-    p_run.add_argument("--config", help="JSON config file (flags override --out)")
-    p_run.add_argument("--mode", choices=["tor", "cor", "oner"], default="tor")
-    p_run.add_argument("--corpus")
-    p_run.add_argument("--dataset")
-    p_run.add_argument("--out")
-    p_run.add_argument("--provider", choices=["scripted", "remote"],
-                       default="scripted")
-    p_run.add_argument("--rules", help="scripted oracle rule file")
-    p_run.add_argument("--embedder", choices=["hashed", "remote", "precomputed"],
-                       default="hashed")
-    p_run.add_argument("--embeddings", help="precomputed embedding file")
-    p_run.add_argument("--dim", type=int, default=64)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--no-embed-title", action="store_true")
-    p_run.add_argument("--depth", type=int, default=3)
-    p_run.add_argument("--widths", default="5,3,3")
-    p_run.add_argument("--expansion", choices=["direct", "cot", "mpc"],
-                       default="mpc")
-    p_run.add_argument("--no-relevance-pruning", action="store_true")
-    p_run.add_argument("--no-repetitive-pruning", action="store_true")
-    p_run.add_argument("--no-within-path-dedup", action="store_true")
+    # no flag has a default: RunConfig holds them, and a flag given
+    # overrides the --config file
+    p_run = sub.add_parser("run", help="run a batch of questions",
+                           argument_default=argparse.SUPPRESS)
+    p_run.add_argument("--config", help="JSON config file; given flags override it")
+    p_run.add_argument("--mode", choices=["tor", "cor", "oner"])
+    p_run.add_argument("--corpus", dest="corpus_path")
+    p_run.add_argument("--dataset", dest="dataset_path")
+    p_run.add_argument("--out", dest="output_dir")
+    p_run.add_argument("--provider", choices=["scripted", "remote"])
+    p_run.add_argument("--rules", dest="rules_path", help="scripted oracle rule file")
+    p_run.add_argument("--embedder", choices=["hashed", "remote", "precomputed"])
+    p_run.add_argument("--embeddings", dest="embeddings_path",
+                       help="precomputed embedding file")
+    p_run.add_argument("--dim", type=int)
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--no-embed-title", dest="embed_title", action="store_false")
+    p_run.add_argument("--widths", type=_widths,
+                       help="per-layer retrieval k, one per layer (default 5,3,3)")
+    p_run.add_argument("--expansion", choices=["direct", "cot", "mpc"])
+    p_run.add_argument("--no-relevance-pruning", dest="relevance_pruning",
+                       action="store_false")
+    p_run.add_argument("--no-repetitive-pruning", dest="repetitive_pruning",
+                       action="store_false")
+    p_run.add_argument("--no-within-path-dedup", dest="within_path_dedup",
+                       action="store_false")
     p_run.add_argument("--fusion", choices=["analysis", "paragraph", "evidence"])
-    p_run.add_argument("--budget", type=int, default=4096)
-    p_run.add_argument("--estimator", choices=["whitespace", "chars"],
-                       default="whitespace")
-    p_run.add_argument("--k", type=int, default=15, help="retrieval k for oner")
-    p_run.add_argument("--max-turns", type=int, default=3)
-    p_run.add_argument("--per-turn-k", type=int, default=5)
-    p_run.add_argument("--parallel", type=int, default=1)
+    p_run.add_argument("--budget", dest="budget_tokens", type=int)
+    p_run.add_argument("--estimator", choices=["whitespace", "chars"])
+    p_run.add_argument("--k", dest="oner_k", type=int, help="retrieval k for oner")
+    p_run.add_argument("--max-turns", type=int)
+    p_run.add_argument("--per-turn-k", type=int)
+    p_run.add_argument("--parallel", type=int)
     p_run.add_argument("--demos-dir")
     p_run.set_defaults(func=cmd_run)
 

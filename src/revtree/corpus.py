@@ -15,7 +15,6 @@ row that reaches the k-th score, ties included, and sorts only those.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -24,6 +23,7 @@ import numpy as np
 
 from .embedding import EmbeddingProvider
 from .errors import CorpusError
+from .jsonl import read_jsonl
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,10 @@ def cosine_similarity(a: Sequence[float] | np.ndarray,
         raise ValueError("cosine_similarity expects 1-D vectors")
     if va.shape[0] != vb.shape[0]:
         raise ValueError(f"dimension mismatch: {va.shape[0]} != {vb.shape[0]}")
+    # scaled by a power of two, which is exact and leaves the cosine's bits
+    # alone, so that a tiny vector's squared norm cannot fall into the
+    # subnormals and lose precision (nor a huge one's overflow)
+    va, vb = (np.ldexp(v, -np.frexp(np.abs(v).max(initial=0.0))[1]) for v in (va, vb))
     norm_a = float(np.linalg.norm(va))
     norm_b = float(np.linalg.norm(vb))
     if norm_a == 0.0 or norm_b == 0.0:
@@ -242,40 +246,29 @@ def load_paragraphs(source_path: str | Path) -> list[Paragraph]:
     path = Path(source_path)
     paragraphs: list[Paragraph] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}: line {lineno}: record must be an object")
-            try:
-                pid = record["id"]
-                title = record.get("title", "")
-                text = record["text"]
-            except KeyError as exc:
-                raise CorpusError(
-                    f"{path}: line {lineno}: missing field {exc}"
-                ) from exc
-            if not isinstance(pid, str) or not isinstance(title, str) \
-                    or not isinstance(text, str):
-                raise CorpusError(
-                    f"{path}: line {lineno}: id, title and text must be strings"
-                )
-            if pid in seen:
-                raise CorpusError(
-                    f"{path}: line {lineno}: duplicate id '{pid}' "
-                    f"(first seen on line {seen[pid]})"
-                )
-            try:
-                paragraph = Paragraph(id=pid, title=title, text=text)
-            except ValueError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
-            seen[pid] = lineno
-            paragraphs.append(paragraph)
+    for lineno, record in read_jsonl(path, CorpusError):
+        try:
+            pid = record["id"]
+            title = record.get("title", "")
+            text = record["text"]
+        except KeyError as exc:
+            raise CorpusError(f"{path}: line {lineno}: missing field {exc}") from exc
+        if not isinstance(pid, str) or not isinstance(title, str) \
+                or not isinstance(text, str):
+            raise CorpusError(
+                f"{path}: line {lineno}: id, title and text must be strings"
+            )
+        if pid in seen:
+            raise CorpusError(
+                f"{path}: line {lineno}: duplicate id '{pid}' "
+                f"(first seen on line {seen[pid]})"
+            )
+        try:
+            paragraph = Paragraph(id=pid, title=title, text=text)
+        except ValueError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        seen[pid] = lineno
+        paragraphs.append(paragraph)
     return paragraphs
 
 

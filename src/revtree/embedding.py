@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import CorpusError, ProviderConfigError
+from .jsonl import read_jsonl
 from .llm import new_session, post_json, read_env, with_retries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -147,36 +148,32 @@ class PrecomputedEmbeddings(EmbeddingProvider):
         self.fallback = fallback
         self._vectors: dict[str, np.ndarray] = {}
         dim: Optional[int] = None
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    pid = record["id"]
-                    values = record["values"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise CorpusError(
-                        f"{self.path}: line {lineno}: invalid embedding record: {exc}"
-                    ) from exc
-                vec = np.asarray(values, dtype=np.float64)
-                if vec.ndim != 1 or vec.size == 0:
-                    raise CorpusError(
-                        f"{self.path}: line {lineno}: embedding values must be a "
-                        "non-empty flat list"
-                    )
-                if dim is None:
-                    dim = vec.shape[0]
-                elif vec.shape[0] != dim:
-                    raise CorpusError(
-                        f"{self.path}: line {lineno}: inconsistent embedding dim "
-                        f"{vec.shape[0]} != {dim}"
-                    )
-                if pid in self._vectors:
-                    raise CorpusError(
-                        f"{self.path}: line {lineno}: duplicate embedding id '{pid}'"
-                    )
-                self._vectors[pid] = vec
+        for lineno, record in read_jsonl(self.path, CorpusError):
+            try:
+                pid = record["id"]
+                values = record["values"]
+            except KeyError as exc:
+                raise CorpusError(
+                    f"{self.path}: line {lineno}: invalid embedding record: {exc}"
+                ) from exc
+            vec = np.asarray(values, dtype=np.float64)
+            if vec.ndim != 1 or vec.size == 0:
+                raise CorpusError(
+                    f"{self.path}: line {lineno}: embedding values must be a "
+                    "non-empty flat list"
+                )
+            if dim is None:
+                dim = vec.shape[0]
+            elif vec.shape[0] != dim:
+                raise CorpusError(
+                    f"{self.path}: line {lineno}: inconsistent embedding dim "
+                    f"{vec.shape[0]} != {dim}"
+                )
+            if pid in self._vectors:
+                raise CorpusError(
+                    f"{self.path}: line {lineno}: duplicate embedding id '{pid}'"
+                )
+            self._vectors[pid] = vec
         if fallback is not None and None not in (fallback.dim, dim) \
                 and fallback.dim != dim:
             raise CorpusError(

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import cosine_similarity, format_documents
 from .embedding import EmbeddingProvider
 from .llm import CompletionRequest, LlmClient, estimate_tokens, load_template, \
     render_prompt
-from .search import Evidence, EvidencePool, distinct_paragraphs
+from .search import Evidence, EvidencePool, distinct_paragraphs, new_paragraphs
 
 ANSWER_MARKER = "the answer is"
 
@@ -53,20 +53,25 @@ class AnswerResult:
     pattern_found: bool = True
 
 
+def _context_parts(evidences: Sequence[Evidence],
+                   strategy: FusionStrategy) -> tuple[str, Iterator[list[str]]]:
+    """The separator of ``strategy``'s context block and, per evidence, the
+    parts it adds to the block: its brief analysis, its paragraphs not yet
+    shown, or its assertions grouped with its documents."""
+    if strategy is FusionStrategy.ANALYSIS:
+        return "\n", ([e.brief_analysis] for e in evidences)
+    if strategy is FusionStrategy.PARAGRAPH:
+        return "\n\n", ([format_documents([p]) for p in added]
+                         for added in new_paragraphs(evidences))
+    return "\n\n", ([f"Assertions:{e.brief_analysis}\n"
+                      f"Documents:{format_documents(e.path)}"] for e in evidences)
+
+
 def render_context(evidences: Sequence[Evidence],
                    strategy: FusionStrategy) -> str:
     """Render an evidence list as the context block for its strategy."""
-    if not evidences:
-        return ""
-    if strategy is FusionStrategy.ANALYSIS:
-        return "\n".join(e.brief_analysis for e in evidences)
-    if strategy is FusionStrategy.PARAGRAPH:
-        return format_documents(distinct_paragraphs(evidences))
-    blocks = [
-        f"Assertions:{e.brief_analysis}\nDocuments:{format_documents(e.path)}"
-        for e in evidences
-    ]
-    return "\n\n".join(blocks)
+    separator, parts = _context_parts(evidences, strategy)
+    return separator.join(part for added in parts for part in added)
 
 
 def pack_evidence(pool: EvidencePool, strategy: FusionStrategy,
@@ -78,7 +83,8 @@ def pack_evidence(pool: EvidencePool, strategy: FusionStrategy,
     Evidence is considered in acceptance order; inclusion stops at the first
     item whose addition would push the rendered context past
     ``budget_tokens - reserved_tokens``.  The returned context always
-    estimates within that limit.
+    estimates within that limit, and equals :func:`render_context` of the
+    included items.
     """
     if budget_tokens <= reserved_tokens:
         raise ValueError(
@@ -86,13 +92,15 @@ def pack_evidence(pool: EvidencePool, strategy: FusionStrategy,
             f"parts ({reserved_tokens} tokens)"
         )
     limit = budget_tokens - reserved_tokens
-    included = 0
-    for i in range(len(pool.evidences)):
-        candidate = render_context(pool.evidences[: i + 1], strategy)
+    separator, parts = _context_parts(pool.evidences, strategy)
+    # each candidate extends the last context that fit; ``joined`` counts
+    # its parts, since an empty part still takes a separator
+    context, included, joined = "", 0, 0
+    for i, added in enumerate(parts):
+        candidate = separator.join(([context] if joined else []) + added)
         if estimator(candidate) > limit:
             break
-        included = i + 1
-    context = render_context(pool.evidences[:included], strategy)
+        context, included, joined = candidate, i + 1, joined + len(added)
     return context, list(range(included))
 
 

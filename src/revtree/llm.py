@@ -9,7 +9,6 @@ counter and retry policy.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -26,6 +25,7 @@ from .errors import (
     ProviderError,
     TransportError,
 )
+from .jsonl import is_str_list, read_jsonl
 
 LLM_BASE_URL_VAR = "REVTREE_LLM_BASE_URL"
 LLM_API_KEY_VAR = "REVTREE_LLM_API_KEY"
@@ -207,32 +207,27 @@ class ScriptedOracle:
         """
         rules: list[ScriptedRule] = []
         default: Optional[str] = None
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ProviderConfigError(
-                        f"{path}: line {lineno}: invalid rule: {exc}"
-                    ) from exc
-                if "default" in record:
-                    default = record["default"]
-                    continue
-                if "response" not in record:
-                    raise ProviderConfigError(
-                        f"{path}: line {lineno}: rule needs a 'response' field"
-                    )
-                path_ids = record.get("path_ids")
-                rules.append(
-                    ScriptedRule(
-                        response=record["response"],
-                        question=record.get("question"),
-                        path_ids=tuple(path_ids) if path_ids is not None else None,
-                        template=record.get("template"),
-                    )
+        for lineno, record in read_jsonl(path, ProviderConfigError):
+            if "default" in record:
+                default = record["default"]
+                continue
+            if "response" not in record:
+                raise ProviderConfigError(
+                    f"{path}: line {lineno}: rule needs a 'response' field"
                 )
+            path_ids = record.get("path_ids")
+            if path_ids is not None and not is_str_list(path_ids):
+                raise ProviderConfigError(
+                    f"{path}: line {lineno}: path_ids must be a list of strings"
+                )
+            rules.append(
+                ScriptedRule(
+                    response=record["response"],
+                    question=record.get("question"),
+                    path_ids=tuple(path_ids) if path_ids is not None else None,
+                    template=record.get("template"),
+                )
+            )
         return cls(rules, default_response=default)
 
     def generate(self, request: CompletionRequest, call_index: int) -> str:

@@ -8,7 +8,6 @@ over gold aliases.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from collections import Counter
@@ -17,6 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import RevtreeError
+from .jsonl import is_str_list, read_jsonl
 from .search import RunStats
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
@@ -200,32 +200,22 @@ def load_dataset(path: str | Path) -> list[QAExample]:
     """
     examples: list[QAExample] = []
     seen: set[str] = set()
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RevtreeError(
-                    f"{path}: line {lineno}: invalid JSON: {exc}"
-                ) from exc
-            try:
-                example = QAExample(
-                    id=record["id"],
-                    question=record["question"],
-                    gold_answers=tuple(record["gold_answers"]),
-                    gold_paragraph_ids=frozenset(
-                        record.get("gold_paragraph_ids", ())
-                    ),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RevtreeError(f"{path}: line {lineno}: {exc}") from exc
-            if example.id in seen:
-                raise RevtreeError(
-                    f"{path}: line {lineno}: duplicate example id '{example.id}'"
-                )
-            seen.add(example.id)
-            examples.append(example)
+    for lineno, record in read_jsonl(path, RevtreeError):
+        try:
+            answers = record["gold_answers"]
+            gold_ids = record.get("gold_paragraph_ids", [])
+            if not (is_str_list(answers) and is_str_list(gold_ids)):
+                raise TypeError("gold_answers and gold_paragraph_ids must be "
+                                "lists of strings")
+            example = QAExample(id=record["id"], question=record["question"],
+                                gold_answers=tuple(answers),
+                                gold_paragraph_ids=frozenset(gold_ids))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RevtreeError(f"{path}: line {lineno}: {exc}") from exc
+        if example.id in seen:
+            raise RevtreeError(
+                f"{path}: line {lineno}: duplicate example id '{example.id}'"
+            )
+        seen.add(example.id)
+        examples.append(example)
     return examples

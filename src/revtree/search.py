@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .corpus import CorpusIndex, Paragraph, format_documents, retrieve
 from .embedding import EmbeddingProvider
@@ -37,11 +37,10 @@ logger = logging.getLogger(__name__)
 class TreeConfig:
     """Search-shape and strategy settings for one tree run.
 
-    ``widths[d]`` is the retrieval k used to fill layer ``d+1``; its length
-    must equal ``max_depth``.
+    ``widths[d]`` is the retrieval k used to fill layer ``d+1``, so the tree
+    has one layer per width.
     """
 
-    max_depth: int = 3
     widths: tuple[int, ...] = (5, 3, 3)
     relevance_pruning: bool = True
     repetitive_pruning: bool = True
@@ -49,15 +48,14 @@ class TreeConfig:
     within_path_dedup: bool = True
 
     def __post_init__(self):
-        if self.max_depth <= 0:
-            raise ValueError(f"max_depth must be positive, got {self.max_depth}")
-        if len(self.widths) != self.max_depth:
+        if not self.widths or any(not isinstance(w, int) or w <= 0
+                                  for w in self.widths):
             raise ValueError(
-                f"widths length {len(self.widths)} must equal max_depth "
-                f"{self.max_depth}"
-            )
-        if any(w <= 0 for w in self.widths):
-            raise ValueError(f"widths must be positive, got {self.widths}")
+                f"widths must be one or more positive integers, got {self.widths!r}")
+
+    @property
+    def max_depth(self) -> int:
+        return len(self.widths)
 
 
 @dataclass(frozen=True)
@@ -99,14 +97,21 @@ class EvidencePool:
 def distinct_paragraphs(evidences: Iterable[Evidence]) -> list[Paragraph]:
     """Paragraphs of ``evidences`` in their order, then path order, each id
     kept at its first occurrence."""
-    out: list[Paragraph] = []
+    return [p for added in new_paragraphs(evidences) for p in added]
+
+
+def new_paragraphs(evidences: Iterable[Evidence]) -> Iterator[list[Paragraph]]:
+    """For each of ``evidences`` in order, the paragraphs of its path, in
+    path order, whose ids neither an earlier evidence nor an earlier place
+    on the path held."""
     seen: set[str] = set()
     for evidence in evidences:
+        added: list[Paragraph] = []
         for p in evidence.path:
             if p.id not in seen:
                 seen.add(p.id)
-                out.append(p)
-    return out
+                added.append(p)
+        yield added
 
 
 @dataclass

@@ -53,8 +53,7 @@ def report(criterion: int, detail: str) -> None:
 
 
 def cot_config(widths, **overrides) -> TreeConfig:
-    base = dict(max_depth=len(widths), widths=tuple(widths),
-                expansion=ExpansionStrategy.COT)
+    base = dict(widths=tuple(widths), expansion=ExpansionStrategy.COT)
     base.update(overrides)
     return TreeConfig(**base)
 
@@ -140,7 +139,7 @@ class TestCriterion3PruningSemantics:
         return embedder, index, oracle
 
     def config(self, repetitive: bool) -> TreeConfig:
-        return TreeConfig(max_depth=2, widths=(3, 2),
+        return TreeConfig(widths=(3, 2),
                           expansion=ExpansionStrategy.COT,
                           repetitive_pruning=repetitive)
 

@@ -328,6 +328,105 @@ class TestRun:
         assert data["config"]["demos_dir"] == str(demos_dir)
 
 
+class TestRunConfig:
+    @pytest.fixture
+    def no_index(self, monkeypatch):
+        def build_index(*args, **kwargs):
+            raise AssertionError("the run built its index")
+
+        monkeypatch.setattr("revtree.cli.build_index", build_index)
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--widths", "5,0,3"], "widths"),
+        (["--mode", "oner", "--k", "0"], "oner_k"),
+        (["--mode", "cor", "--max-turns", "0"], "max_turns"),
+        (["--mode", "cor", "--per-turn-k", "0"], "per_turn_k"),
+    ])
+    def test_bad_flag_fails_before_the_index(self, tmp_path, corpus_file,
+                                             dataset_file, rules_file, no_index,
+                                             caplog, extra, message):
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             *extra)) == 1
+        assert not (out / "answers.jsonl").exists()
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("estimator", "bogus", "estimator"),
+        ("fusion", "bogus", "FusionStrategy"),
+        ("expansion", "bogus", "ExpansionStrategy"),
+        ("widths", "5,3,3", "widths"),
+        ("parallel", "2", "parallel"),
+        ("max_depth", 3, "max_depth"),
+    ])
+    def test_bad_config_file_fails_before_the_index(self, tmp_path, corpus_file,
+                                                    dataset_file, rules_file,
+                                                    no_index, caplog, field, value,
+                                                    message):
+        out = tmp_path / "run"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus_path": str(corpus_file), "dataset_path": str(dataset_file),
+            "output_dir": str(out), "rules_path": str(rules_file), field: value}))
+        assert main(["run", "--config", str(config)]) == 1
+        assert not (out / "answers.jsonl").exists()
+        assert message in caplog.text
+
+    def test_flags_override_the_config_file(self, tmp_path, corpus_file,
+                                            dataset_file, rules_file):
+        base = tmp_path / "base"
+        assert main(run_args(corpus_file, dataset_file, base, rules_file)) == 0
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(base / "config.json"), "--out", str(out),
+                     "--widths", "2,2,2", "--mode", "cor"]) == 0
+        config = read_run_dir(out)["config"]
+        assert (config["mode"], config["widths"]) == ("cor", [2, 2, 2])
+        assert config["output_dir"] == str(out)
+        assert "max_depth" not in config
+        trace = json.loads((out / "traces" / "q1.json").read_text())
+        assert trace["mode"] == "cor"
+
+    def test_depth_is_the_number_of_widths(self, tmp_path, corpus_file,
+                                           dataset_file, rules_file):
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--widths", "4,3")) == 0
+        meta = json.loads((out / "traces" / "q1.json").read_text())["meta"]
+        assert (meta["max_depth"], meta["widths"]) == (2, [4, 3])
+
+    def test_oner_fuses_paragraphs_unless_told_otherwise(self, tmp_path,
+                                                         corpus_file, dataset_file,
+                                                         rules_file):
+        out, told = tmp_path / "oner", tmp_path / "told"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--mode", "oner")) == 0
+        assert main(run_args(corpus_file, dataset_file, told, rules_file,
+                             "--mode", "oner", "--fusion", "evidence")) == 0
+        assert read_run_dir(out)["config"]["fusion"] == "paragraph"
+        assert read_run_dir(told)["config"]["fusion"] == "evidence"
+
+    @pytest.mark.parametrize("which, lines, message", [
+        ("rules", ['{"response": "ok"}', '"default"'],
+         "line 2: record must be an object"),
+        ("rules", ['{"response": "ok", "path_ids": "p1"}'],
+         "line 1: path_ids must be a list of strings"),
+        ("dataset", ['{"id": "q1", "question": "boston", "gold_answers": "Boston"}'],
+         "line 1: gold_answers and gold_paragraph_ids must be lists of strings"),
+    ])
+    def test_bad_input_line_fails_before_the_index(self, tmp_path, corpus_file,
+                                                   dataset_file, rules_file,
+                                                   no_index, caplog, which, lines,
+                                                   message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        files = {"rules": rules_file, "dataset": dataset_file, which: bad}
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, files["dataset"], out,
+                             files["rules"])) == 1
+        assert f"bad.jsonl: {message}" in caplog.text
+        assert not (out / "answers.jsonl").exists()
+
+
 class TestEval:
     def test_eval_reports_metrics(self, tmp_path, corpus_file, dataset_file,
                                   rules_file, capsys):
@@ -350,3 +449,14 @@ class TestEval:
             {"id": "q9", "question": "unseen", "gold_answers": ["x"]},
         ])
         assert main(["eval", "--dataset", str(bigger), "--run", str(out)]) == 1
+
+    @pytest.mark.parametrize("line", ["{oops", '["q1"]', '{"answer": "x"}'])
+    def test_corrupt_answers_line_names_the_line(self, tmp_path, corpus_file,
+                                                 dataset_file, rules_file, caplog,
+                                                 line):
+        out = tmp_path / "run"
+        main(run_args(corpus_file, dataset_file, out, rules_file))
+        with open(out / "answers.jsonl", "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        assert main(["eval", "--dataset", str(dataset_file), "--run", str(out)]) == 1
+        assert "answers.jsonl: line 2:" in caplog.text

@@ -112,6 +112,20 @@ class TestCosine:
         with pytest.raises(ValueError, match="zero"):
             cosine_similarity([0.0, 0.0], [1.0, 2.0])
 
+    def test_tiny_vector_stays_bounded(self):
+        # its squared norm is subnormal: unscaled, the cosine read 1.00033
+        assert cosine_similarity([6.0362641404948215e-161, 0.0], [1.0, 0.0]) == 1.0
+
+    def test_bit_identical_to_the_unscaled_formula_in_range(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            dim = int(rng.integers(1, 400))
+            a, b = (rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+                    for _ in range(2))
+            unscaled = float(np.dot(a, b) / (float(np.linalg.norm(a))
+                                             * float(np.linalg.norm(b))))
+            assert cosine_similarity(a, b) == unscaled
+
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=8),
         st.data(),

@@ -18,9 +18,11 @@ from revtree import (
     estimate_tokens,
     extract_answer,
     generate_answer,
+    make_token_estimator,
     pack_evidence,
     select_scored_paragraphs,
 )
+from revtree.corpus import format_documents
 from revtree.fusion import render_context
 
 
@@ -69,6 +71,64 @@ class TestPackEvidence:
                                           budget_tokens=13)
         assert included == [0, 1]
         assert estimate_tokens(context) <= 13
+
+    @pytest.mark.parametrize("estimator", ["whitespace", "chars"])
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize("pool_kind", ["mixed", "oner"])
+    def test_greedy_prefix_at_every_budget_boundary(self, pool_kind, strategy,
+                                                    estimator):
+        estimate = make_token_estimator(estimator)
+        titled = Paragraph("t1", "Boston", "boston is a city")
+        blank = Paragraph("t2", "  ", "census population figures")
+        if pool_kind == "oner":
+            evidences = [Evidence(path=(titled, blank, make_evidence(9).path[0]),
+                                  brief_analysis="", accepted_at_call=0)]
+        else:
+            evidences = [
+                # an empty first part still takes a separator after it
+                Evidence(path=(blank,), brief_analysis="", accepted_at_call=1),
+                make_evidence(1, n_paragraphs=2),
+                Evidence(path=(titled, blank), brief_analysis="a city",
+                         accepted_at_call=3),
+                # adds no new paragraph to a paragraph context
+                Evidence(path=(blank, titled), brief_analysis="again",
+                         accepted_at_call=4),
+                make_evidence(5, n_paragraphs=3, analysis="the last one"),
+            ]
+        pool = EvidencePool()
+        for evidence in evidences:
+            pool.add(evidence)
+
+        def render(prefix):
+            if strategy is FusionStrategy.ANALYSIS:
+                return "\n".join(e.brief_analysis for e in prefix)
+            if strategy is FusionStrategy.PARAGRAPH:
+                first_seen: dict = {}
+                for e in prefix:
+                    for p in e.path:
+                        first_seen.setdefault(p.id, p)
+                return format_documents(first_seen.values())
+            return "\n\n".join(f"Assertions:{e.brief_analysis}\n"
+                               f"Documents:{format_documents(e.path)}" for e in prefix)
+
+        def reference(limit):
+            # render every prefix; stop at the first that overflows
+            included = 0
+            while included < len(evidences) and estimate(
+                    render(evidences[:included + 1])) <= limit:
+                included += 1
+            return render(evidences[:included]), included
+
+        prefixes = [evidences[:i] for i in range(len(evidences) + 1)]
+        assert [render_context(p, strategy) for p in prefixes] == \
+            [render(p) for p in prefixes]
+        sizes = {estimate(render(p)) for p in prefixes}
+        limits = {size + d for size in sizes for d in (-1, 0, 1) if size + d > 0}
+        for limit in sorted(limits):
+            context, included = pack_evidence(pool, strategy, limit + 3, estimate,
+                                               reserved_tokens=3)
+            want_context, want_included = reference(limit)
+            assert (context, included) == (want_context, list(range(want_included)))
 
     def test_budget_below_reserve_is_an_error(self):
         with pytest.raises(ValueError, match="fixed prompt parts"):

@@ -156,6 +156,18 @@ class TestScriptedOracle:
         got = client.complete(CompletionRequest(prompt="", tags={"question": "zz"}))
         assert got.text == "dflt"
 
+    @pytest.mark.parametrize("line, message", [
+        ({"path_ids": "ab", "response": "r"}, "line 2: path_ids must be a list of strings"),
+        ({"path_ids": ["a", 1], "response": "r"}, "line 2: path_ids must be a list"),
+        ("default", "line 2: record must be an object"),
+    ])
+    def test_from_file_refuses_a_malformed_rule(self, tmp_path, line, message):
+        # a string path_ids used to match the path of its characters
+        path = tmp_path / "rules.jsonl"
+        path.write_text(json.dumps({"response": "ok"}) + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(ProviderConfigError, match=message):
+            ScriptedOracle.from_file(path)
+
     def test_replay_is_byte_identical(self):
         rules = [ScriptedRule(response="num {call_index}")]
         outputs = []

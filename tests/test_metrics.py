@@ -256,3 +256,24 @@ class TestLoadDataset:
         path.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n")
         with pytest.raises(RevtreeError, match="duplicate"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("gold_answers", "Boston"),
+        ("gold_answers", ["Boston", 7]),
+        ("gold_paragraph_ids", "p1"),
+        ("gold_paragraph_ids", None),
+    ])
+    def test_list_fields_must_be_lists_of_strings(self, tmp_path, field, value):
+        # a bare string used to be split into its characters
+        path = tmp_path / "dataset.jsonl"
+        good = {"id": "q1", "question": "?", "gold_answers": ["x"]}
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps(dict(good, id="q2", **{field: value})) + "\n")
+        with pytest.raises(RevtreeError, match="line 2: .*lists of strings"):
+            load_dataset(path)
+
+    def test_non_object_line_names_the_line(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text('\n["q1", "?", ["x"]]\n')
+        with pytest.raises(RevtreeError, match="line 2: record must be an object"):
+            load_dataset(path)

@@ -28,7 +28,7 @@ from tests.conftest import (
 
 
 def cot_config(**overrides) -> TreeConfig:
-    base = dict(max_depth=3, widths=(5, 3, 3), expansion=ExpansionStrategy.COT)
+    base = dict(widths=(5, 3, 3), expansion=ExpansionStrategy.COT)
     base.update(overrides)
     return TreeConfig(**base)
 
@@ -58,7 +58,7 @@ class TestRunTree:
 
     def test_search_at_max_depth_terminates(self, embedder):
         index = fresh_corpus(groups=1, group_size=2, embedder=embedder)
-        config = TreeConfig(max_depth=1, widths=(2,),
+        config = TreeConfig(widths=(2,),
                             expansion=ExpansionStrategy.COT)
         pool, stats, trace = run_tree("probe0", config, index, embedder,
                                       always_search_oracle())
@@ -80,9 +80,9 @@ class TestRunTree:
         index = build_index(
             [Paragraph("a", "", "seed"), Paragraph("b", "", "seed")], embedder
         )
-        on = TreeConfig(max_depth=2, widths=(2, 2),
+        on = TreeConfig(widths=(2, 2),
                         expansion=ExpansionStrategy.COT)
-        off = TreeConfig(max_depth=2, widths=(2, 2),
+        off = TreeConfig(widths=(2, 2),
                          expansion=ExpansionStrategy.COT, relevance_pruning=False)
         _, stats_on, trace_on = run_tree("seed", on, index, embedder,
                                          always_reject_oracle())
@@ -97,7 +97,7 @@ class TestRunTree:
         index = build_index(
             [Paragraph("a", "", "seed"), Paragraph("b", "", "seed")], embedder
         )
-        config = TreeConfig(max_depth=2, widths=(2, 2),
+        config = TreeConfig(widths=(2, 2),
                             expansion=ExpansionStrategy.COT)
         _, _, trace = run_tree("seed", config,
                                index, embedder, always_search_oracle(query="seed"))
@@ -117,7 +117,7 @@ class TestRunTree:
         index = build_index(
             [Paragraph("a", "", "seed"), Paragraph("b", "", "seed")], embedder
         )
-        config = TreeConfig(max_depth=2, widths=(2, 2),
+        config = TreeConfig(widths=(2, 2),
                             expansion=ExpansionStrategy.COT,
                             within_path_dedup=False)
         _, _, trace = run_tree("seed", config, index, embedder,
@@ -170,7 +170,7 @@ class TestRepetitivePruningFixture:
         ], default_response=render_review_output(ReviewDecision.reject()))
 
     def config(self, repetitive: bool) -> TreeConfig:
-        return TreeConfig(max_depth=2, widths=(3, 2),
+        return TreeConfig(widths=(3, 2),
                           expansion=ExpansionStrategy.COT,
                           repetitive_pruning=repetitive)
 
@@ -231,7 +231,7 @@ class TestDegradation:
         index = build_index(
             [Paragraph("a", "", "seed"), Paragraph("b", "", "seed")], embedder
         )
-        config = TreeConfig(max_depth=2, widths=(2, 2),
+        config = TreeConfig(widths=(2, 2),
                             expansion=ExpansionStrategy.COT)
         oracle = always_search_oracle(query="seed")
         _, base_stats, base_trace = run_tree("seed", config, index, embedder,
@@ -318,7 +318,7 @@ class TestCallCountBounds:
     def test_random_oracles_stay_within_bound(self, embedder, widths, bound):
         index = fresh_corpus(groups=10, group_size=max(widths), embedder=embedder)
         for seed in range(5):
-            config = TreeConfig(max_depth=len(widths), widths=widths,
+            config = TreeConfig(widths=widths,
                                 expansion=ExpansionStrategy.COT)
             _, stats, _ = run_tree("probe0", config, index, embedder,
                                    SeededDecisionProvider(seed=seed))
@@ -378,7 +378,7 @@ class TestStats:
             ScriptedRule(template="mpc",
                          response="- Information: [INFO] probe{call_index}"),
         ])
-        config = TreeConfig(max_depth=2, widths=(2, 2),
+        config = TreeConfig(widths=(2, 2),
                             expansion=ExpansionStrategy.MPC)
         _, stats, trace = run_tree("probe0", config, index, embedder, oracle)
         # layer 1: 2 searches (2 calls each); layer 2: 4 searches at max
@@ -472,13 +472,9 @@ class TestRunOner:
 
 
 class TestTreeConfig:
-    def test_widths_must_match_depth(self):
-        with pytest.raises(ValueError):
-            TreeConfig(max_depth=3, widths=(5, 3))
-
     def test_widths_must_be_positive(self):
         with pytest.raises(ValueError):
-            TreeConfig(max_depth=2, widths=(5, 0))
+            TreeConfig(widths=(5, 0))
 
     def test_defaults(self):
         config = TreeConfig()

@@ -157,7 +157,6 @@ def test_tree_matches_reference_simulator_across_random_scenarios():
         index = build_index(paragraphs, embedder)
         widths = rng.choice(width_options)
         config = TreeConfig(
-            max_depth=len(widths),
             widths=widths,
             relevance_pruning=rng.random() < 0.5,
             repetitive_pruning=rng.random() < 0.5,

@@ -16,7 +16,8 @@ from typing import Optional
 from . import embedding
 from .corpus import CorpusIndex, build_index, ingest_corpus, load_paragraphs
 from .errors import CorpusError, RevtreeError
-from .fusion import FusionStrategy, generate_answer, select_scored_paragraphs
+from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
+    select_scored_paragraphs
 from .jsonl import read_jsonl
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
@@ -216,18 +217,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     traces_dir.mkdir(parents=True, exist_ok=True)
 
     dataset = load_dataset(config.dataset_path)
-    llm_provider = (ScriptedOracle.from_file(config.rules_path)
-                    if config.provider == "scripted" else RemoteChatProvider())
-    embedder = _build_embedder(config.embedder, config.dim, config.seed,
-                               config.embeddings_path)
-    index = build_index(load_paragraphs(config.corpus_path), embedder,
-                        embed_title=config.embed_title)
     demos = {}
     if config.demos_dir:
         demos = {
             "review": load_demos(config.demos_dir, "review"),
             "fusion": load_demos(config.demos_dir, "fusion"),
         }
+    for example in dataset:
+        needed = reserved_tokens(example.question, config.fusion_strategy,
+                                 config.token_estimator, demos.get("fusion", ()))
+        if config.budget_tokens <= needed:
+            raise ValueError(
+                f"budget of {config.budget_tokens} tokens cannot cover the fixed "
+                f"fusion prompt of question {example.id!r}, which needs more "
+                f"than {needed} tokens")
+    llm_provider = (ScriptedOracle.from_file(config.rules_path)
+                    if config.provider == "scripted" else RemoteChatProvider())
+    embedder = _build_embedder(config.embedder, config.dim, config.seed,
+                               config.embeddings_path)
+    index = build_index(load_paragraphs(config.corpus_path), embedder,
+                        embed_title=config.embed_title)
 
     records: dict[str, dict] = {}
     failures = 0
@@ -290,14 +299,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results: dict[str, ExampleResult] = {}
     answers_path = run_dir / "answers.jsonl"
     for lineno, record in read_jsonl(answers_path, RevtreeError):
-        if "error" in record:
-            continue
         try:
             stats = RunStats(**{k: v for k, v in record.get("stats", {}).items()
                                 if k in RunStats.__dataclass_fields__})
             results[record["id"]] = ExampleResult(
                 example_id=record["id"], answer=record.get("answer", ""),
-                scored_ids=tuple(record.get("scored_ids", ())), stats=stats)
+                scored_ids=tuple(record.get("scored_ids", ())), stats=stats,
+                failed="error" in record)
         except (AttributeError, KeyError, TypeError) as exc:
             raise RevtreeError(
                 f"{answers_path}: line {lineno}: invalid answer record: {exc!r}") from exc

@@ -120,6 +120,16 @@ def extract_answer(text: str) -> tuple[str, bool]:
     return payload, True
 
 
+def reserved_tokens(question: str, strategy: FusionStrategy,
+                    estimator: Callable[[str], int] = estimate_tokens,
+                    demos: Sequence[str] = ()) -> int:
+    """Tokens of ``strategy``'s fusion prompt for ``question`` with an empty
+    context: the part of the budget that no evidence can use."""
+    template = load_template(_TEMPLATE_FOR[strategy], demos)
+    return estimator(render_prompt(template, {_SLOT_FOR[strategy]: "",
+                                              "Question": question}))
+
+
 def generate_answer(question: str, pool: EvidencePool, strategy: FusionStrategy,
                     llm, budget_tokens: int = 4096,
                     estimator: Callable[[str], int] = estimate_tokens,
@@ -131,17 +141,12 @@ def generate_answer(question: str, pool: EvidencePool, strategy: FusionStrategy,
     """
     client = llm if isinstance(llm, LlmClient) else LlmClient(llm)
     template = load_template(_TEMPLATE_FOR[strategy], demos)
-    slot = _SLOT_FOR[strategy]
-    reserved = estimator(render_prompt(template, {slot: "", "Question": question}))
-    context, included = pack_evidence(pool, strategy, budget_tokens,
-                                      estimator, reserved_tokens=reserved)
-    prompt = render_prompt(template, {slot: context, "Question": question})
-    request = CompletionRequest(
-        prompt=prompt,
-        max_context_tokens=budget_tokens,
-        tags={"question": question, "template": template.name},
-    )
-    response = client.complete(request)
+    context, included = pack_evidence(
+        pool, strategy, budget_tokens, estimator,
+        reserved_tokens=reserved_tokens(question, strategy, estimator, demos))
+    prompt = render_prompt(template, {_SLOT_FOR[strategy]: context, "Question": question})
+    response = client.complete(CompletionRequest(
+        prompt=prompt, tags={"question": question, "template": template.name}))
     extracted, found = extract_answer(response.text)
     return AnswerResult(
         full_response=response.text,

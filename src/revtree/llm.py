@@ -132,25 +132,12 @@ def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One completion call: the rendered prompt plus decoding settings.
-
-    ``tags`` carries structured routing metadata (question, path paragraph
-    ids, template name) that scripted oracles match on; remote providers
-    ignore it.
-    """
+    """One completion call: the rendered prompt and its routing ``tags``
+    (question, path paragraph ids, template name), which scripted oracles
+    match on and remote providers ignore."""
 
     prompt: str
-    temperature: float = 0.0
-    max_context_tokens: int = 4096
     tags: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.max_context_tokens <= 0:
-            raise ValueError(
-                f"max_context_tokens must be positive, got {self.max_context_tokens}"
-            )
 
 
 @dataclass(frozen=True)
@@ -341,8 +328,8 @@ class RemoteChatProvider:
             {
                 "model": self.model,
                 "messages": [{"role": "user", "content": request.prompt}],
-                "temperature": request.temperature,
-                "max_tokens": request.max_context_tokens,
+                # no max_tokens: the server's own output limit applies
+                "temperature": 0.0,
             },
             self.timeout, "completion",
             lambda body: body["choices"][0]["message"]["content"],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,12 +39,14 @@ class QAExample:
 
 @dataclass(frozen=True)
 class ExampleResult:
-    """Per-question run output consumed by the aggregator."""
+    """Per-question run output consumed by the aggregator; a ``failed``
+    question has no answer and scores 0."""
 
     example_id: str
     answer: str
     scored_ids: tuple[str, ...] = ()
     stats: RunStats = field(default_factory=RunStats)
+    failed: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,20 +61,11 @@ class MetricsReport:
     parse_success_rate: float
     n: int
     recall_excluded: int = 0
+    failed: int = 0
+    total_provider_failures: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "f1": self.f1,
-            "recall_at_15": self.recall_at_15,
-            "mean_api_calls": self.mean_api_calls,
-            "mean_distinct_docs": self.mean_distinct_docs,
-            "mean_rate": self.mean_rate,
-            "mean_evidence": self.mean_evidence,
-            "parse_success_rate": self.parse_success_rate,
-            "n": self.n,
-            "recall_excluded": self.recall_excluded,
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         rows = [
@@ -86,6 +79,8 @@ class MetricsReport:
             ("Parse success rate", f"{self.parse_success_rate:.4f}"),
             ("Examples", str(self.n)),
             ("Recall-excluded", str(self.recall_excluded)),
+            ("Failed", str(self.failed)),
+            ("Provider failures", str(self.total_provider_failures)),
         ]
         width = max(len(label) for label, _ in rows)
         return "\n".join(f"{label.ljust(width)}  {value}" for label, value in rows)
@@ -146,10 +141,11 @@ def evaluate_run(dataset: Sequence[QAExample],
                  recall_k: int = 15) -> MetricsReport:
     """Aggregate per-example results into one report.
 
-    Examples without gold paragraph ids are excluded from recall (counted,
-    not scored as zero).  The rate is the ratio of the mean distinct-document
-    count to the mean call count, and parse success is computed over call
-    totals.
+    A failed example scores 0 on EM, F1 and recall.  Examples without gold
+    paragraph ids are excluded from recall (counted, not scored as zero).
+    Call, document and evidence means are taken over the completed
+    examples; the rate is the ratio of the mean distinct-document count to
+    the mean call count, and parse success is computed over call totals.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -157,27 +153,27 @@ def evaluate_run(dataset: Sequence[QAExample],
     f1_sum = 0.0
     recall_sum = 0.0
     recall_n = 0
-    api_sum = 0
-    doc_sum = 0
-    evidence_sum = 0
-    parse_failure_sum = 0
+    completed: list[RunStats] = []
     for example in dataset:
         result = results.get(example.id)
         if result is None:
             raise RevtreeError(f"missing result for example id '{example.id}'")
+        if example.gold_paragraph_ids:
+            recall_n += 1
+        if result.failed:
+            continue
         em_sum += exact_match(result.answer, example.gold_answers)
         f1_sum += f1_score(result.answer, example.gold_answers)
         if example.gold_paragraph_ids:
             recall_sum += recall_at_k(result.scored_ids,
                                       example.gold_paragraph_ids, recall_k)
-            recall_n += 1
-        api_sum += result.stats.api_calls
-        doc_sum += result.stats.distinct_docs
-        evidence_sum += result.stats.evidence_count
-        parse_failure_sum += result.stats.parse_failures
+        completed.append(result.stats)
     n = len(dataset)
-    mean_api = api_sum / n
-    mean_docs = doc_sum / n
+    done = len(completed) or 1  # with none completed, every mean is 0
+    api_sum = sum(s.api_calls for s in completed)
+    parse_failure_sum = sum(s.parse_failures for s in completed)
+    mean_api = api_sum / done
+    mean_docs = sum(s.distinct_docs for s in completed) / done
     return MetricsReport(
         em=em_sum / n,
         f1=f1_sum / n,
@@ -185,10 +181,12 @@ def evaluate_run(dataset: Sequence[QAExample],
         mean_api_calls=mean_api,
         mean_distinct_docs=mean_docs,
         mean_rate=mean_docs / mean_api if mean_api > 0 else 0.0,
-        mean_evidence=evidence_sum / n,
+        mean_evidence=sum(s.evidence_count for s in completed) / done,
         parse_success_rate=1.0 - parse_failure_sum / api_sum if api_sum > 0 else 1.0,
         n=n,
         recall_excluded=n - recall_n,
+        failed=n - len(completed),
+        total_provider_failures=sum(s.provider_failures for s in completed),
     )
 
 

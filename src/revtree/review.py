@@ -250,12 +250,12 @@ def render_mpc_output(query: str, answer: str = "",
     return "\n".join(lines)
 
 
-def _request(template_name: str, bindings: dict, question: str,
-             path: Sequence[Paragraph], demos: Sequence[str]) -> CompletionRequest:
-    template = load_template(template_name, demos)
-    prompt = render_prompt(template, bindings)
+def build_request(template_name: str, bindings: dict, question: str,
+                  path: Sequence[Paragraph], demos: Sequence[str]) -> CompletionRequest:
+    """The request for one review-side call: the rendered template, tagged
+    with the question, the path's ids and the template's name."""
     return CompletionRequest(
-        prompt=prompt,
+        prompt=render_prompt(load_template(template_name, demos), bindings),
         tags={
             "question": question,
             "path_ids": tuple(p.id for p in path),
@@ -269,7 +269,7 @@ def generate_mpc_query(question: str, path: Sequence[Paragraph],
                        demos: Sequence[str] = ()) -> Union[MpcExpansion, ParseFailure]:
     """One missing-paragraph-completion call for a path that needs more
     information.  Only invoked after a search verdict under the MPC strategy."""
-    request = _request(
+    request = build_request(
         "mpc",
         {"Question": question, "References": format_documents(path)},
         question, path, demos,
@@ -291,7 +291,7 @@ def review_path(question: str, path: Sequence[Paragraph],
         raise ValueError("review_path needs a non-empty path")
     template_name = "review_direct" if strategy is ExpansionStrategy.DIRECT \
         else "review_cot"
-    request = _request(
+    request = build_request(
         template_name,
         {"Question": question, "Documents": format_documents(path)},
         question, path, demos,

@@ -16,16 +16,18 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .corpus import CorpusIndex, Paragraph, format_documents, retrieve
 from .embedding import EmbeddingProvider
-from .llm import CompletionRequest, LlmClient, load_template, render_prompt
+from .llm import LlmClient
 from .review import (
     Action,
     ExpansionStrategy,
     ParseFailure,
     ReviewDecision,
+    ReviewOutcome,
+    build_request,
     parse_review_output,
     review_path,
 )
@@ -169,72 +171,94 @@ class RunTrace:
                           ensure_ascii=False) + "\n"
 
 
-class _TreeNode:
-    """Internal reviewed-node record; pruned candidates never become nodes."""
+# the keys a review step fills, as they read before the review
+_UNREVIEWED = {"call_index": None, "decision": None, "thought": "", "new_query": "",
+               "brief_analysis": "", "parse_reason": None}
+# decision fields a record takes when it has the key; chain turns have no
+# ``supported`` or ``mpc_answer``
+_DECISION_KEYS = ("thought", "new_query", "brief_analysis", "supported", "mpc_answer")
 
-    __slots__ = ("index", "paragraph", "depth", "parent", "rank", "query",
-                 "created_after_call", "call_index", "outcome", "children",
-                 "exhausted")
 
-    def __init__(self, index: int, paragraph: Paragraph, depth: int,
-                 parent: Optional["_TreeNode"], rank: int, query: str,
-                 created_after_call: int):
+class _Run:
+    """What one question's run shares in every mode: its client, evidence
+    pool, stats and retrieved ids, and the one way it retrieves, reviews and
+    ends."""
+
+    def __init__(self, index: CorpusIndex, embedder: EmbeddingProvider, llm=None):
         self.index = index
-        self.paragraph = paragraph
-        self.depth = depth
-        self.parent = parent
-        self.rank = rank
-        self.query = query
-        self.created_after_call = created_after_call
-        self.call_index: Optional[int] = None
-        self.outcome: Union[ReviewDecision, ParseFailure, None] = None
-        self.children: list[int] = []
-        self.exhausted = False
+        self.embedder = embedder
+        self.client = llm if llm is None or isinstance(llm, LlmClient) else LlmClient(llm)
+        self.pool = EvidencePool()
+        self.stats = RunStats()
+        self.retrieved_ids: set[str] = set()
 
-    def path(self) -> tuple[Paragraph, ...]:
-        chain: list[Paragraph] = []
-        node: Optional[_TreeNode] = self
-        while node is not None:
-            chain.append(node.paragraph)
-            node = node.parent
-        return tuple(reversed(chain))
+    def retrieve(self, query: str, k: int) -> list[tuple[Paragraph, float]]:
+        """Top-k paragraphs for ``query``.  A retrieval that raised is
+        counted and logged as one provider failure and returns no results:
+        it closes one branch, never the run."""
+        try:
+            results = retrieve(self.index, query, k, self.embedder)
+        except Exception as exc:
+            self.stats.provider_failures += 1
+            logger.warning("retrieval failure for query %r: %s", query, exc)
+            return []
+        self.retrieved_ids.update(p.id for p, _ in results)
+        return results
 
-    def path_ids(self) -> set[str]:
-        return {p.id for p in self.path()}
+    def review(self, call: Callable[[], ReviewOutcome],
+               record: dict) -> Optional[ReviewDecision]:
+        """Make one review ``call`` and write its outcome into ``record``.
 
-    def to_record(self) -> dict:
-        record = {
-            "index": self.index,
-            "parent": self.parent.index if self.parent is not None else None,
-            "paragraph_id": self.paragraph.id,
-            "depth": self.depth,
-            "rank": self.rank,
-            "query": self.query,
-            "created_after_call": self.created_after_call,
-            "call_index": self.call_index,
-            "children": list(self.children),
-            "exhausted": self.exhausted,
-            "decision": None,
-            "thought": "",
-            "new_query": "",
-            "brief_analysis": "",
-            "supported": None,
-            "mpc_answer": "",
-            "parse_reason": None,
-        }
-        outcome = self.outcome
-        if isinstance(outcome, ReviewDecision):
-            record.update(
-                decision=outcome.action.value,
-                thought=outcome.thought,
-                new_query=outcome.new_query,
-                brief_analysis=outcome.brief_analysis,
-                supported=outcome.supported,
-                mpc_answer=outcome.mpc_answer,
-            )
-        elif isinstance(outcome, ParseFailure):
+        A call that raised is a provider failure, and an output the parser
+        could not map a parse failure; each is counted, and either returns
+        None.  ``call_index`` is the review completion's, the first the call
+        issued.
+        """
+        calls_before = self.client.calls
+        try:
+            outcome = call()
+        except Exception as exc:
+            self.stats.provider_failures += 1
+            logger.warning("provider failure in the review after call %d: %s",
+                           calls_before, exc)
+            # an MPC completion can fail after its review completed
+            record.update(decision="provider_failure",
+                          parse_reason=f"provider failure: {exc}",
+                          call_index=(calls_before + 1
+                                      if self.client.calls > calls_before else None))
+            return None
+        record["call_index"] = calls_before + 1
+        if isinstance(outcome, ParseFailure):
+            self.stats.parse_failures += 1
             record.update(decision="parse_failure", parse_reason=outcome.reason)
-        return record
+            return None
+        record["decision"] = outcome.action.value
+        record.update({key: getattr(outcome, key) for key in _DECISION_KEYS
+                       if key in record})
+        return outcome
+
+    def finish(self, question: str, mode: str, meta: dict,
+               **records) -> tuple[EvidencePool, RunStats, RunTrace]:
+        """Complete the stats and build the run's trace; ``records`` fills
+        the trace's mode-specific lists (``nodes``, ``pruned``, ``turns``)."""
+        stats = self.stats
+        stats.api_calls = self.client.calls if self.client is not None else 0
+        stats.distinct_docs = len(self.retrieved_ids)
+        stats.evidence_count = len(self.pool)
+        stats.finalize()
+        trace = RunTrace(
+            question=question,
+            mode=mode,
+            meta=meta,
+            evidence=[{
+                "path": list(e.paragraph_ids()),
+                "brief_analysis": e.brief_analysis,
+                "accepted_at_call": e.accepted_at_call,
+            } for e in self.pool],
+            stats=stats.to_dict(),
+            **records,
+        )
+        return self.pool, stats, trace
 
 
 def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
@@ -246,30 +270,25 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     visited in retrieval rank order.  Candidate filtering happens after the
     top-k cut, so a layer can hold fewer than ``widths[d]`` children.
     Provider and parse errors at a node degrade to a rejected path and are
-    tallied; they never abort the run.
+    tallied; they never abort the run.  Trace nodes are the reviewed
+    candidates; pruned candidates are recorded apart.
     """
-    client = llm if isinstance(llm, LlmClient) else LlmClient(llm)
-    pool = EvidencePool()
-    stats = RunStats()
-    retrieved_ids: set[str] = set()
-    nodes: list[_TreeNode] = []
+    run = _Run(index, embedder, llm)
+    client, pool, stats = run.client, run.pool, run.stats
+    nodes: list[dict] = []
     pruned_records: list[dict] = []
 
-    def expand(parent: Optional[_TreeNode], query: str,
-               child_depth: int) -> list[_TreeNode]:
-        width = config.widths[child_depth - 1]
-        try:
-            results = retrieve(index, query, width, embedder)
-        except Exception as exc:
-            # a retrieval failure closes this branch, never the run
-            stats.provider_failures += 1
-            logger.warning("retrieval failure for query %r at depth %d: %s",
-                           query, child_depth, exc)
-            return []
-        retrieved_ids.update(p.id for p, _ in results)
-        path_ids = parent.path_ids() if parent is not None else set()
-        created: list[_TreeNode] = []
-        for rank, (paragraph, _score) in enumerate(results):
+    def expand(parent: Optional[dict], path: tuple[Paragraph, ...],
+               query: str) -> list[tuple[dict, tuple[Paragraph, ...]]]:
+        """Retrieve the children of the node at the end of ``path`` (the
+        root when empty); each comes with its own path."""
+        path_ids = {p.id for p in path}
+        created = []
+        for rank, (paragraph, _score) in enumerate(
+                run.retrieve(query, config.widths[len(path)])):
+            record = {"paragraph_id": paragraph.id, "depth": len(path) + 1,
+                      "parent": parent["index"] if parent is not None else None,
+                      "rank": rank, "query": query}
             reason = None
             if config.repetitive_pruning and paragraph.id in pool.accepted_ids:
                 stats.pruned_repetitive += 1
@@ -277,73 +296,44 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
             elif config.within_path_dedup and paragraph.id in path_ids:
                 reason = "on_path"
             if reason is not None:
-                pruned_records.append({
-                    "paragraph_id": paragraph.id,
-                    "depth": child_depth,
-                    "parent": parent.index if parent is not None else None,
-                    "rank": rank,
-                    "query": query,
-                    "reason": reason,
-                    "at_call": client.calls,
-                })
+                pruned_records.append({**record, "reason": reason,
+                                       "at_call": client.calls})
                 continue
-            node = _TreeNode(
-                index=len(nodes),
-                paragraph=paragraph,
-                depth=child_depth,
-                parent=parent,
-                rank=rank,
-                query=query,
-                created_after_call=client.calls,
-            )
-            nodes.append(node)
+            record.update(index=len(nodes), created_after_call=client.calls,
+                          children=[], exhausted=False, supported=None,
+                          mpc_answer="", **_UNREVIEWED)
+            nodes.append(record)
             if parent is not None:
-                parent.children.append(node.index)
-            created.append(node)
+                parent["children"].append(record["index"])
+            created.append((record, path + (paragraph,)))
         return created
 
-    def visit(node: _TreeNode) -> None:
-        path = node.path()
-        calls_before = client.calls
-        try:
-            outcome = review_path(question, path, config.expansion, client, demos)
-        except Exception as exc:
-            stats.provider_failures += 1
-            logger.warning("provider failure at node %s (%s): %s",
-                           node.index, node.paragraph.id, exc)
-            node.outcome = ParseFailure(raw_text="", reason=f"provider failure: {exc}",
-                                        step_reached=1)
-            node.call_index = client.calls if client.calls > calls_before else None
+    def visit(node: dict, path: tuple[Paragraph, ...]) -> None:
+        decision = run.review(
+            lambda: review_path(question, path, config.expansion, client, demos), node)
+        if decision is None:
             return
-        # the review completion is the first call issued while visiting
-        node.call_index = calls_before + 1
-        node.outcome = outcome
-        if isinstance(outcome, ParseFailure):
-            stats.parse_failures += 1
+        if decision.action is Action.ACCEPT:
+            pool.add(Evidence(path=path, brief_analysis=decision.brief_analysis,
+                              accepted_at_call=node["call_index"]))
             return
-        if outcome.action is Action.ACCEPT:
-            pool.add(Evidence(path=path, brief_analysis=outcome.brief_analysis,
-                              accepted_at_call=node.call_index))
+        if len(path) >= config.max_depth:
+            node["exhausted"] = decision.action is Action.SEARCH
             return
-        if outcome.action is Action.REJECT:
-            if not config.relevance_pruning and node.depth < config.max_depth:
-                # with relevance pruning disabled, a rejected node still
-                # expands; the review gives no query, so reuse the one that
-                # retrieved this node
-                for child in expand(node, node.query, node.depth + 1):
-                    visit(child)
-            elif config.relevance_pruning and node.depth < config.max_depth:
-                stats.pruned_relevance += 1
+        if decision.action is Action.SEARCH:
+            query = decision.new_query
+        elif config.relevance_pruning:
+            stats.pruned_relevance += 1
             return
-        # search
-        if node.depth >= config.max_depth:
-            node.exhausted = True
-            return
-        for child in expand(node, outcome.new_query, node.depth + 1):
-            visit(child)
+        else:
+            # with relevance pruning disabled, a rejected node still expands;
+            # the review gives no query, so reuse the one that retrieved it
+            query = node["query"]
+        for child, child_path in expand(node, path, query):
+            visit(child, child_path)
 
-    for root_child in expand(None, question, 1):
-        visit(root_child)
+    for root_child, root_path in expand(None, (), question):
+        visit(root_child, root_path)
 
     meta = {
         "max_depth": config.max_depth,
@@ -354,9 +344,7 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
         "within_path_dedup": config.within_path_dedup,
         "candidate_filtering": "post_topk",
     }
-    return _finish_run(question, "tor", meta, pool, stats, client.calls,
-                       retrieved_ids, nodes=[n.to_record() for n in nodes],
-                       pruned=pruned_records)
+    return run.finish(question, "tor", meta, nodes=nodes, pruned=pruned_records)
 
 
 def run_chain(question: str, index: CorpusIndex, embedder: EmbeddingProvider,
@@ -367,84 +355,43 @@ def run_chain(question: str, index: CorpusIndex, embedder: EmbeddingProvider,
     Every turn retrieves for the current query (the question on turn one),
     appends all results to the shared context, and reviews the whole context
     with the chain prompt.  Accept yields one evidence holding the full
-    context; reject or the turn limit ends the run.
+    context; reject, a failed review or retrieval, or the turn limit ends
+    the run.
     """
     if max_turns < 1:
         raise ValueError(f"max_turns must be >= 1, got {max_turns}")
     if per_turn_k < 1:
         raise ValueError(f"per_turn_k must be >= 1, got {per_turn_k}")
-    client = llm if isinstance(llm, LlmClient) else LlmClient(llm)
-    pool = EvidencePool()
-    stats = RunStats()
-    retrieved_ids: set[str] = set()
+    run = _Run(index, embedder, llm)
     turns: list[dict] = []
     context: list[Paragraph] = []
-    template = load_template("cor", demos)
 
     query = question
     for turn in range(1, max_turns + 1):
-        try:
-            results = retrieve(index, query, per_turn_k, embedder)
-        except Exception as exc:
-            stats.provider_failures += 1
-            logger.warning("retrieval failure on turn %d: %s", turn, exc)
+        results = run.retrieve(query, per_turn_k)
+        if not results:
             break
-        retrieved_ids.update(p.id for p, _ in results)
         context.extend(p for p, _ in results)
-        prompt = render_prompt(template, {
-            "Question": question,
-            "Documents": format_documents(context),
-        })
-        request = CompletionRequest(prompt=prompt, tags={
-            "question": question,
-            "path_ids": tuple(p.id for p in context),
-            "template": "cor",
-        })
-        turn_record = {
-            "turn": turn,
-            "query": query,
-            "retrieved": [p.id for p, _ in results],
-            "context_size": len(context),
-            "decision": None,
-            "thought": "",
-            "new_query": "",
-            "brief_analysis": "",
-            "call_index": None,
-            "parse_reason": None,
-        }
-        try:
-            response = client.complete(request)
-        except Exception as exc:
-            stats.provider_failures += 1
-            logger.warning("provider failure on turn %d: %s", turn, exc)
-            turn_record["decision"] = "provider_failure"
-            turns.append(turn_record)
+        request = build_request("cor", {"Question": question,
+                                        "Documents": format_documents(context)},
+                                question, context, demos)
+        record = {"turn": turn, "query": query,
+                  "retrieved": [p.id for p, _ in results],
+                  "context_size": len(context), **_UNREVIEWED}
+        turns.append(record)
+        decision = run.review(
+            lambda: parse_review_output(run.client.complete(request).text), record)
+        if decision is None or decision.action is Action.REJECT:
             break
-        turn_record["call_index"] = response.call_index
-        outcome = parse_review_output(response.text)
-        if isinstance(outcome, ParseFailure):
-            stats.parse_failures += 1
-            turn_record["decision"] = "parse_failure"
-            turn_record["parse_reason"] = outcome.reason
-            turns.append(turn_record)
+        if decision.action is Action.ACCEPT:
+            run.pool.add(Evidence(path=tuple(context),
+                                  brief_analysis=decision.brief_analysis,
+                                  accepted_at_call=record["call_index"]))
             break
-        turn_record["decision"] = outcome.action.value
-        turn_record["thought"] = outcome.thought
-        turn_record["new_query"] = outcome.new_query
-        turn_record["brief_analysis"] = outcome.brief_analysis
-        turns.append(turn_record)
-        if outcome.action is Action.ACCEPT:
-            pool.add(Evidence(path=tuple(context),
-                              brief_analysis=outcome.brief_analysis,
-                              accepted_at_call=response.call_index))
-            break
-        if outcome.action is Action.REJECT:
-            break
-        query = outcome.new_query
+        query = decision.new_query
 
-    return _finish_run(question, "cor",
-                       {"max_turns": max_turns, "per_turn_k": per_turn_k},
-                       pool, stats, client.calls, retrieved_ids, turns=turns)
+    return run.finish(question, "cor",
+                      {"max_turns": max_turns, "per_turn_k": per_turn_k}, turns=turns)
 
 
 def run_oner(question: str, k: int, index: CorpusIndex,
@@ -452,38 +399,16 @@ def run_oner(question: str, k: int, index: CorpusIndex,
     """One-shot retrieval baseline: a single retrieval, no review calls.
 
     The pool holds one pseudo-evidence with the retrieved paragraphs and no
-    analysis; answering happens later in fusion.
+    analysis; answering happens later in fusion.  A failed retrieval leaves
+    the pool empty.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pool = EvidencePool()
-    results = retrieve(index, question, k, embedder)
+    if not question.strip():
+        raise ValueError("question must be non-empty")
+    run = _Run(index, embedder)
+    results = run.retrieve(question, k)
     if results:
-        pool.add(Evidence(path=tuple(p for p, _ in results), brief_analysis="",
-                          accepted_at_call=0))
-    return _finish_run(question, "oner", {"k": k}, pool, RunStats(), 0,
-                       {p.id for p, _ in results})
-
-
-def _finish_run(question: str, mode: str, meta: dict, pool: EvidencePool,
-                stats: RunStats, api_calls: int, retrieved_ids: set[str],
-                **records) -> tuple[EvidencePool, RunStats, RunTrace]:
-    """Complete ``stats`` and build the run's trace; ``records`` fills the
-    trace's mode-specific lists (``nodes``, ``pruned``, ``turns``)."""
-    stats.api_calls = api_calls
-    stats.distinct_docs = len(retrieved_ids)
-    stats.evidence_count = len(pool)
-    stats.finalize()
-    trace = RunTrace(
-        question=question,
-        mode=mode,
-        meta=meta,
-        evidence=[{
-            "path": list(e.paragraph_ids()),
-            "brief_analysis": e.brief_analysis,
-            "accepted_at_call": e.accepted_at_call,
-        } for e in pool],
-        stats=stats.to_dict(),
-        **records,
-    )
-    return pool, stats, trace
+        run.pool.add(Evidence(path=tuple(p for p, _ in results), brief_analysis="",
+                              accepted_at_call=0))
+    return run.finish(question, "oner", {"k": k})

@@ -217,6 +217,19 @@ class TestRun:
         assert data["summary"]["completed"] == 2
         assert [r["stats"]["provider_failures"] for r in data["answers"]] == [3, 3]
         assert data["summary"]["total_provider_failures"] == 6
+        # a failed review reads the same in a tree node and a chain turn
+        chain = tmp_path / "chain"
+        assert main(run_args(corpus_file, dataset, chain, rules, "--mode", "cor")) == 0
+        for qid in ("a", "b"):
+            nodes = json.loads((out / "traces" / f"{qid}.json").read_text())["nodes"]
+            turns = json.loads((chain / "traces" / f"{qid}.json").read_text())["turns"]
+            assert len(nodes) == 3 and len(turns) == 1
+            for record in nodes + turns:
+                assert record["decision"] == "provider_failure"
+                assert record["parse_reason"].startswith("provider failure: ")
+                assert record["call_index"] is None
+            assert all(n["supported"] is None for n in nodes)
+        assert read_run_dir(chain)["summary"]["total_provider_failures"] == 2
 
     def test_parallel_runs_match_serial(self, tmp_path, corpus_file, rules_file):
         dataset = tmp_path / "many.jsonl"
@@ -302,14 +315,16 @@ class TestRun:
         assert not (out / "answers.jsonl").exists()
         assert "checksum" in caplog.text
 
+    @pytest.mark.parametrize("mode", ["tor", "cor", "oner"])
     def test_run_in_which_no_retrieval_succeeded_exits_one(
-            self, tmp_path, corpus_file, dataset_file, rules_file, monkeypatch):
+            self, tmp_path, corpus_file, dataset_file, rules_file, monkeypatch, mode):
         def failing_retrieve(*args, **kwargs):
             raise RuntimeError("retrieval is down")
 
         monkeypatch.setattr("revtree.search.retrieve", failing_retrieve)
         out = tmp_path / "run"
-        assert main(run_args(corpus_file, dataset_file, out, rules_file)) == 1
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--mode", mode)) == 1
         data = read_run_dir(out)
         assert data["summary"]["completed"] == data["summary"]["n"] == 1
         assert data["answers"][0]["stats"]["distinct_docs"] == 0
@@ -371,6 +386,29 @@ class TestRunConfig:
         assert main(["run", "--config", str(config)]) == 1
         assert not (out / "answers.jsonl").exists()
         assert message in caplog.text
+
+    # the fixed evidence prompt takes 79 whitespace tokens with the short
+    # question and 118 with the long one; the analysis prompt 90 and 138
+    # under the chars estimator
+    @pytest.mark.parametrize("extra, first, needed", [
+        (["--budget", "20"], "short", 79),
+        (["--budget", "100"], "long", 118),
+        (["--fusion", "analysis", "--estimator", "chars", "--budget", "138"],
+         "long", 138),
+    ])
+    def test_budget_below_a_fixed_fusion_prompt_fails_before_the_index(
+            self, tmp_path, corpus_file, rules_file, no_index, caplog, extra,
+            first, needed):
+        dataset = tmp_path / "two.jsonl"
+        write_jsonl(dataset, [
+            {"id": "short", "question": "boston", "gold_answers": ["B"]},
+            {"id": "long", "question": " ".join(["city"] * 40), "gold_answers": ["B"]},
+        ])
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset, out, rules_file, *extra)) == 1
+        assert not (out / "answers.jsonl").exists()
+        assert f"question '{first}', which needs more than {needed} tokens" \
+            in caplog.text
 
     def test_flags_override_the_config_file(self, tmp_path, corpus_file,
                                             dataset_file, rules_file):

@@ -1,6 +1,6 @@
-"""Seeded fault injection: provider errors at chosen attempts never abort a
-run, leave call indices strictly increasing, and every failure that a retry
-does not absorb is counted once."""
+"""Seeded fault injection: provider and query-embedding errors at chosen
+attempts never abort a run, leave call indices strictly increasing, and every
+failure that a retry does not absorb is counted once."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import random
 import pytest
 
 from revtree import ExpansionStrategy, LlmClient, ReviewDecision, ScriptedOracle, \
-    TreeConfig, render_mpc_output, render_review_output, run_chain, run_tree
+    TreeConfig, render_mpc_output, render_review_output, run_chain, run_oner, run_tree
 from revtree import cli
 from revtree.cli import main
 from revtree.errors import ProviderError, TransportError
@@ -58,6 +58,31 @@ class FaultInjector:
             raise TransportError(f"injected at attempt {self.attempts}")
         self.streak = 0
         return self.inner.generate(request, call_index)
+
+
+class FailingQueryEmbedder:
+    """Wraps an embedder.  Each ``embed_text`` call, counted over the
+    wrapper's life, raises with seeded odds; paragraph embeddings pass
+    through.  ``failed`` counts the raised calls."""
+
+    def __init__(self, inner, seed: int, p_fail: float = 0.3):
+        self.inner = inner
+        self.seed = seed
+        self.p_fail = p_fail
+        self.provider_id = inner.provider_id
+        self.dim = inner.dim
+        self.calls = 0
+        self.failed = 0
+
+    def embed_text(self, text):
+        self.calls += 1
+        if random.Random(self.seed * 1_000_003 + self.calls).random() < self.p_fail:
+            self.failed += 1
+            raise RuntimeError(f"injected at query embedding {self.calls}")
+        return self.inner.embed_text(text)
+
+    def embed_paragraph(self, paragraph, text):
+        return self.inner.embed_paragraph(paragraph, text)
 
 
 class SeededReviewer(SeededDecisionProvider):
@@ -131,6 +156,35 @@ def test_chain_runs_count_every_unabsorbed_failure(embedder, seed):
     assert injector.transport_errors > 0
 
 
+def run_mode(mode: str, question: str, index, embedder, seed: int):
+    if mode == "tor":
+        return run_tree(question, TreeConfig(widths=(4, 2, 2)), index, embedder,
+                        no_sleep_client(SeededReviewer(seed)))
+    if mode == "cor":
+        return run_chain(question, index, embedder,
+                         SeededDecisionProvider(seed, p_search=0.8))
+    return run_oner(question, 5, index, embedder)
+
+
+@pytest.mark.parametrize("mode", ["tor", "cor", "oner"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_query_embedding_faults_close_branches_not_runs(embedder, seed, mode):
+    index = fresh_corpus(groups=8, group_size=4, embedder=embedder)
+    faulty = FailingQueryEmbedder(embedder, seed)
+    total = 0
+    for n in range(16):
+        failed_before = faulty.failed
+        pool, stats, trace = run_mode(mode, f"probe{n % 8}", index, faulty, seed)
+        injected = faulty.failed - failed_before
+        assert stats.provider_failures == injected
+        assert trace.stats["provider_failures"] == injected
+        if mode == "oner":
+            assert len(pool) == (0 if injected else 1)
+        total += injected
+    assert total == faulty.failed > 0
+    assert faulty.calls > faulty.failed
+
+
 @pytest.mark.parametrize("mode", ["tor", "cor"])
 def test_cli_run_counts_every_unabsorbed_failure(tmp_path, monkeypatch, mode):
     corpus = tmp_path / "corpus.jsonl"
@@ -183,3 +237,50 @@ def test_cli_run_counts_every_unabsorbed_failure(tmp_path, monkeypatch, mode):
         r["stats"]["provider_failures"] for r in completed) > 0
     assert summary["failed"] == len(records) - len(completed)
     assert injector.transport_errors > 0
+    # eval scores the failed questions as wrong and reports both totals
+    assert main(["eval", "--dataset", str(dataset), "--run", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed"] == summary["failed"]
+    assert report["total_provider_failures"] == summary["total_provider_failures"]
+    assert report["n"] == len(records)
+
+
+@pytest.mark.parametrize("mode", ["tor", "cor", "oner"])
+def test_cli_run_counts_every_query_embedding_failure(tmp_path, monkeypatch, mode):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"id": f"p{i}", "title": f"T{i}", "text": f"word{i} shared"}
+                         for i in range(6)])
+    dataset = tmp_path / "dataset.jsonl"
+    write_jsonl(dataset, [{"id": f"q{i}", "question": f"word{i} shared",
+                           "gold_answers": ["x"]} for i in range(8)])
+    rules = tmp_path / "rules.jsonl"
+    write_jsonl(rules, [
+        {"template": "mpc", "response": render_mpc_output("word1 shared")},
+        {"template": "fusion_evidence", "response": "The answer is x."},
+        {"template": "fusion_paragraph", "response": "The answer is x."},
+        {"question": "word7 shared",
+         "response": render_review_output(ReviewDecision.accept("it is x"))},
+        {"default": render_review_output(ReviewDecision.search("word2 shared"))},
+    ])
+    embedders = []
+    build_embedder = cli._build_embedder
+
+    def faulty_embedder(*args):
+        embedders.append(FailingQueryEmbedder(build_embedder(*args), seed=6))
+        return embedders[-1]
+
+    monkeypatch.setattr(cli, "_build_embedder", faulty_embedder)
+    out = tmp_path / "run"
+    assert main(run_args(corpus, dataset, out, rules, "--mode", mode,
+                         "--widths", "3,2,2")) == 0
+
+    faulty, = embedders
+    records = [json.loads(line) for line in
+               (out / "answers.jsonl").read_text().splitlines()]
+    assert not any("error" in r for r in records)
+    assert sum(r["stats"]["provider_failures"] for r in records) == faulty.failed > 0
+    summary = json.loads((out / "stats_summary.json").read_text())
+    assert (summary["failed"], summary["total_provider_failures"]) == (0, faulty.failed)
+    assert main(["eval", "--dataset", str(dataset), "--run", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (report["failed"], report["total_provider_failures"]) == (0, faulty.failed)

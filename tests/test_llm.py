@@ -223,12 +223,6 @@ class TestLlmClient:
             client.complete(CompletionRequest(prompt="p"))
         assert calls["n"] == 1
 
-    def test_request_validation(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", temperature=-0.5)
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", max_context_tokens=0)
-
 
 class TestRemoteProvider:
     def test_missing_env_fails_before_network(self, monkeypatch):
@@ -265,6 +259,10 @@ class TestRemoteProvider:
         url, kwargs = session.posted[0]
         assert url.endswith("/chat/completions")
         assert kwargs["json"]["temperature"] == 0.0
+        # the request carries no output cap: a server that checks prompt plus
+        # max_tokens against its context would refuse a full prompt
+        assert kwargs["json"] == {"model": "test-model", "temperature": 0.0,
+                                  "messages": [{"role": "user", "content": "hi"}]}
 
     def test_server_errors_are_retried_through_the_client(self, monkeypatch):
         monkeypatch.setenv("REVTREE_LLM_BASE_URL", "https://llm.example/v1")

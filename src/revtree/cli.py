@@ -195,7 +195,10 @@ def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
                              client, budget_tokens=config.budget_tokens,
                              estimator=config.token_estimator,
                              demos=demos.get("fusion", ()))
-    scored = select_scored_paragraphs(pool, answer.full_response, embedder)
+    scored = select_scored_paragraphs(pool, answer.full_response, embedder,
+                                      stats=stats)
+    # the trace's stats take a re-ranking failure too
+    trace.stats = stats.to_dict()
     record = {
         "id": example.id,
         "question": example.question,

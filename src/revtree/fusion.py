@@ -10,15 +10,19 @@ inclusion, keeping the earliest-accepted items.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .corpus import cosine_similarity, format_documents
 from .embedding import EmbeddingProvider
 from .llm import CompletionRequest, LlmClient, estimate_tokens, load_template, \
     render_prompt
-from .search import Evidence, EvidencePool, distinct_paragraphs, new_paragraphs
+from .search import Evidence, EvidencePool, RunStats, distinct_paragraphs, \
+    new_paragraphs
+
+logger = logging.getLogger(__name__)
 
 ANSWER_MARKER = "the answer is"
 
@@ -165,8 +169,8 @@ def _evidence_text(evidence: Evidence) -> str:
 
 
 def select_scored_paragraphs(pool: EvidencePool, final_response: str,
-                             provider: EmbeddingProvider,
-                             limit: int = 15) -> list[str]:
+                             provider: EmbeddingProvider, limit: int = 15,
+                             stats: Optional[RunStats] = None) -> list[str]:
     """Paragraph ids submitted for retrieval scoring, at most ``limit``.
 
     When the pool holds no more distinct paragraphs than the limit they are
@@ -174,6 +178,10 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     Otherwise evidence items are re-ranked by cosine similarity between their
     rendered text and the final response, and paragraphs are emitted in
     evidence-rank then path order, deduplicated and truncated.
+
+    Given the run's ``stats``, a query embedding that raised is counted there
+    and logged as one provider failure, and the paragraphs keep
+    acceptance-then-path order, cut to ``limit``; without them it propagates.
     """
     if not final_response.strip():
         raise ValueError("final_response must be non-empty")
@@ -181,12 +189,19 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     if len(distinct) <= limit:
         return [p.id for p in distinct]
 
-    response_vec = provider.embed_text(final_response)
     scored = []
-    for order, evidence in enumerate(pool.evidences):
-        score = cosine_similarity(provider.embed_text(_evidence_text(evidence)),
-                                  response_vec)
-        scored.append((score, order, evidence))
+    try:
+        response_vec = provider.embed_text(final_response)
+        for order, evidence in enumerate(pool.evidences):
+            score = cosine_similarity(provider.embed_text(_evidence_text(evidence)),
+                                      response_vec)
+            scored.append((score, order, evidence))
+    except Exception as exc:
+        if stats is None:
+            raise
+        stats.provider_failures += 1
+        logger.warning("re-ranking failure, kept acceptance order: %s", exc)
+        return [p.id for p in distinct[:limit]]
     scored.sort(key=lambda item: (-item[0], item[1]))
     ranked = distinct_paragraphs(evidence for _score, _order, evidence in scored)
     return [p.id for p in ranked[:limit]]

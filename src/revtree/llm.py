@@ -176,7 +176,9 @@ class ScriptedOracle:
     """Deterministic completion provider driven by an ordered rule list.
 
     The first rule whose matchers all hold wins; with no match the default
-    response is used, and with no default the call is an error.
+    response is used, and with no default the call is an error.  A response
+    may hold ``{call_index}``, which depends on call order, so the oracle is
+    not ``order_free`` (see :class:`LlmClient`).
     """
 
     def __init__(self, rules: Sequence[ScriptedRule],
@@ -311,7 +313,13 @@ class RemoteChatProvider:
     Base URL, API key and model name come from ``REVTREE_LLM_BASE_URL``,
     ``REVTREE_LLM_API_KEY`` and ``REVTREE_LLM_MODEL``.  Construction fails
     before any network activity if they are unset.
+
+    Its output depends on the request alone, never on ``call_index`` or on
+    call order, so it is ``order_free``: a tree run may have several of its
+    calls in flight at once (see :class:`LlmClient`).
     """
+
+    order_free = True
 
     def __init__(self, session=None, timeout: float = 120.0):
         base_url, self._api_key, self.model = read_env(
@@ -339,9 +347,19 @@ class RemoteChatProvider:
 class LlmClient:
     """Per-run wrapper around a provider: call counting plus bounded retries.
 
-    The counter is atomic; ``call_index`` values are strictly increasing
-    within the run and count successful completions only.  Transport errors
-    are retried with exponential backoff; anything else surfaces immediately.
+    The counter counts successful completions only; a call's ``call_index``
+    is the counter after it, so indices strictly increase in the order the
+    calls are made.  Transport errors are retried with exponential backoff;
+    anything else surfaces immediately.
+
+    A provider whose class sets ``order_free = True`` declares that its
+    output ignores ``call_index`` and call order.  For such a provider a
+    run may make calls off its own order through a :meth:`fork`, whose
+    counter starts at zero, and :meth:`commit` the fork's completions to
+    the run's counter when their outcome takes its place in the run.  The
+    ``call_index`` a fork passes to the provider is provisional, and an
+    order-free provider must ignore it; the run's own indices then equal a
+    serial run's.
     """
 
     def __init__(self, provider, max_attempts: int = 3, backoff_s: float = 0.2,
@@ -358,6 +376,16 @@ class LlmClient:
     @property
     def calls(self) -> int:
         return self._calls
+
+    def fork(self) -> "LlmClient":
+        """A client over the same provider and retry policy with its own
+        counter, from zero."""
+        return LlmClient(self.provider, self.max_attempts, self.backoff_s, self._sleep)
+
+    def commit(self, fork: "LlmClient") -> None:
+        """Count the completions ``fork`` made as this client's next ones."""
+        with self._lock:
+            self._calls += fork.calls
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         with self._lock:

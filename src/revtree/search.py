@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -272,16 +273,42 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     Provider and parse errors at a node degrade to a rejected path and are
     tallied; they never abort the run.  Trace nodes are the reviewed
     candidates; pruned candidates are recorded apart.
+
+    With an ``order_free`` provider (see :class:`LlmClient`) the reviews of
+    the children of one expansion run together, at most ``max(widths)`` at
+    a time, each on a fork of the client.  Their outcomes are still taken
+    one by one in depth-first order, and each fork's completions are then
+    committed, so the trace and stats equal a serial run's.
     """
     run = _Run(index, embedder, llm)
     client, pool, stats = run.client, run.pool, run.stats
     nodes: list[dict] = []
     pruned_records: list[dict] = []
+    executor = (ThreadPoolExecutor(max(config.widths))
+                if getattr(client.provider, "order_free", False) else None)
 
-    def expand(parent: Optional[dict], path: tuple[Paragraph, ...],
-               query: str) -> list[tuple[dict, tuple[Paragraph, ...]]]:
+    def start_review(path: tuple[Paragraph, ...]) -> Callable[[], ReviewOutcome]:
+        """The review of ``path`` as a call that returns its outcome.  With
+        an executor the review starts now on a fork of the client, and the
+        call waits for it and commits the fork's completions."""
+        if executor is None:
+            return lambda: review_path(question, path, config.expansion, client, demos)
+        fork = client.fork()
+        future = executor.submit(
+            lambda: review_path(question, path, config.expansion, fork, demos))
+
+        def take() -> ReviewOutcome:
+            try:
+                return future.result()
+            finally:
+                client.commit(fork)
+
+        return take
+
+    def expand(parent: Optional[dict], path: tuple[Paragraph, ...], query: str
+               ) -> list[tuple[dict, tuple[Paragraph, ...], Callable[[], ReviewOutcome]]]:
         """Retrieve the children of the node at the end of ``path`` (the
-        root when empty); each comes with its own path."""
+        root when empty); each comes with its own path and review."""
         path_ids = {p.id for p in path}
         created = []
         for rank, (paragraph, _score) in enumerate(
@@ -305,12 +332,13 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
             nodes.append(record)
             if parent is not None:
                 parent["children"].append(record["index"])
-            created.append((record, path + (paragraph,)))
+            child_path = path + (paragraph,)
+            created.append((record, child_path, start_review(child_path)))
         return created
 
-    def visit(node: dict, path: tuple[Paragraph, ...]) -> None:
-        decision = run.review(
-            lambda: review_path(question, path, config.expansion, client, demos), node)
+    def visit(node: dict, path: tuple[Paragraph, ...],
+              review: Callable[[], ReviewOutcome]) -> None:
+        decision = run.review(review, node)
         if decision is None:
             return
         if decision.action is Action.ACCEPT:
@@ -329,11 +357,15 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
             # with relevance pruning disabled, a rejected node still expands;
             # the review gives no query, so reuse the one that retrieved it
             query = node["query"]
-        for child, child_path in expand(node, path, query):
-            visit(child, child_path)
+        for child in expand(node, path, query):
+            visit(*child)
 
-    for root_child, root_path in expand(None, (), question):
-        visit(root_child, root_path)
+    try:
+        for root_child in expand(None, (), question):
+            visit(*root_child)
+    finally:
+        if executor is not None:
+            executor.shutdown(cancel_futures=True)
 
     meta = {
         "max_depth": config.max_depth,

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from revtree import ReviewDecision, render_review_output
+from revtree import ReviewDecision, render_mpc_output, render_review_output
+from revtree import llm
 from revtree.cli import main
 
 
@@ -84,6 +88,48 @@ class TestIngest:
         code = main(["ingest", "--corpus", str(bad), "--out", str(out)])
         assert code == 1
         assert "line 2" in caplog.text
+
+
+class PromptSession:
+    """Stands in for ``requests.Session`` behind ``RemoteChatProvider``.  Each
+    post sleeps 1-3 ms and answers from the prompt text alone; ``peak`` is
+    the most posts in flight at once."""
+
+    def __init__(self):
+        self.peak = 0
+        self._inflight = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._lock:
+            self._inflight += 1
+            self.peak = max(self.peak, self._inflight)
+        prompt = json["messages"][0]["content"]
+        roll = int.from_bytes(hashlib.blake2b(prompt.encode(), digest_size=8).digest(),
+                              "big")
+        time.sleep((1000 + roll % 2001) / 1e6)
+        if "\nReferences: " in prompt:
+            text = render_mpc_output(f"word{roll % 7} shared")
+        elif "\nDocuments: " in prompt:
+            text = render_review_output((
+                ReviewDecision.accept(f"settled {roll % 97}"),
+                ReviewDecision.reject("off topic"),
+                ReviewDecision.search(f"word{roll % 5}"))[roll % 3])
+        else:
+            text = "The answer is x."
+        with self._lock:
+            self._inflight -= 1
+        return PromptResponse({"choices": [{"message": {"content": text}}]})
+
+
+class PromptResponse:
+    status_code = 200
+
+    def __init__(self, payload: dict):
+        self._payload = payload
+
+    def json(self) -> dict:
+        return self._payload
 
 
 def run_args(corpus, dataset, out, rules, *extra):
@@ -243,6 +289,42 @@ class TestRun:
                              "--parallel", "3")) == 0
         assert (serial / "answers.jsonl").read_bytes() == \
             (parallel / "answers.jsonl").read_bytes()
+
+    def test_remote_runs_match_serial_runs(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"id": f"p{i:02d}", "title": f"T{i}",
+                              "text": f"word{i % 7} word{i % 5} shared"}
+                             for i in range(20)])
+        dataset = tmp_path / "dataset.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "question": f"word{i} shared",
+                               "gold_answers": ["x"]} for i in range(4)])
+        for var in (llm.LLM_BASE_URL_VAR, llm.LLM_API_KEY_VAR, llm.LLM_MODEL_VAR):
+            monkeypatch.setenv(var, "https://llm.example/v1")
+        sessions = []
+        monkeypatch.setattr(llm, "new_session",
+                            lambda: sessions.append(PromptSession()) or sessions[-1])
+        outputs = {}
+        for name, order_free, extra in (("serial", False, ()),
+                                        ("overlapped", True, ()),
+                                        ("parallel", True, ("--parallel", "2"))):
+            monkeypatch.setattr(llm.RemoteChatProvider, "order_free", order_free)
+            out = tmp_path / name
+            assert main(["run", "--corpus", str(corpus), "--dataset", str(dataset),
+                         "--out", str(out), "--provider", "remote", *extra]) == 0
+            files = [out / "answers.jsonl", out / "stats_summary.json",
+                     *sorted((out / "traces").iterdir())]
+            outputs[name] = {f.relative_to(out).as_posix(): f.read_bytes()
+                             for f in files}
+        assert outputs["overlapped"] == outputs["serial"]
+        assert outputs["parallel"] == outputs["serial"]
+        # in flight at once: one call serially, up to the widest layer's
+        # reviews per question overlapped
+        serial, overlapped, parallel = (s.peak for s in sessions)
+        assert serial == 1 and 1 < overlapped <= 5 and parallel <= 2 * 5
+        decisions = {n["decision"] for name, data in outputs["serial"].items()
+                     if name.startswith("traces/")
+                     for n in json.loads(data)["nodes"]}
+        assert {"accept", "reject", "search"} <= decisions
 
     def test_scripted_provider_requires_rules(self, tmp_path, corpus_file,
                                               dataset_file):

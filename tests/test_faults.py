@@ -284,3 +284,52 @@ def test_cli_run_counts_every_query_embedding_failure(tmp_path, monkeypatch, mod
     assert main(["eval", "--dataset", str(dataset), "--run", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert (report["failed"], report["total_provider_failures"]) == (0, faulty.failed)
+
+
+def test_cli_run_keeps_acceptance_order_when_re_ranking_fails(tmp_path, monkeypatch):
+    # every review accepts, so each question's pool holds 20 paragraphs and
+    # fusion re-ranks it, embedding the response and each evidence text
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"id": f"p{i:02d}", "title": f"T{i}",
+                          "text": f"word{i} shared"} for i in range(30)])
+    dataset = tmp_path / "dataset.jsonl"
+    write_jsonl(dataset, [{"id": f"q{i}", "question": f"word{i} shared",
+                           "gold_answers": ["x"]} for i in range(8)])
+    rules = tmp_path / "rules.jsonl"
+    write_jsonl(rules, [
+        {"template": "fusion_evidence", "response": "The answer is x."},
+        {"default": render_review_output(ReviewDecision.accept("it is x"))},
+    ])
+    embedders = []
+    build_embedder = cli._build_embedder
+
+    def faulty_embedder(*args):
+        embedders.append(FailingQueryEmbedder(build_embedder(*args), seed=2,
+                                              p_fail=0.05))
+        return embedders[-1]
+
+    monkeypatch.setattr(cli, "_build_embedder", faulty_embedder)
+    out = tmp_path / "run"
+    assert main(run_args(corpus, dataset, out, rules, "--widths", "20")) == 0
+
+    faulty, = embedders
+    records = [json.loads(line) for line in
+               (out / "answers.jsonl").read_text().splitlines()]
+    assert not any("error" in r for r in records)
+    kept, ranked = 0, 0
+    for record in records:
+        trace = json.loads((out / "traces" / f"{record['id']}.json").read_text())
+        assert trace["stats"] == record["stats"]
+        accepted = [e["path"][0] for e in trace["evidence"]]
+        if len(accepted) < 20:
+            continue    # its retrieval failed
+        if record["stats"]["provider_failures"]:
+            assert record["scored_ids"] == accepted[:15]
+            kept += 1
+        else:
+            assert record["scored_ids"] != accepted[:15]
+            ranked += 1
+    assert kept > 0 and ranked > 0
+    assert sum(r["stats"]["provider_failures"] for r in records) == faulty.failed
+    summary = json.loads((out / "stats_summary.json").read_text())
+    assert (summary["failed"], summary["total_provider_failures"]) == (0, faulty.failed)

@@ -10,7 +10,11 @@ its own brute-force oracle elsewhere; this test targets the walk logic.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+import sys
+import threading
+import time
 
 from revtree import (
     ExpansionStrategy,
@@ -19,11 +23,16 @@ from revtree import (
     TreeConfig,
     build_index,
     HashedEmbedder,
+    LlmClient,
+    RemoteChatProvider,
+    ScriptedOracle,
     render_mpc_output,
     render_review_output,
     retrieve,
     run_tree,
 )
+from revtree import search
+from revtree.errors import ProviderError, TransportError
 
 
 def _digest(seed: int, path: tuple[str, ...], salt: str = "") -> int:
@@ -139,7 +148,9 @@ def simulate(question: str, config: TreeConfig, index, embedder,
     }
 
 
-def test_tree_matches_reference_simulator_across_random_scenarios():
+def scenarios():
+    """The 60 seeded scenarios: (context, question, config, index, embedder,
+    policy) each."""
     rng = random.Random(2024)
     vocab_size = 40
     width_options = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2)]
@@ -165,16 +176,181 @@ def test_tree_matches_reference_simulator_across_random_scenarios():
         )
         policy = Policy(seed=scenario * 7 + 1, vocab_size=vocab_size)
         question = " ".join(f"t{rng.randrange(vocab_size)}" for _ in range(3))
+        context = (scenario, widths, config.expansion.value,
+                   config.relevance_pruning, config.repetitive_pruning,
+                   config.within_path_dedup)
+        yield context, question, config, index, embedder, policy
 
+
+def test_tree_matches_reference_simulator_across_random_scenarios():
+    for context, question, config, index, embedder, policy in scenarios():
         provider = PolicyProvider(policy)
         pool, stats, _trace = run_tree(question, config, index, embedder,
                                        provider)
         reference = simulate(question, config, index, embedder, policy)
 
-        context = (scenario, widths, config.expansion.value,
-                   config.relevance_pruning, config.repetitive_pruning,
-                   config.within_path_dedup)
         assert provider.review_paths == reference["reviews"], context
         assert stats.api_calls == reference["calls"], context
         assert [e.paragraph_ids() for e in pool] == reference["evidence"], context
         assert stats.pruned_repetitive == reference["pruned_repetitive"], context
+
+
+# Overlapped sibling reviews ---------------------------------------------------
+#
+# An order-free provider lets run_tree review the children of one expansion
+# together.  The runs below must equal serial runs byte for byte.
+
+
+def overlapped(cls):
+    """``cls`` marked order-free; each call first sleeps 0-3 ms, seeded by its
+    template and path, so that overlapped calls finish out of order."""
+
+    class Overlapped(cls):
+        order_free = True
+
+        def generate(self, request, call_index):
+            salt = request.tags["template"]
+            path = tuple(request.tags["path_ids"])
+            time.sleep(_digest(self.policy.seed, path, salt) % 3001 / 1e6)
+            return super().generate(request, call_index)
+
+    return Overlapped
+
+
+def outputs(run) -> tuple:
+    pool, stats, trace = run
+    return trace.to_json(), stats.to_dict(), list(pool)
+
+
+def test_overlapped_runs_equal_serial_runs_across_random_scenarios():
+    # threads switch far more often than by default, so that a lost update
+    # or a commit out of order would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for context, question, config, index, embedder, policy in scenarios():
+            serial = PolicyProvider(policy)
+            expected = outputs(run_tree(question, config, index, embedder, serial))
+            provider = overlapped(PolicyProvider)(policy)
+            assert outputs(run_tree(question, config, index, embedder, provider)) \
+                == expected, context
+            # no review was made that the run did not take
+            assert sorted(provider.review_paths) == sorted(serial.review_paths), context
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class FaultyPolicyProvider(PolicyProvider):
+    """Faults keyed by the request's template and path, never by attempt
+    order: a tenth of the calls raise :class:`ProviderError`, and another
+    tenth raise :class:`TransportError` on their first attempt only, which
+    the client retries."""
+
+    def __init__(self, policy: Policy):
+        super().__init__(policy)
+        self._lock = threading.Lock()
+        self._failed_once: set = set()
+        self.transport_errors = 0
+
+    def generate(self, request, call_index):
+        key = (request.tags["template"], tuple(request.tags["path_ids"]))
+        roll = _digest(self.policy.seed, key[1], "fault " + key[0]) % 10
+        if roll == 0:
+            raise ProviderError(f"injected at {key}")
+        if roll == 1:
+            with self._lock:
+                first = key not in self._failed_once
+                self._failed_once.add(key)
+                self.transport_errors += first
+            if first:
+                raise TransportError(f"injected at {key}")
+        return super().generate(request, call_index)
+
+
+def test_overlapped_runs_equal_serial_runs_under_path_keyed_faults():
+    failed = {"review": 0, "mpc": 0}
+    retried = 0
+    for context, question, config, index, embedder, policy in scenarios():
+        runs = []
+        for cls in (FaultyPolicyProvider, overlapped(FaultyPolicyProvider)):
+            provider = cls(policy)
+            runs.append(outputs(run_tree(question, config, index, embedder,
+                                         LlmClient(provider, sleep=lambda _s: None))))
+            retried += provider.transport_errors
+        assert runs[1] == runs[0], context
+        for node in json.loads(runs[0][0])["nodes"]:
+            if node["decision"] == "provider_failure":
+                # an MPC call that failed after its review completed keeps
+                # the review's call index
+                failed["mpc" if node["call_index"] is not None else "review"] += 1
+    assert failed["review"] > 0 and failed["mpc"] > 0
+    assert retried > 0
+
+
+class InflightProvider:
+    """Order-free reviewer that searches at every node and records the peak
+    number of calls in flight.  The first ``hold`` calls each wait, up to
+    2 s, until all of them have started."""
+
+    order_free = True
+
+    def __init__(self, policy: Policy, hold: int):
+        self.policy = policy
+        self.hold = hold
+        self.started = 0
+        self.inflight = 0
+        self.peak = 0
+        self._cond = threading.Condition()
+
+    def generate(self, request, call_index):
+        with self._cond:
+            self.started += 1
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+            self._cond.notify_all()
+            if self.started <= self.hold:
+                self._cond.wait_for(lambda: self.started >= self.hold, timeout=2.0)
+        try:
+            time.sleep(0.001)
+            path = tuple(request.tags["path_ids"])
+            if request.tags["template"] == "mpc":
+                return render_mpc_output(self.policy.mpc_query(path))
+            return render_review_output(
+                ReviewDecision.search(self.policy.search_query(path)))
+        finally:
+            with self._cond:
+                self.inflight -= 1
+
+
+def test_reviews_in_flight_never_exceed_the_widest_layer():
+    embedder = HashedEmbedder(dim=64, seed=3)
+    rng = random.Random(3)
+    index = build_index([Paragraph(f"p{i:03d}", "",
+                                   " ".join(f"t{rng.randrange(40)}" for _ in range(4)))
+                         for i in range(80)], embedder)
+    config = TreeConfig(widths=(5, 3, 3))
+    provider = InflightProvider(Policy(seed=3, vocab_size=40), hold=5)
+    _pool, stats, trace = run_tree("t1 t2 t3", config, index, embedder, provider)
+    assert provider.peak == 5 == max(config.widths)
+    assert len(trace.nodes) > 5 and stats.api_calls == provider.started
+
+
+def test_thread_pool_only_for_order_free_providers(small_index, embedder,
+                                                  monkeypatch):
+    assert getattr(ScriptedOracle, "order_free", False) is False
+    assert RemoteChatProvider.order_free is True
+    pools = []
+
+    class CountingExecutor(search.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", CountingExecutor)
+    config = TreeConfig(widths=(4, 2))
+    policy = Policy(seed=5, vocab_size=40)
+    run_tree("boston population", config, small_index, embedder, PolicyProvider(policy))
+    assert pools == []
+    run_tree("boston population", config, small_index, embedder,
+             overlapped(PolicyProvider)(policy))
+    assert pools == [4]

@@ -1,13 +1,13 @@
 """Record benchmark runs of this checkout as a committed performance file.
 
-    python scripts/bench_record.py --label overlap --workloads tor-remote-sim \
-        --seeds 11-20 --seconds 20 --baseline ../parent
+    python scripts/bench_record.py --label overlap --seeds 11-20 --baseline ../parent
 
-Runs ``benchmark/run.py`` once per workload and seed, untraced for the
-end-to-end metrics and, for the first ``--traced`` seeds, traced for the
-per-layer ones.  With ``--baseline DIR`` every run is paired with the same
-run of the checkout in ``DIR``; the two sides of a pair run back to back,
-and the side that goes first alternates from pair to pair.
+Runs ``benchmark/run.py`` for ``run_seconds`` once per workload that
+``BENCHMARK.json`` declares and per seed, untraced for the end-to-end
+metrics and, for the first two seeds, traced for the per-layer ones.  With
+``--baseline DIR`` every run is paired with the same run of the checkout in
+``DIR``; the two sides of a pair run back to back, and the side that goes
+first alternates from pair to pair.
 
 Writes ``BENCH_<label>.json`` at the root of this checkout: the environment
 (python, numpy, BLAS, ``os.cpu_count()``), every run's metrics, the median
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("tor-retrieval", "tor-remote-sim", "cli-batch")
+TRACED_SEEDS = 2
 
 
 def seed_list(text: str) -> list[int]:
@@ -43,11 +43,8 @@ def seed_list(text: str) -> list[int]:
 def environment() -> dict:
     import numpy
 
-    try:
-        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
-    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
-        blas = None
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "blas": blas, "cpu_count": os.cpu_count(), "machine": platform.machine(),
             "system": platform.system()}
@@ -117,35 +114,27 @@ def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="1-3")
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--traced", type=int, default=None,
-                        help="how many of the seeds also run traced (default: all)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help="another checkout whose runs pair with this one's")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
-    unknown = sorted(set(workloads) - set(WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workloads {unknown}; expected some of {WORKLOADS}")
     seeds = seed_list(args.seeds)
-    traced = len(seeds) if args.traced is None else args.traced
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     sides = {"change": ROOT}
     if args.baseline is not None:
         sides["baseline"] = args.baseline.resolve()
 
-    record = {"label": args.label, "seconds": args.seconds, "environment": environment(),
+    record = {"label": args.label, "seconds": seconds, "environment": environment(),
               "checkouts": {side: checkout_info(root) for side, root in sides.items()},
               "workloads": {}}
-    for workload in workloads:
+    for workload in [w["name"] for w in spec["workloads"]]:
         runs: dict[str, list[dict]] = {side: [] for side in sides}
         for trace in (0, 1):
-            for i, seed in enumerate(seeds if trace == 0 else seeds[:traced]):
+            for i, seed in enumerate(seeds if trace == 0 else seeds[:TRACED_SEEDS]):
                 order = list(sides) if i % 2 == 0 else list(reversed(sides))
                 for side in order:
-                    run = run_once(sides[side], workload, seed, args.seconds, trace)
+                    run = run_once(sides[side], workload, seed, seconds, trace)
                     runs[side].append(run)
                     print(f"{workload} seed {seed} trace {trace} {side}: "
                           f"correct={run['correct']} failed={run['failed']}",

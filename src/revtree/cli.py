@@ -234,8 +234,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"budget of {config.budget_tokens} tokens cannot cover the fixed "
                 f"fusion prompt of question {example.id!r}, which needs more "
                 f"than {needed} tokens")
+    # at most max(widths) reviews of each of --parallel questions in flight
     llm_provider = (ScriptedOracle.from_file(config.rules_path)
-                    if config.provider == "scripted" else RemoteChatProvider())
+                    if config.provider == "scripted" else
+                    RemoteChatProvider(pool_size=config.parallel * max(config.tree.widths)))
     embedder = _build_embedder(config.embedder, config.dim, config.seed,
                                config.embeddings_path)
     index = build_index(load_paragraphs(config.corpus_path), embedder,

@@ -254,10 +254,18 @@ def read_env(names: Sequence[str], what: str) -> list[str]:
     return values
 
 
-def new_session():
+def new_session(pool_size: int = 10):
+    """A ``requests.Session`` that keeps up to ``pool_size`` connections per
+    host open, so that many posts in flight at once reuse their connections
+    (``requests`` keeps 10 by default)."""
     import requests
+    from requests.adapters import HTTPAdapter
 
-    return requests.Session()
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_connections=pool_size, pool_maxsize=pool_size)
+    session.mount("https://", adapter)
+    session.mount("http://", adapter)
+    return session
 
 
 def post_json(session, url: str, api_key: str, payload: dict, timeout: float,
@@ -316,18 +324,20 @@ class RemoteChatProvider:
 
     Its output depends on the request alone, never on ``call_index`` or on
     call order, so it is ``order_free``: a tree run may have several of its
-    calls in flight at once (see :class:`LlmClient`).
+    calls in flight at once (see :class:`LlmClient`).  ``pool_size`` is the
+    number of connections its own session keeps open; give it the most posts
+    that can be in flight at once.
     """
 
     order_free = True
 
-    def __init__(self, session=None, timeout: float = 120.0):
+    def __init__(self, session=None, timeout: float = 120.0, pool_size: int = 10):
         base_url, self._api_key, self.model = read_env(
             (LLM_BASE_URL_VAR, LLM_API_KEY_VAR, LLM_MODEL_VAR),
             "remote completion provider")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._session = session if session is not None else new_session()
+        self._session = session if session is not None else new_session(pool_size)
 
     def generate(self, request: CompletionRequest, call_index: int) -> str:
         """One attempt; retries are :class:`LlmClient`'s job."""

@@ -300,9 +300,14 @@ class TestRun:
                                "gold_answers": ["x"]} for i in range(4)])
         for var in (llm.LLM_BASE_URL_VAR, llm.LLM_API_KEY_VAR, llm.LLM_MODEL_VAR):
             monkeypatch.setenv(var, "https://llm.example/v1")
-        sessions = []
-        monkeypatch.setattr(llm, "new_session",
-                            lambda: sessions.append(PromptSession()) or sessions[-1])
+        sessions, pool_sizes = [], []
+
+        def new_session(pool_size):
+            pool_sizes.append(pool_size)
+            sessions.append(PromptSession())
+            return sessions[-1]
+
+        monkeypatch.setattr(llm, "new_session", new_session)
         outputs = {}
         for name, order_free, extra in (("serial", False, ()),
                                         ("overlapped", True, ()),
@@ -321,6 +326,8 @@ class TestRun:
         # reviews per question overlapped
         serial, overlapped, parallel = (s.peak for s in sessions)
         assert serial == 1 and 1 < overlapped <= 5 and parallel <= 2 * 5
+        # the connection pool covers every post that can be in flight
+        assert pool_sizes == [5, 5, 2 * 5]
         decisions = {n["decision"] for name, data in outputs["serial"].items()
                      if name.startswith("traces/")
                      for n in json.loads(data)["nodes"]}

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import http.server
 import json
+import threading
 
 import pytest
 from hypothesis import given
@@ -22,7 +25,7 @@ from revtree import (
 )
 from revtree.errors import OracleMissError, ProviderConfigError, ProviderError, \
     TransportError
-from revtree.llm import TEMPLATE_NAMES, estimate_tokens_chars
+from revtree.llm import TEMPLATE_NAMES, estimate_tokens_chars, new_session
 
 
 class TestRenderPrompt:
@@ -310,6 +313,47 @@ class TestRemoteProvider:
         with pytest.raises(ProviderError):
             client.complete(CompletionRequest(prompt="hi"))
         assert Rejecting.calls == 1
+
+    @pytest.mark.parametrize("pool_size", [4, 15])
+    def test_session_reuses_a_connection_per_post_in_flight(self, pool_size):
+        # rounds of pool_size posts held in flight together against a local
+        # server; each round reuses the connections of the one before
+        in_flight = threading.Barrier(pool_size, timeout=10)
+        peers = set()
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                peers.add(self.client_address)
+                in_flight.wait()
+                body = b"{}"
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        session = new_session(pool_size)
+        url = f"http://127.0.0.1:{server.server_port}/"
+        try:
+            with concurrent.futures.ThreadPoolExecutor(pool_size) as executor:
+                for _ in range(3):
+                    replies = list(executor.map(lambda _: session.post(url, json={}),
+                                                range(pool_size)))
+                    assert [r.status_code for r in replies] == [200] * pool_size
+        finally:
+            session.close()
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert len(peers) == pool_size
 
 
 class FakeReply:

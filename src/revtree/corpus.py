@@ -5,12 +5,13 @@ The index holds every embedding in memory; at desk scale (up to ~1e5
 paragraphs) an exact scan beats maintaining an ANN structure.  Scores are raw
 cosine values; downstream code only consumes the ranking.
 
-Raw embeddings live in one ``(n, dim)`` matrix in ascending-id order, and
-their unit vectors in one column-major ``(dim, n)`` array.  A score is the
-sum over dimensions of ``unit[j] * query[j]``, added in the pairwise order
-numpy uses for ``(unit * query).sum(axis=1)``, so every score is bit-identical
-to that expression and identical embeddings tie exactly.  Top-k keeps every
-row that reaches the k-th score, ties included, and sorts only those.
+Raw embeddings live in one float64 ``(n, dim)`` matrix in ascending-id order,
+beside their norms and float32 unit rows.  A score is
+``(unit * query).sum(axis=1)`` with ``unit = matrix / norms[:, None]``, so
+identical embeddings tie exactly.  Top-k has two stages: one float32
+matrix-vector product scores every row to within ``_approx_error``, then only
+the rows that can still reach the k-th score are scored exactly and sorted,
+so the ranking and every score equal those of a full exact scan.
 """
 
 from __future__ import annotations
@@ -95,11 +96,17 @@ class CorpusIndex:
         if np.any(norms == 0.0):
             zero = [self._ids[i] for i in np.flatnonzero(norms == 0.0)[:5]]
             raise CorpusError(f"all-zero embeddings for ids: {zero}")
-        # column j holds dimension j of every unit vector; divided straight
-        # into place, so no second (n, dim) copy exists at once
-        self._unit_cols = np.empty(self._matrix.shape[::-1])
-        np.divide(self._matrix.T, norms, out=self._unit_cols)
-        self._unit_cols.flags.writeable = False
+        self._norms = norms
+        self._norms.flags.writeable = False
+        # divided in float64 and rounded straight into place, so no float64
+        # unit copy is made
+        self._unit32 = np.empty(self._matrix.shape, dtype=np.float32)
+        np.divide(self._matrix, norms[:, None], out=self._unit32, casting="same_kind")
+        self._unit32.flags.writeable = False
+        # a tiny vector's norm loses bits in the float64 subnormals, so its
+        # unit row can be longer than 1
+        self._longest_unit = float(np.sqrt(
+            np.einsum("ij,ij->i", self._unit32, self._unit32).max(initial=0.0)))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -172,56 +179,47 @@ def retrieve(index: CorpusIndex, query: str, k: int,
     if qnorm == 0.0:
         raise ValueError("query embedded to a zero vector")
 
-    # elementwise products summed in numpy's fixed pairwise order, not a BLAS
-    # matvec: dgemv may accumulate different rows along different code paths,
-    # so identical embeddings could disagree in the last ulp and corrupt the
-    # id tie-break.  numpy's reduce also adds its result to 0.0, which turns
-    # a -0.0 sum into +0.0.
-    scores = _pairwise_dot(index._unit_cols, qvec / qnorm, 0, index.dim)
-    scores += 0.0
-    # every row scoring at least the k-th score is a candidate, so rows tied
-    # with it all compete; candidates are in ascending-id order, so a stable
-    # sort on -score alone yields the (score desc, id asc) contract
+    q = qvec / qnorm
     n = len(index)
     k = min(k, n)
-    candidates = np.arange(n)
+    rows = np.arange(n)
     if k < n:
-        kth = np.partition(scores, n - k)[n - k]
-        candidates = np.flatnonzero(scores >= kth)
-    order = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
-    return [(index.get(index.ids[i]), float(scores[i])) for i in order]
+        # every row in the exact top k, or tied with the k-th exact score T,
+        # has approx >= T - eps, and the k-th largest approx t is at most
+        # T + eps, so the rows with approx >= t - 2*eps include them all
+        approx = index._unit32 @ q.astype(np.float32)
+        t = float(np.partition(approx, n - k)[n - k])
+        rows = np.flatnonzero(approx >= t - 2 * _approx_error(index, q))
+    # the contract's own expression on the surviving rows: division and
+    # products are elementwise and each row is summed alone, so every score
+    # is bit-identical to scoring the whole matrix.  Rows are in ascending-id
+    # order, so a stable sort on -score gives (score desc, id asc).
+    scores = (index._matrix[rows] / index._norms[rows, None] * q).sum(axis=1)
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(index.get(index.ids[rows[i]]), float(scores[i])) for i in order]
 
 
-# numpy sums at most this many terms with eight accumulators before it splits
-_PAIRWISE_BLOCK = 128
+def _approx_error(index: CorpusIndex, q: np.ndarray) -> float:
+    """``eps``, a bound on ``|approx - exact|`` for every row of ``index``
+    and the unit query ``q``.
 
-
-def _pairwise_dot(cols: np.ndarray, q: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``sum(cols[j] * q[j] for lo <= j < hi)``, added in numpy's pairwise
-    summation order.
-
-    Fewer than 8 terms are added in sequence; up to ``_PAIRWISE_BLOCK`` terms
-    go to eight strided accumulators, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the remainder is added;
-    longer runs split at a multiple of 8 near the middle and recurse.
+    Let ``u = 2**-24`` and ``S = sum |unit[j] * q[j]|``, at most ``scale``
+    by Cauchy-Schwarz.  Rounding the unit row and the query to float32 moves
+    the products by at most ``(2u + u*u) * S``.  A float32 dot of length
+    ``dim``, added in any order and with or without FMA, is off by at most
+    ``gamma_dim * S * (1 + u)**2``, ``gamma_dim = dim*u / (1 - dim*u)``
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so any
+    BLAS kernel or thread split keeps the bound; the float64 sum is off by
+    at most ``dim * 2**-53 * S``.  That is ``(dim + 2) * u * S`` up to terms
+    of order ``dim * u * u``; the factor 4 is room for them and for
+    ``scale`` being measured in float32.  Underflow or flush-to-zero costs at
+    most ``2**-126 * max(1, |unit|, |q|)`` for each of ``4 * dim`` inputs,
+    products and additions, below ``dim * 2**-122 * scale``, as ``|unit|``
+    and ``|q|`` are at least ``1/sqrt(2)`` (a subnormal square at most
+    doubles when rounded).
     """
-    n = hi - lo
-    if n > _PAIRWISE_BLOCK:
-        mid = lo + n // 2 - (n // 2) % 8
-        return _pairwise_dot(cols, q, lo, mid) + _pairwise_dot(cols, q, mid, hi)
-    term = np.empty(cols.shape[1])
-    if n < 8:
-        acc, rest = cols[lo] * q[lo], lo + 1
-    else:
-        r = [cols[lo + i] * q[lo + i] for i in range(8)]
-        rest = hi - n % 8
-        for j in range(lo + 8, rest, 8):
-            for i in range(8):
-                r[i] += np.multiply(cols[j + i], q[j + i], out=term)
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(rest, hi):
-        acc += np.multiply(cols[j], q[j], out=term)
-    return acc
+    dim, scale = index.dim, index._longest_unit * float(np.linalg.norm(q))
+    return (4 * (dim + 2) * 2.0 ** -24 + dim * 2.0 ** -122) * scale
 
 
 def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,

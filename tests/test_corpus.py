@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revtree import (
@@ -20,7 +23,7 @@ from revtree import (
     ingest_corpus,
     retrieve,
 )
-from revtree.corpus import CorpusIndex, load_paragraphs
+from revtree.corpus import CorpusIndex, _approx_error, load_paragraphs
 from revtree.embedding import EmbeddingProvider, write_embeddings_file
 from revtree.errors import CorpusError, ProviderConfigError
 
@@ -292,6 +295,167 @@ class TestScoring:
         paragraphs = [Paragraph("a", "", "alpha"), Paragraph("b", "", "beta")]
         with pytest.raises(CorpusError, match="'a'"):
             build_index(paragraphs, PrecomputedEmbeddings(path))
+
+
+def row_sum_topk(matrix, qvec, k):
+    """The ranking contract itself: every row scored by
+    ``(unit * query).sum(axis=1)``, then score descending, row ascending."""
+    unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    scores = (unit * (qvec / np.linalg.norm(qvec))).sum(axis=1)
+    order = np.lexsort((np.arange(len(matrix)), -scores))[:k]
+    return order, scores[order]
+
+
+def assert_matches_row_sum(matrix, qvec, ks):
+    ids = [f"p{i:04d}" for i in range(len(matrix))]
+    index = vector_index(dict(zip(ids, matrix)))
+    for k in ks:
+        got = retrieve(index, "q", k, FixedQuery(qvec))
+        order, scores = row_sum_topk(matrix, qvec, k)
+        assert [p.id for p, _ in got] == [ids[i] for i in order], k
+        assert np.array_equal(np.array([s for _, s in got]).view(np.uint64),
+                              scores.view(np.uint64)), k
+
+
+@st.composite
+def adversarial_rows(draw):
+    """Rows, a query and the ks to ask for, built to stress the float32
+    prefilter: duplicates that tie exactly, differ only in float64 low bits
+    or by a few float32 ulps, and components from 1e-30 to 1e3, whose
+    products underflow in float32."""
+    dim = draw(st.sampled_from([1, 7, 8, 129, 384, 1536]))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def spread(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 3, shape)
+
+    matrix = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-30, 3, (n, 1))
+    if draw(st.booleans()):
+        matrix *= spread((n, dim))
+    copies = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        row = matrix[rng.integers(n)]
+        kind = draw(st.sampled_from(["exact", "power_of_two", "low_bits",
+                                     "float32_ulps"]))
+        if kind == "power_of_two":  # an exact scale, so the unit row is equal
+            row = row * 2.0 ** int(rng.integers(-20, 20))
+        elif kind == "low_bits":
+            row = row * (1.0 + int(rng.integers(1, 8)) * 2.0 ** -52)
+        elif kind == "float32_ulps":  # apart in float32, but barely
+            row = row * (1.0 + rng.integers(-4, 5, dim) * 2.0 ** -24)
+        copies.append(row)
+    matrix = np.vstack([matrix, *copies]) if copies else matrix
+    matrix = matrix[rng.permutation(len(matrix))]
+    if draw(st.booleans()):
+        qvec = matrix[rng.integers(len(matrix))].copy()
+    else:
+        qvec = spread(dim)
+    if not np.linalg.norm(qvec):
+        qvec[0] = 1.0
+    _, scores = row_sum_topk(matrix, qvec, len(matrix))
+    inside_ties = [i + 1 for i in range(len(scores) - 1) if scores[i] == scores[i + 1]]
+    ks = {1, len(matrix), len(matrix) + 3}
+    if inside_ties:
+        ks.add(draw(st.sampled_from(inside_ties)))
+    return matrix, qvec, sorted(ks)
+
+
+def tiny_vectors(rng, shape):
+    """Vectors whose unit rows are longer than 1: the squares of their
+    components but the first round to zero in the float64 subnormals, so the
+    norm comes from the first alone (a unit row ~13 long at dim 384)."""
+    vectors = 1.5e-162 * rng.uniform(1.0, 1.04, shape)
+    vectors[..., 0] = 1.6e-162
+    return vectors
+
+
+class TestTwoStageTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_rows())
+    def test_ids_and_score_bits_equal_the_row_sum(self, case):
+        matrix, qvec, ks = case
+        assert_matches_row_sum(matrix, qvec, ks)
+
+    def test_zero_scores_match_the_row_sum_bits(self):
+        # products that are all -0.0 still sum to +0.0 in the contract
+        matrix = np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert_matches_row_sum(matrix, np.array([0.0, -1.0]), [1, 2, 3])
+
+    def test_every_row_tied_makes_every_row_a_candidate(self):
+        matrix = np.tile([3.0, -1.0, 2.0], (500, 1))
+        assert_matches_row_sum(matrix, np.array([1.0, 2.0, -0.5]), [1, 3, 499, 500])
+
+    @pytest.mark.parametrize("dim", [7, 64, 384])
+    def test_a_cluster_a_few_float32_ulps_apart(self, dim):
+        # float32 orders these rows almost at random, so the candidates must
+        # reach well below the k-th approximate score
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            base = rng.standard_normal(dim)
+            matrix = base * (1.0 + rng.integers(-4, 5, (30, dim)) * 2.0 ** -24)
+            for qvec in (base, rng.standard_normal(dim)):
+                assert_matches_row_sum(matrix, qvec, [1, 2, 3])
+
+    def test_long_unit_rows_from_tiny_vectors(self):
+        rng = np.random.default_rng(8)
+        matrix = np.vstack([tiny_vectors(rng, (20, 384)),
+                            rng.standard_normal((200, 384))])
+        for qvec in [tiny_vectors(rng, 384), *rng.standard_normal((4, 384))]:
+            assert_matches_row_sum(matrix, qvec, [1, 5, 30])
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 64, 129, 384, 1536])
+    def test_observed_error_stays_inside_the_derived_bound(self, dim):
+        # _approx_error is 4x the derived bound; what is observed must stay
+        # inside the derived bound itself, so a bound tightened below what
+        # float32 rounding really does fails here
+        rng = np.random.default_rng(dim)
+        draws = [rng.standard_normal, rng.random,  # one sign: errors add up
+                 lambda shape: tiny_vectors(rng, shape)]
+        rows = np.vstack([draw((700, dim)) for draw in draws])
+        ids = [f"p{i:04d}" for i in range(len(rows))]
+        index = vector_index(dict(zip(ids, rows)))
+        unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+        worst = 0.0  # the largest error as a share of the bound
+        for draw in draws:
+            for _ in range(10):
+                qvec = draw(dim)
+                q = qvec / np.linalg.norm(qvec)
+                error = np.abs(index._unit32 @ q.astype(np.float32)
+                               - (unit * q).sum(axis=1)).max()
+                worst = max(worst, error / _approx_error(index, q))
+        assert worst <= 1 / 4
+
+    def test_concurrent_retrievals_equal_serial_ones(self):
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((5000, 64))
+        matrix[:500] = matrix[500:1000]
+        ids = [f"p{i:04d}" for i in range(len(matrix))]
+        index = vector_index(dict(zip(ids, matrix)))
+        queries = [rng.standard_normal(64) for _ in range(64)]
+        queries += [matrix[i] for i in range(0, 800, 25)]
+
+        def ranked(qvec):
+            return [(p.id, s) for p, s in retrieve(index, "q", 5, FixedQuery(qvec))]
+
+        serial = [ranked(q) for q in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                barrier = threading.Barrier(8)
+
+                def worker(offset):
+                    barrier.wait(timeout=30)
+                    return [ranked(queries[(i + offset) % len(queries)])
+                            for i in range(len(queries))]
+
+                futures = [pool.submit(worker, offset) for offset in range(8)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for offset, got in enumerate(results):
+            assert got == serial[offset:] + serial[:offset]
 
 
 class TestProviders:

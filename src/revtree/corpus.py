@@ -8,8 +8,8 @@ cosine values; downstream code only consumes the ranking.
 Raw embeddings live in one float64 ``(n, dim)`` matrix in ascending-id order,
 beside their norms and float32 unit rows.  A score is
 ``(unit * query).sum(axis=1)`` with ``unit = matrix / norms[:, None]``, so
-identical embeddings tie exactly.  Top-k has two stages: one float32
-matrix-vector product scores every row to within ``_approx_error``, then only
+identical embeddings tie exactly.  Top-k has two stages: one single-threaded
+float32 pass scores every row to within ``_approx_error``, then only
 the rows that can still reach the k-th score are scored exactly and sorted,
 so the ranking and every score equal those of a full exact scan.
 """
@@ -187,7 +187,10 @@ def retrieve(index: CorpusIndex, query: str, k: int,
         # every row in the exact top k, or tied with the k-th exact score T,
         # has approx >= T - eps, and the k-th largest approx t is at most
         # T + eps, so the rows with approx >= t - 2*eps include them all
-        approx = index._unit32 @ q.astype(np.float32)
+        # einsum, not a BLAS matvec: OpenBLAS splits a product this size
+        # across its worker threads, which then spin on the other cores, so
+        # a query's cost would depend on what else the host is running
+        approx = np.einsum("ij,j->i", index._unit32, q.astype(np.float32))
         t = float(np.partition(approx, n - k)[n - k])
         rows = np.flatnonzero(approx >= t - 2 * _approx_error(index, q))
     # the contract's own expression on the surviving rows: division and
@@ -209,7 +212,7 @@ def _approx_error(index: CorpusIndex, q: np.ndarray) -> float:
     ``dim``, added in any order and with or without FMA, is off by at most
     ``gamma_dim * S * (1 + u)**2``, ``gamma_dim = dim*u / (1 - dim*u)``
     (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), so any
-    BLAS kernel or thread split keeps the bound; the float64 sum is off by
+    einsum or BLAS kernel keeps the bound; the float64 sum is off by
     at most ``dim * 2**-53 * S``.  That is ``(dim + 2) * u * S`` up to terms
     of order ``dim * u * u``; the factor 4 is room for them and for
     ``scale`` being measured in float32.  Underflow or flush-to-zero costs at

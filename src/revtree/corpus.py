@@ -187,9 +187,8 @@ def retrieve(index: CorpusIndex, query: str, k: int,
         # every row in the exact top k, or tied with the k-th exact score T,
         # has approx >= T - eps, and the k-th largest approx t is at most
         # T + eps, so the rows with approx >= t - 2*eps include them all
-        # einsum, not a BLAS matvec: OpenBLAS splits a product this size
-        # across its worker threads, which then spin on the other cores, so
-        # a query's cost would depend on what else the host is running
+        # einsum, not a BLAS matvec, whose OpenBLAS worker threads keep
+        # spinning after each call and make query cost depend on host load
         approx = np.einsum("ij,j->i", index._unit32, q.astype(np.float32))
         t = float(np.partition(approx, n - k)[n - k])
         rows = np.flatnonzero(approx >= t - 2 * _approx_error(index, q))

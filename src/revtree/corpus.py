@@ -6,7 +6,8 @@ paragraphs) an exact scan beats maintaining an ANN structure.  Scores are raw
 cosine values; downstream code only consumes the ranking.
 
 Raw embeddings live in one float64 ``(n, dim)`` matrix in ascending-id order,
-beside their norms and float32 unit rows.  A score is
+which ``build_index`` fills row by row as it embeds, beside their norms and
+float32 unit rows.  A score is
 ``(unit * query).sum(axis=1)`` with ``unit = matrix / norms[:, None]``, so
 identical embeddings tie exactly.  Top-k has two stages: one single-threaded
 float32 pass scores every row to within ``_approx_error``, then only
@@ -60,32 +61,31 @@ class CorpusIndex:
     score-then-id ranking contract.
     """
 
-    def __init__(self, paragraphs: Iterable[Paragraph],
-                 embeddings: dict[str, np.ndarray], provider_id: str):
-        by_id: dict[str, Paragraph] = {}
-        for p in paragraphs:
-            if p.id in by_id:
-                raise CorpusError(f"duplicate paragraph id '{p.id}'")
-            by_id[p.id] = p
-        missing = set(by_id) - set(embeddings)
-        extra = set(embeddings) - set(by_id)
-        if missing:
-            raise CorpusError(f"paragraphs without embeddings: {sorted(missing)[:5]}")
-        if extra:
-            raise CorpusError(f"embeddings without paragraphs: {sorted(extra)[:5]}")
-
+    def __init__(self, paragraphs: Sequence[Paragraph], matrix: np.ndarray,
+                 provider_id: str):
+        """Adopt ``matrix``, whose row ``i`` is the embedding of
+        ``paragraphs[i]``; the paragraphs must be in strictly ascending-id
+        order.  The matrix is made read-only, not copied, when it is a
+        C-ordered float64 array."""
         self.provider_id = provider_id
-        self._ids: tuple[str, ...] = tuple(sorted(by_id))
-        self._by_id = by_id
+        self._ids: tuple[str, ...] = tuple(p.id for p in paragraphs)
+        for first, second in zip(self._ids, self._ids[1:]):
+            if first == second:
+                raise CorpusError(f"duplicate paragraph id '{first}'")
+            if first > second:
+                raise CorpusError(
+                    f"paragraph ids out of order: '{first}' before '{second}'")
+        self._by_id = dict(zip(self._ids, paragraphs))
         self._row = {pid: i for i, pid in enumerate(self._ids)}
 
-        vectors = [np.asarray(embeddings[pid], dtype=np.float64) for pid in self._ids]
-        shapes = {vec.shape for vec in vectors}
-        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-            raise CorpusError(f"inconsistent embedding shapes: {sorted(shapes)}")
-        self.dim: Optional[int] = vectors[0].shape[0] if vectors else None
-        self._matrix = np.stack(vectors) if vectors else np.zeros((0, 0))
-        del vectors  # converted copies go before the unit array is made
+        self._matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        if not self._ids:
+            self._matrix = np.zeros((0, 0))
+        elif self._matrix.ndim != 2 or self._matrix.shape[0] != len(self._ids):
+            raise CorpusError(
+                f"embedding matrix of shape {self._matrix.shape} does not hold "
+                f"one row for each of {len(self._ids)} paragraphs")
+        self.dim: Optional[int] = self._matrix.shape[1] if self._ids else None
         self._matrix.flags.writeable = False
 
         finite = np.isfinite(self._matrix).all(axis=1)
@@ -226,14 +226,33 @@ def _approx_error(index: CorpusIndex, q: np.ndarray) -> float:
 
 def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
                 embed_title: bool = True) -> CorpusIndex:
-    """Embed paragraphs with ``provider`` and assemble an index."""
+    """Embed paragraphs with ``provider`` and assemble an index.
+
+    Paragraphs are embedded in the order given, and each vector is written
+    straight into its row of the index's matrix.
+    """
     plist = list(paragraphs)
-    embeddings = {
-        p.id: provider.embed_paragraph(
-            p, format_documents([p]) if embed_title else p.text)
-        for p in plist
-    }
-    return CorpusIndex(plist, embeddings, provider.provider_id)
+    ordered = sorted(plist, key=lambda p: p.id)
+    row = {p.id: i for i, p in enumerate(ordered)}
+    if len(row) < len(plist):
+        pid = next(a.id for a, b in zip(ordered, ordered[1:]) if a.id == b.id)
+        raise CorpusError(f"duplicate paragraph id '{pid}'")
+    matrix = np.zeros((0, 0))
+    for p in plist:
+        vec = np.asarray(provider.embed_paragraph(
+            p, format_documents([p]) if embed_title else p.text), dtype=np.float64)
+        if not matrix.size:
+            if vec.ndim != 1 or not vec.size:
+                raise CorpusError(
+                    f"embedding of '{p.id}' has shape {vec.shape}, not a "
+                    "non-empty vector")
+            matrix = np.empty((len(plist), vec.size))
+        elif vec.shape != matrix.shape[1:]:
+            raise CorpusError(
+                f"embedding of '{p.id}' has shape {vec.shape}, the others "
+                f"{matrix.shape[1:]}")
+        matrix[row[p.id]] = vec
+    return CorpusIndex(ordered, matrix, provider.provider_id)
 
 
 def load_paragraphs(source_path: str | Path) -> list[Paragraph]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -62,7 +63,15 @@ class HashedEmbedder(EmbeddingProvider):
     text embeds to the sum of its tokens' directions, weighted by token
     count.  Identical input always yields an identical vector, across
     processes and platforms.
+
+    The directions drawn so far are rows of one float64 token table.  A text
+    gathers its tokens' rows and sums them in text order from ``+0.0``, so
+    the sum's rounding is that of adding one token at a time.  One embedder
+    may be shared by threads: new tokens are added under a lock, and a
+    token's row id is published only once its row is in ``self._table``.
     """
+
+    _INITIAL_ROWS = 1024
 
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim <= 0:
@@ -71,27 +80,44 @@ class HashedEmbedder(EmbeddingProvider):
         self.seed = seed
         self.provider_id = f"hashed:dim={dim},seed={seed}"
         self._key = str(seed).encode("utf-8")
-        self._token_cache: dict[str, np.ndarray] = {}
+        self._rows: dict[str, int] = {}
+        # numpy sums a reduction along the fast memory axis pairwise, so the
+        # table is at least two columns wide: then the rows of a gather are
+        # added one after another
+        self._table = np.zeros((self._INITIAL_ROWS, max(dim, 2)))
+        self._lock = threading.Lock()
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        vec = self._token_cache.get(token)
-        if vec is None:
-            digest = hashlib.blake2b(
-                token.encode("utf-8"), digest_size=8, key=self._key
-            ).digest()
-            rng = np.random.default_rng(int.from_bytes(digest, "big"))
-            vec = rng.standard_normal(self.dim)
-            self._token_cache[token] = vec
-        return vec
+    def _add_tokens(self, tokens: list[str]) -> None:
+        with self._lock:
+            table = self._table
+            for token in tokens:
+                if token in self._rows:
+                    continue
+                row = len(self._rows)
+                if row == table.shape[0]:
+                    grown = np.zeros((2 * row, table.shape[1]))
+                    grown[:row] = table
+                    self._table = table = grown
+                digest = hashlib.blake2b(
+                    token.encode("utf-8"), digest_size=8, key=self._key
+                ).digest()
+                rng = np.random.default_rng(int.from_bytes(digest, "big"))
+                table[row, :self.dim] = rng.standard_normal(self.dim)
+                self._rows[token] = row
 
     def embed_text(self, text: str) -> np.ndarray:
         tokens = text.lower().split()
         if not tokens:
             raise ValueError("cannot embed empty or whitespace-only text")
-        acc = np.zeros(self.dim, dtype=np.float64)
-        for token in tokens:
-            acc += self._token_vector(token)
-        return acc
+        rows = self._rows
+        try:
+            ids = [rows[token] for token in tokens]
+        except KeyError:
+            self._add_tokens([t for t in tokens if t not in rows])
+            ids = [rows[token] for token in tokens]
+        # the ids are read before the table, so the table holds their rows
+        acc = np.add.reduce(self._table.take(ids, axis=0), axis=0, initial=0.0)
+        return acc[:self.dim]
 
 
 class RemoteEmbedder(EmbeddingProvider):
@@ -201,8 +227,16 @@ class PrecomputedEmbeddings(EmbeddingProvider):
 
 
 def write_embeddings_file(path: str | Path, embeddings: dict[str, np.ndarray]) -> None:
-    """Write an id -> vector map as line-delimited JSON, sorted by id."""
+    """Write an id -> vector map as line-delimited JSON, sorted by id.
+
+    Each line is ``{"id": ..., "values": [...]}`` with every value spelled
+    by ``repr``, as ``json.dumps`` spells a float.  Non-finite values, which
+    json would write as ``NaN`` or ``Infinity``, are refused.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         for pid in sorted(embeddings):
-            record = {"id": pid, "values": [float(x) for x in embeddings[pid]]}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            vec = np.asarray(embeddings[pid], dtype=np.float64)
+            if not np.isfinite(vec).all():
+                raise ValueError(f"non-finite embedding for id {pid!r}")
+            handle.write('{"id": ' + json.dumps(pid) + ', "values": ['
+                         + ", ".join(map(repr, vec.tolist())) + "]}\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -23,7 +24,7 @@ from revtree import (
     ingest_corpus,
     retrieve,
 )
-from revtree.corpus import CorpusIndex, _approx_error, load_paragraphs
+from revtree.corpus import CorpusIndex, _approx_error, format_documents, load_paragraphs
 from revtree.embedding import EmbeddingProvider, write_embeddings_file
 from revtree.errors import CorpusError, ProviderConfigError
 
@@ -220,8 +221,10 @@ class FixedQuery(EmbeddingProvider):
 
 
 def vector_index(vectors: dict) -> CorpusIndex:
-    return CorpusIndex([Paragraph(pid, "", "text") for pid in vectors],
-                       vectors, "fixed")
+    ids = sorted(vectors)
+    return CorpusIndex([Paragraph(pid, "", "text") for pid in ids],
+                       np.array([vectors[pid] for pid in ids], dtype=np.float64),
+                       "fixed")
 
 
 class TestScoring:
@@ -456,6 +459,157 @@ class TestTwoStageTopK:
             sys.setswitchinterval(interval)
         for offset, got in enumerate(results):
             assert got == serial[offset:] + serial[:offset]
+
+
+def loop_embed(text: str, dim: int, seed: int) -> np.ndarray:
+    """The hashed embedding added one token at a time, the reference the
+    token table must match bit for bit."""
+    key = str(seed).encode("utf-8")
+    acc = np.zeros(dim, dtype=np.float64)
+    for token in text.lower().split():
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+        acc += np.random.default_rng(int.from_bytes(digest, "big")).standard_normal(dim)
+    return acc
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestHashedTable:
+    VOCAB = [w for base in ("alpha", "beta", "gamma", "delta", "eps")
+             for w in (base, base.upper(), base.title())] + [f"w{i}" for i in range(40)]
+
+    def texts(self, seed):
+        # lengths 9 and up are where a pairwise sum departs from the loop
+        rng = random.Random(seed)
+        lengths = [1, 2, 3, 8, 9, 17, 64, 400] + [rng.randint(1, 400) for _ in range(12)]
+        return [" ".join(rng.choices(self.VOCAB, k=n)) for n in lengths]
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 384])
+    def test_embed_text_equals_the_token_loop(self, dim):
+        warm = HashedEmbedder(dim=dim, seed=3)
+        warm.embed_text(" ".join(self.VOCAB))
+        for text in self.texts(dim):
+            want = loop_embed(text, dim, 3)
+            assert_same_bits(HashedEmbedder(dim=dim, seed=3).embed_text(text), want)
+            assert_same_bits(warm.embed_text(text), want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 384])
+    def test_build_index_rows_equal_the_token_loop(self, dim):
+        paragraphs = [Paragraph(f"p{i:02d}", "Title" if i % 2 else "", text)
+                      for i, text in enumerate(self.texts(100 + dim))][::-1]
+        index = build_index(paragraphs, HashedEmbedder(dim=dim, seed=3))
+        assert index.ids == tuple(sorted(p.id for p in paragraphs))
+        for p in paragraphs:
+            assert_same_bits(index.embedding(p.id),
+                             loop_embed(format_documents([p]), dim, 3))
+
+    def test_threads_adding_tokens_equal_a_serial_run(self):
+        # the threads walk one stream of new tokens in step, each skipping a
+        # quarter of it, so they race to add and read the same rows
+        texts = [[" ".join(f"t{i - d}" for d in range(1 + i % 3) if i >= d)
+                  for i in range(3000) if i % 4 != j] for j in range(4)]
+        serial = HashedEmbedder(dim=16, seed=2)
+        want = [[serial.embed_text(text) for text in batch] for batch in texts]
+        shared = HashedEmbedder(dim=16, seed=2)
+        initial_rows = shared._table.shape[0]
+        barrier = threading.Barrier(4)
+
+        def worker(batch):
+            barrier.wait(timeout=30)
+            return [shared.embed_text(text) for text in batch]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(worker, texts, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared._table.shape[0] > 2 * initial_rows
+        for got_batch, want_batch in zip(got, want):
+            for vec, ref in zip(got_batch, want_batch):
+                assert_same_bits(vec, ref)
+
+
+class ShapedEmbedder(EmbeddingProvider):
+    """Embeds every paragraph to ones of ``dim``, and paragraph ``bad`` to
+    ``shape``."""
+
+    provider_id = "shaped"
+
+    def __init__(self, dim, bad, shape):
+        self.dim, self.bad, self.shape = dim, bad, shape
+
+    def embed_paragraph(self, paragraph, text):
+        return np.ones(self.shape if paragraph.id == self.bad else self.dim)
+
+
+class TestIndexConstruction:
+    PARAGRAPHS = [Paragraph(pid, "", f"text {pid}") for pid in ("c", "a", "b")]
+
+    def test_duplicate_paragraph_id(self, embedder):
+        paragraphs = self.PARAGRAPHS + [Paragraph("a", "", "again")]
+        with pytest.raises(CorpusError, match="duplicate paragraph id 'a'"):
+            build_index(paragraphs, embedder)
+
+    @pytest.mark.parametrize("bad", ["a", "b", "c"])
+    @pytest.mark.parametrize("shape", [1, 5, (1, 4), (4, 1), 0, ()])
+    def test_wrong_shaped_vector(self, bad, shape):
+        with pytest.raises(CorpusError, match="shape"):
+            build_index(self.PARAGRAPHS, ShapedEmbedder(4, bad, shape))
+
+    def test_precomputed_file_without_a_paragraph(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        write_embeddings_file(path, {"a": np.ones(4), "c": np.ones(4)})
+        with pytest.raises(CorpusError, match="'b'"):
+            build_index(self.PARAGRAPHS, PrecomputedEmbeddings(path))
+
+    def test_all_zero_rows_are_named(self):
+        with pytest.raises(CorpusError, match=r"all-zero.*\['b'\]"):
+            vector_index({"a": [1.0, 0.0], "b": [0.0, 0.0]})
+
+    def test_index_refuses_unsorted_or_repeated_ids(self):
+        a, b = Paragraph("a", "", "x"), Paragraph("b", "", "y")
+        with pytest.raises(CorpusError, match="out of order"):
+            CorpusIndex([b, a], np.eye(2), "fixed")
+        with pytest.raises(CorpusError, match="duplicate paragraph id 'a'"):
+            CorpusIndex([a, a], np.eye(2), "fixed")
+
+    @pytest.mark.parametrize("matrix", [np.ones(2), np.ones((3, 2)), np.ones((1, 2))])
+    def test_index_refuses_a_matrix_of_another_row_count(self, matrix):
+        with pytest.raises(CorpusError, match="one row for each of 2"):
+            CorpusIndex([Paragraph("a", "", "x"), Paragraph("b", "", "y")],
+                        matrix, "fixed")
+
+    def test_built_matrix_is_adopted_read_only(self, embedder):
+        index = build_index(self.PARAGRAPHS, embedder)
+        assert not index._matrix.flags.writeable
+        with pytest.raises(ValueError):
+            index.embedding("a")[0] = 1.0
+
+
+class TestEmbeddingsFile:
+    def test_lines_equal_json_dumps(self, tmp_path):
+        rng = np.random.default_rng(6)
+        vectors = {"b": rng.standard_normal(7) * 1e3,
+                   "a\u00e9\"q": np.array([-0.0, 0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.5]),
+                   "c": rng.standard_normal(7).astype(np.float32),
+                   "d": [0.1, 1, 2.5]}
+        path = tmp_path / "embeddings.jsonl"
+        write_embeddings_file(path, vectors)
+        want = "".join(
+            json.dumps({"id": pid, "values": [float(x) for x in vectors[pid]]},
+                       sort_keys=True) + "\n" for pid in sorted(vectors))
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_refused(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="'b'"):
+            write_embeddings_file(tmp_path / "e.jsonl",
+                                  {"a": np.ones(2), "b": np.array([1.0, bad])})
 
 
 class TestProviders:

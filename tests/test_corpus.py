@@ -506,13 +506,15 @@ class TestHashedTable:
             assert_same_bits(index.embedding(p.id),
                              loop_embed(format_documents([p]), dim, 3))
 
-    def test_threads_adding_tokens_equal_a_serial_run(self):
+    def test_threads_adding_tokens_equal_a_serial_run(self, monkeypatch):
         # the threads walk one stream of new tokens in step, each skipping a
         # quarter of it, so they race to add and read the same rows
         texts = [[" ".join(f"t{i - d}" for d in range(1 + i % 3) if i >= d)
                   for i in range(3000) if i % 4 != j] for j in range(4)]
         serial = HashedEmbedder(dim=16, seed=2)
         want = [[serial.embed_text(text) for text in batch] for batch in texts]
+        # a small first table, so that it grows many times under the threads
+        monkeypatch.setattr(HashedEmbedder, "_INITIAL_BYTES", 8 * 16 * 100)
         shared = HashedEmbedder(dim=16, seed=2)
         initial_rows = shared._table.shape[0]
         barrier = threading.Barrier(4)

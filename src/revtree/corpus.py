@@ -234,9 +234,6 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
     plist = list(paragraphs)
     ordered = sorted(plist, key=lambda p: p.id)
     row = {p.id: i for i, p in enumerate(ordered)}
-    if len(row) < len(plist):
-        pid = next(a.id for a, b in zip(ordered, ordered[1:]) if a.id == b.id)
-        raise CorpusError(f"duplicate paragraph id '{pid}'")
     matrix = np.zeros((0, 0))
     for p in plist:
         vec = np.asarray(provider.embed_paragraph(

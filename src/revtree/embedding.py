@@ -6,7 +6,9 @@ embedding:
 * :class:`HashedEmbedder` -- fully offline and deterministic; every token maps
   to a seeded pseudo-random direction and a text embeds to the count-weighted
   sum over its token multiset.  Its only contract is determinism and a fixed
-  dimension, not semantic quality.
+  dimension, not semantic quality.  Each direction is drawn once into one
+  token table; a text gathers its tokens' rows and adds them in text order,
+  so its vector has the bits of adding one token vector at a time.
 * :class:`RemoteEmbedder` -- thin client for an HTTPS embedding endpoint,
   configured through environment variables.
 * :class:`PrecomputedEmbeddings` -- serves vectors loaded from a file keyed by

@@ -37,6 +37,7 @@ from .llm import (
     RemoteChatProvider,
     ScriptedOracle,
     ScriptedRule,
+    TokenEstimator,
     estimate_tokens,
     load_template,
     make_token_estimator,
@@ -107,6 +108,7 @@ __all__ = [
     "RunTrace",
     "ScriptedOracle",
     "ScriptedRule",
+    "TokenEstimator",
     "TreeConfig",
     "build_index",
     "cosine_similarity",

@@ -21,7 +21,7 @@ from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
 from .jsonl import read_jsonl
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
-from .metrics import ExampleResult, evaluate_run, load_dataset
+from .metrics import ExampleResult, QAExample, evaluate_run, load_dataset
 from .review import ExpansionStrategy
 from .search import RunStats, RunTrace, TreeConfig, run_chain, run_oner, run_tree
 
@@ -244,25 +244,37 @@ def cmd_run(args: argparse.Namespace) -> int:
                         embed_title=config.embed_title)
 
     records: dict[str, dict] = {}
-    failures = 0
-    with concurrent.futures.ThreadPoolExecutor(config.parallel) as executor:
-        futures = {
-            executor.submit(_run_one, example, config, index, embedder,
-                            llm_provider, demos): example
-            for example in dataset
-        }
-        for future in concurrent.futures.as_completed(futures):
-            example = futures[future]
-            try:
-                record, trace = future.result()
-            except Exception as exc:
-                failures += 1
+    # at most two questions per worker are submitted and not yet written,
+    # so that memory stays flat however many questions a run answers
+    window = 2 * config.parallel
+    pending: dict[concurrent.futures.Future, QAExample] = {}
+
+    def take_finished() -> None:
+        """Write the trace and keep the record of each finished question."""
+        done, _ = concurrent.futures.wait(
+            pending, return_when=concurrent.futures.FIRST_COMPLETED)
+        for future in done:
+            example = pending.pop(future)
+            # taken, not raised, so that its traceback does not hold this
+            # frame and, through it, the batch's traces
+            exc = future.exception()
+            if isinstance(exc, Exception):
                 logger.error("question %s failed: %s", example.id, exc)
                 records[example.id] = {"id": example.id, "error": str(exc)}
                 continue
+            record, trace = future.result()
             records[example.id] = record
             (traces_dir / f"{example.id}.json").write_text(
                 trace.to_json(), encoding="utf-8")
+
+    with concurrent.futures.ThreadPoolExecutor(config.parallel) as executor:
+        for example in dataset:
+            if len(pending) == window:
+                take_finished()
+            pending[executor.submit(_run_one, example, config, index, embedder,
+                                    llm_provider, demos)] = example
+        while pending:
+            take_finished()
 
     with open(out_dir / "answers.jsonl", "w", encoding="utf-8") as handle:
         for example in dataset:
@@ -271,6 +283,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     ok_records = [r for r in records.values() if "error" not in r]
     n = len(ok_records)
+    failures = len(records) - n
     summary = {
         "n": len(dataset),
         "completed": n,

@@ -5,7 +5,9 @@ retrieval scoring.
 Three context renderings exist: assertions only, supporting paragraphs only,
 or both grouped per evidence item (the default).  Packing is greedy-prefix in
 acceptance order: the first evidence item that would overflow the budget stops
-inclusion, keeping the earliest-accepted items.
+inclusion, keeping the earliest-accepted items.  Token estimators are
+additive over the whitespace separators that join the parts, so packing
+counts each part once and is linear in the pool's text.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .corpus import cosine_similarity, format_documents
 from .embedding import EmbeddingProvider
-from .llm import CompletionRequest, LlmClient, estimate_tokens, load_template, \
-    render_prompt
+from .llm import CompletionRequest, LlmClient, TokenEstimator, estimate_tokens, \
+    load_template, render_prompt
 from .search import Evidence, EvidencePool, RunStats, distinct_paragraphs, \
     new_paragraphs
 
@@ -80,7 +82,7 @@ def render_context(evidences: Sequence[Evidence],
 
 def pack_evidence(pool: EvidencePool, strategy: FusionStrategy,
                   budget_tokens: int,
-                  estimator: Callable[[str], int] = estimate_tokens,
+                  estimator: TokenEstimator = estimate_tokens,
                   reserved_tokens: int = 0) -> tuple[str, list[int]]:
     """Greedy-prefix packing of the pool under the token budget.
 
@@ -89,6 +91,11 @@ def pack_evidence(pool: EvidencePool, strategy: FusionStrategy,
     ``budget_tokens - reserved_tokens``.  The returned context always
     estimates within that limit, and equals :func:`render_context` of the
     included items.
+
+    Each part is counted once and the chosen parts are joined once, so
+    packing is linear in the pool's text.  This is exact because every
+    separator is whitespace: no counted unit crosses a join, so a context's
+    count is its parts' counts plus ``count(separator)`` per join.
     """
     if budget_tokens <= reserved_tokens:
         raise ValueError(
@@ -97,15 +104,18 @@ def pack_evidence(pool: EvidencePool, strategy: FusionStrategy,
         )
     limit = budget_tokens - reserved_tokens
     separator, parts = _context_parts(pool.evidences, strategy)
-    # each candidate extends the last context that fit; ``joined`` counts
-    # its parts, since an empty part still takes a separator
-    context, included, joined = "", 0, 0
+    join_count = estimator.count(separator)
+    chosen: list[str] = []
+    counted, included = 0, 0
     for i, added in enumerate(parts):
-        candidate = separator.join(([context] if joined else []) + added)
-        if estimator(candidate) > limit:
+        candidate = counted + sum(map(estimator.count, added))
+        # an empty part still takes a separator
+        joins = max(len(chosen) + len(added) - 1, 0)
+        if estimator.to_tokens(candidate + joins * join_count) > limit:
             break
-        context, included, joined = candidate, i + 1, joined + len(added)
-    return context, list(range(included))
+        chosen.extend(added)
+        counted, included = candidate, i + 1
+    return separator.join(chosen), list(range(included))
 
 
 def extract_answer(text: str) -> tuple[str, bool]:
@@ -125,7 +135,7 @@ def extract_answer(text: str) -> tuple[str, bool]:
 
 
 def reserved_tokens(question: str, strategy: FusionStrategy,
-                    estimator: Callable[[str], int] = estimate_tokens,
+                    estimator: TokenEstimator = estimate_tokens,
                     demos: Sequence[str] = ()) -> int:
     """Tokens of ``strategy``'s fusion prompt for ``question`` with an empty
     context: the part of the budget that no evidence can use."""
@@ -136,7 +146,7 @@ def reserved_tokens(question: str, strategy: FusionStrategy,
 
 def generate_answer(question: str, pool: EvidencePool, strategy: FusionStrategy,
                     llm, budget_tokens: int = 4096,
-                    estimator: Callable[[str], int] = estimate_tokens,
+                    estimator: TokenEstimator = estimate_tokens,
                     demos: Sequence[str] = ()) -> AnswerResult:
     """One completion with the strategy's template over the packed pool.
 
@@ -179,18 +189,20 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     rendered text and the final response, and paragraphs are emitted in
     evidence-rank then path order, deduplicated and truncated.
 
-    Given the run's ``stats``, a query embedding that raised is counted there
-    and logged as one provider failure, and the paragraphs keep
-    acceptance-then-path order, cut to ``limit``; without them it propagates.
+    Re-ranking needs a final response that is not blank.  Given the run's
+    ``stats``, a blank response or a query embedding that raised is counted
+    there and logged as one provider failure, and the paragraphs keep
+    acceptance-then-path order, cut to ``limit``; without them the error
+    propagates.
     """
-    if not final_response.strip():
-        raise ValueError("final_response must be non-empty")
     distinct = pool.distinct_paragraphs()
     if len(distinct) <= limit:
         return [p.id for p in distinct]
 
     scored = []
     try:
+        if not final_response.strip():
+            raise ValueError("final_response must be non-empty")
         response_vec = provider.embed_text(final_response)
         for order, evidence in enumerate(pool.evidences):
             score = cosine_similarity(provider.embed_text(_evidence_text(evidence)),

@@ -4,7 +4,9 @@ Templates render as a fixed sequence of labelled lines (instruction, optional
 demonstrations, then the template's slots in layout order).  Completion
 providers are either a remote chat endpoint or a deterministic scripted
 oracle; both sit behind :class:`LlmClient`, which owns the per-run call
-counter and retry policy.
+counter and retry policy.  Budget estimators count a text and convert the
+count to tokens, so the estimate of whitespace-joined parts is the sum of
+their counts.
 """
 
 from __future__ import annotations
@@ -410,23 +412,45 @@ class LlmClient:
                                   call_index=call_index)
 
 
-def estimate_tokens(text: str) -> int:
-    """Whitespace-token count; the default budget estimator."""
+@dataclass(frozen=True)
+class TokenEstimator:
+    """A budget estimator in two steps: ``count`` measures one text, and
+    ``to_tokens`` turns a count into tokens.  Counts add over texts joined by
+    whitespace, since no unit of count crosses a whitespace join, so the
+    estimate of a joined text is ``to_tokens`` of its parts' counts plus
+    ``count(separator)`` per join."""
+
+    count: Callable[[str], int]
+    to_tokens: Callable[[int], int]
+
+    def __call__(self, text: str) -> int:
+        return self.to_tokens(self.count(text))
+
+
+def _word_count(text: str) -> int:
     return len(text.split())
 
 
-def estimate_tokens_chars(text: str) -> int:
-    """Character-count estimator: one token per four characters, rounded up."""
-    return math.ceil(len(text) / 4)
+def _identity(count: int) -> int:
+    return count
 
 
-_ESTIMATORS: dict[str, Callable[[str], int]] = {
+def _quarter_up(count: int) -> int:
+    return math.ceil(count / 4)
+
+
+# whitespace-token count; the default budget estimator
+estimate_tokens = TokenEstimator(_word_count, _identity)
+# character count: one token per four characters, rounded up
+estimate_tokens_chars = TokenEstimator(len, _quarter_up)
+
+_ESTIMATORS: dict[str, TokenEstimator] = {
     "whitespace": estimate_tokens,
     "chars": estimate_tokens_chars,
 }
 
 
-def make_token_estimator(kind: str) -> Callable[[str], int]:
+def make_token_estimator(kind: str) -> TokenEstimator:
     try:
         return _ESTIMATORS[kind]
     except KeyError:

@@ -366,6 +366,10 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
+        # ``visit`` refers to itself through its closure cell, which holds
+        # the run; emptying the cells frees the run on return rather than at
+        # the next cyclic collection
+        del visit, expand
 
     meta = {
         "max_depth": config.max_depth,

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from revtree import ReviewDecision, render_mpc_output, render_review_output
-from revtree import llm
+from revtree import cli, llm, search
 from revtree.cli import main
 
 
@@ -430,6 +432,102 @@ class TestRun:
         data = read_run_dir(out)
         assert data["answers"][0]["answer"] == "Boston"
         assert data["config"]["demos_dir"] == str(demos_dir)
+
+
+    @pytest.mark.parametrize("widths,distinct,scored,failures", [
+        # under the limit nothing is re-ranked, so the blank response is moot
+        ("2", 2, 2, 0),
+        # over it, re-ranking falls back to acceptance order, cut to 15
+        ("20", 20, 15, 1),
+    ])
+    def test_blank_fusion_response_does_not_fail_the_question(
+            self, tmp_path, widths, distinct, scored, failures):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"id": f"p{i:02d}", "title": "",
+                              "text": f"boston word{i}"} for i in range(20)])
+        dataset = tmp_path / "dataset.jsonl"
+        write_jsonl(dataset, [{"id": "q1", "question": "boston city",
+                               "gold_answers": ["Boston"]}])
+        rules = tmp_path / "rules.jsonl"
+        write_jsonl(rules, [
+            {"template": "fusion_evidence", "response": " "},
+            {"default": render_review_output(ReviewDecision.accept("it is Boston"))},
+        ])
+        out = tmp_path / "run"
+        assert main(run_args(corpus, dataset, out, rules, "--widths", widths)) == 0
+        data = read_run_dir(out)
+        record = data["answers"][0]
+        assert "error" not in record and record["full_response"] == " "
+        trace = json.loads((out / "traces" / "q1.json").read_text())
+        accepted = [e["path"][0] for e in trace["evidence"]]
+        assert len(accepted) == distinct
+        assert record["scored_ids"] == accepted[:scored]
+        assert record["stats"]["provider_failures"] == failures
+        assert trace["stats"]["provider_failures"] == failures
+        assert data["summary"]["total_provider_failures"] == failures
+        assert data["summary"]["failed"] == 0
+
+
+class TestStreamedRun:
+    """``run`` keeps at most two unwritten questions per worker, and writes
+    what a run that kept them all would."""
+
+    @pytest.fixture
+    def sixty(self, tmp_path):
+        dataset = tmp_path / "sixty.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i:02d}", "question": f"boston city {i}",
+                               "gold_answers": ["Boston"]} for i in range(60)])
+        return dataset
+
+    def run_watched(self, tmp_path, monkeypatch, corpus, dataset, rules, parallel):
+        """Run with every returned trace watched by a weakref; at each trace
+        write, the number of watched traces still alive is noted.  Questions
+        q07 and q33 raise, and the others finish out of dataset order."""
+        traces, alive_at_write = [], []
+        run_one, to_json = cli._run_one, search.RunTrace.to_json
+
+        def watched_run_one(example, *args):
+            if example.id in ("q07", "q33"):
+                raise RuntimeError(f"{example.id} is down")
+            record, trace = run_one(example, *args)
+            traces.append(weakref.ref(trace))
+            time.sleep(int(example.id[1:]) % 3 / 1000)
+            return record, trace
+
+        def watched_to_json(trace):
+            alive_at_write.append(sum(ref() is not None for ref in traces))
+            return to_json(trace)
+
+        monkeypatch.setattr(cli, "_run_one", watched_run_one)
+        monkeypatch.setattr(search.RunTrace, "to_json", watched_to_json)
+        out = tmp_path / f"parallel{parallel}"
+        # only reference counting frees a trace here
+        gc.disable()
+        try:
+            assert main(run_args(corpus, dataset, out, rules,
+                                 "--parallel", str(parallel))) == 0
+        finally:
+            gc.enable()
+        assert len(alive_at_write) == 58
+        assert max(alive_at_write) <= 2 * parallel, str(alive_at_write)
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "config.json"}
+
+    def test_memory_stays_bounded_and_outputs_keep_their_bytes(
+            self, tmp_path, monkeypatch, corpus_file, rules_file, sixty):
+        serial = self.run_watched(tmp_path, monkeypatch, corpus_file, sixty,
+                                  rules_file, 1)
+        parallel = self.run_watched(tmp_path, monkeypatch, corpus_file, sixty,
+                                    rules_file, 3)
+        assert serial == parallel
+        answers = [json.loads(line) for line in
+                   serial[Path("answers.jsonl")].decode().splitlines()]
+        assert [r["id"] for r in answers] == [f"q{i:02d}" for i in range(60)]
+        assert answers[7] == {"id": "q07", "error": "q07 is down"}
+        assert answers[33] == {"id": "q33", "error": "q33 is down"}
+        assert len([p for p in serial if p.parts[0] == "traces"]) == 58
+        summary = json.loads(serial[Path("stats_summary.json")])
+        assert (summary["completed"], summary["failed"]) == (58, 2)
 
 
 class TestRunConfig:

@@ -13,6 +13,7 @@ from revtree import (
     HashedEmbedder,
     LlmClient,
     Paragraph,
+    RunStats,
     ScriptedOracle,
     cosine_similarity,
     estimate_tokens,
@@ -42,6 +43,67 @@ def make_pool(n: int, **kwargs) -> EvidencePool:
     pool = EvidencePool()
     for i in range(n):
         pool.add(make_evidence(i, **kwargs))
+    return pool
+
+
+def render_prefix(prefix, strategy: FusionStrategy) -> str:
+    """The context of an evidence prefix, rendered from scratch."""
+    if strategy is FusionStrategy.ANALYSIS:
+        return "\n".join(e.brief_analysis for e in prefix)
+    if strategy is FusionStrategy.PARAGRAPH:
+        first_seen: dict = {}
+        for e in prefix:
+            for p in e.path:
+                first_seen.setdefault(p.id, p)
+        return format_documents(first_seen.values())
+    return "\n\n".join(f"Assertions:{e.brief_analysis}\n"
+                       f"Documents:{format_documents(e.path)}" for e in prefix)
+
+
+def assert_packs_like_every_prefix(pool: EvidencePool, strategy: FusionStrategy,
+                                   estimate) -> None:
+    """``pack_evidence`` equals rendering every prefix and stopping at the
+    first that overflows, at every limit within one of a prefix's size."""
+    evidences = pool.evidences
+
+    def reference(limit):
+        included = 0
+        while included < len(evidences) and estimate(
+                render_prefix(evidences[:included + 1], strategy)) <= limit:
+            included += 1
+        return render_prefix(evidences[:included], strategy), included
+
+    prefixes = [evidences[:i] for i in range(len(evidences) + 1)]
+    assert [render_context(p, strategy) for p in prefixes] == \
+        [render_prefix(p, strategy) for p in prefixes]
+    sizes = {estimate(render_prefix(p, strategy)) for p in prefixes}
+    limits = {size + d for size in sizes for d in (-1, 0, 1) if size + d > 0}
+    for limit in sorted(limits):
+        context, included = pack_evidence(pool, strategy, limit + 3, estimate,
+                                          reserved_tokens=3)
+        want_context, want_included = reference(limit)
+        assert (context, included) == (want_context, list(range(want_included)))
+
+
+# words and whitespace of several kinds, Unicode ones among them, so that
+# parts have leading and trailing whitespace
+_TEXT = st.lists(st.sampled_from(["ab", "c", "dé", " ", "  ", "\n", "\t", "\u00a0",
+                                  "\u2028", "\x1c"]), max_size=6).map("".join)
+
+
+@st.composite
+def random_pools(draw) -> EvidencePool:
+    """Pools whose paths repeat paragraphs from a small set, with empty or
+    blank analyses and titles among them."""
+    paragraphs = [
+        Paragraph(f"p{i}", draw(_TEXT), draw(_TEXT.filter(str.strip)))
+        for i in range(draw(st.integers(min_value=1, max_value=5)))
+    ]
+    pool = EvidencePool()
+    for call in range(draw(st.integers(min_value=0, max_value=6))):
+        path = draw(st.lists(st.sampled_from(paragraphs), min_size=1, max_size=3))
+        pool.add(Evidence(path=tuple(path), brief_analysis=draw(_TEXT),
+                          accepted_at_call=call + 1))
     return pool
 
 
@@ -99,36 +161,12 @@ class TestPackEvidence:
         for evidence in evidences:
             pool.add(evidence)
 
-        def render(prefix):
-            if strategy is FusionStrategy.ANALYSIS:
-                return "\n".join(e.brief_analysis for e in prefix)
-            if strategy is FusionStrategy.PARAGRAPH:
-                first_seen: dict = {}
-                for e in prefix:
-                    for p in e.path:
-                        first_seen.setdefault(p.id, p)
-                return format_documents(first_seen.values())
-            return "\n\n".join(f"Assertions:{e.brief_analysis}\n"
-                               f"Documents:{format_documents(e.path)}" for e in prefix)
+        assert_packs_like_every_prefix(pool, strategy, estimate)
 
-        def reference(limit):
-            # render every prefix; stop at the first that overflows
-            included = 0
-            while included < len(evidences) and estimate(
-                    render(evidences[:included + 1])) <= limit:
-                included += 1
-            return render(evidences[:included]), included
-
-        prefixes = [evidences[:i] for i in range(len(evidences) + 1)]
-        assert [render_context(p, strategy) for p in prefixes] == \
-            [render(p) for p in prefixes]
-        sizes = {estimate(render(p)) for p in prefixes}
-        limits = {size + d for size in sizes for d in (-1, 0, 1) if size + d > 0}
-        for limit in sorted(limits):
-            context, included = pack_evidence(pool, strategy, limit + 3, estimate,
-                                               reserved_tokens=3)
-            want_context, want_included = reference(limit)
-            assert (context, included) == (want_context, list(range(want_included)))
+    @given(random_pools(), st.sampled_from(list(FusionStrategy)),
+           st.sampled_from(["whitespace", "chars"]))
+    def test_random_pools_pack_like_every_prefix(self, pool, strategy, estimator):
+        assert_packs_like_every_prefix(pool, strategy, make_token_estimator(estimator))
 
     def test_budget_below_reserve_is_an_error(self):
         with pytest.raises(ValueError, match="fixed prompt parts"):
@@ -273,9 +311,21 @@ class TestSelectScoredParagraphs:
     def test_empty_pool(self, embedder):
         assert select_scored_paragraphs(EvidencePool(), "resp", embedder) == []
 
-    def test_empty_response_rejected(self, embedder):
-        with pytest.raises(ValueError):
-            select_scored_paragraphs(EvidencePool(), "   ", embedder)
+    def test_blank_response_falls_back_to_acceptance_order(self):
+        provider = CountingEmbedder(dim=32, seed=1)
+        small, large = make_pool(2, n_paragraphs=2), make_pool(6, n_paragraphs=3)
+        # no re-ranking under the limit, so a blank response does no harm
+        assert select_scored_paragraphs(small, " ", provider) == \
+            [p.id for p in small.distinct_paragraphs()]
+        # over it, re-ranking needs a response: counted when the run's stats
+        # are given, raised otherwise
+        stats = RunStats()
+        assert select_scored_paragraphs(large, "\n ", provider, stats=stats) == \
+            [p.id for p in large.distinct_paragraphs()[:15]]
+        assert stats.provider_failures == 1
+        with pytest.raises(ValueError, match="non-empty"):
+            select_scored_paragraphs(large, "   ", provider)
+        assert provider.text_calls == 0
 
     def test_over_limit_matches_brute_force_rerank(self, embedder):
         pool = EvidencePool()

@@ -9,12 +9,16 @@ its own brute-force oracle elsewhere; this test targets the walk logic.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
 import sys
 import threading
 import time
+import weakref
+
+import pytest
 
 from revtree import (
     ExpansionStrategy,
@@ -354,3 +358,28 @@ def test_thread_pool_only_for_order_free_providers(small_index, embedder,
     run_tree("boston population", config, small_index, embedder,
              overlapped(PolicyProvider)(policy))
     assert pools == [4]
+
+
+@pytest.mark.parametrize("order_free", [False, True])
+def test_a_finished_run_is_freed_without_the_cyclic_collector(
+        small_index, embedder, monkeypatch, order_free):
+    runs = []
+
+    class TrackedRun(search._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(weakref.ref(self))
+
+    monkeypatch.setattr(search, "_Run", TrackedRun)
+    provider = (overlapped(PolicyProvider) if order_free else PolicyProvider)(
+        Policy(seed=5, vocab_size=40))
+    gc.collect()
+    gc.disable()
+    try:
+        _pool, stats, _trace = run_tree("boston population", TreeConfig(widths=(4, 2)),
+                                        small_index, embedder, provider)
+        del _pool, _trace
+        assert stats.api_calls > 4
+        assert len(runs) == 1 and runs[0]() is None
+    finally:
+        gc.enable()

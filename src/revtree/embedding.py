@@ -1,16 +1,22 @@
 """Embedding providers.
 
-Three interchangeable implementations back the corpus index and query
-embedding:
+Every provider embeds one text with :meth:`EmbeddingProvider.embed_text`
+and a batch with :meth:`EmbeddingProvider.embed_texts`, which returns one
+row per text in a ``(m, dim)`` float64 array.  The index build and the
+re-ranking of fusion evidence embed in batches; a batch's rows equal the
+texts' single embeddings bit for bit.  Three interchangeable implementations
+back the corpus index and query embedding:
 
 * :class:`HashedEmbedder` -- fully offline and deterministic; every token maps
   to a seeded pseudo-random direction and a text embeds to the count-weighted
   sum over its token multiset.  Its only contract is determinism and a fixed
   dimension, not semantic quality.  Each direction is drawn once into one
   token table; a text gathers its tokens' rows and adds them in text order,
-  so its vector has the bits of adding one token vector at a time.
+  so its vector has the bits of adding one token vector at a time.  A
+  batch's new tokens are seeded together in one vectorized pass, which
+  gives each direction the bits of its own ``default_rng`` draw.
 * :class:`RemoteEmbedder` -- thin client for an HTTPS embedding endpoint,
-  configured through environment variables.
+  configured through environment variables; a batch is posted in chunks.
 * :class:`PrecomputedEmbeddings` -- serves vectors loaded from a file keyed by
   paragraph id, optionally delegating free-text (query) embedding to a
   fallback provider.
@@ -21,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from itertools import chain, filterfalse
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +54,13 @@ class EmbeddingProvider:
     def embed_text(self, text: str) -> np.ndarray:
         raise NotImplementedError
 
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        """Row ``i`` is the embedding of ``texts[i]``.  The default embeds
+        each text with :meth:`embed_text`, in order."""
+        vectors = [self.embed_text(text) for text in texts]
+        return np.array(vectors, dtype=np.float64) if vectors \
+            else np.empty((0, self.dim or 0))
+
     def embed_paragraph(self, paragraph: "Paragraph", text: str) -> np.ndarray:
         """Embed one corpus paragraph.
 
@@ -56,6 +70,75 @@ class EmbeddingProvider:
         """
         return self.embed_text(text)
 
+    def embed_paragraphs(self, paragraphs: Sequence["Paragraph"],
+                         texts: Sequence[str]) -> Sequence[np.ndarray]:
+        """One vector per paragraph, in order, for the composed ``texts``.
+
+        The default embeds each with :meth:`embed_paragraph`; providers whose
+        paragraph vectors are their text vectors embed the batch with
+        :meth:`embed_texts`.
+        """
+        return [self.embed_paragraph(p, text) for p, text in zip(paragraphs, texts)]
+
+
+# numpy's SeedSequence (pool size 4) and PCG64 seeding, for the seeds of
+# HashedEmbedder's tokens
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(seed)`` for each 64-bit seed, that is of
+    ``default_rng(seed)``'s bit generator.
+
+    ``SeedSequence`` hashes a seed's 32-bit words, low first, into a pool of
+    four words (``mix_entropy``); a pool word without entropy hashes 0, so a
+    seed below 2**32 mixes as if its high word were 0.  ``generate_state(4,
+    uint64)`` then draws eight 32-bit words from the pool.  Both run here
+    over uint32 arrays, one lane per seed: the hash constants do not depend
+    on the data.  PCG64's ``set_seed`` follows in Python ints.  Each uint64 is
+    built from its two words by arithmetic, so no byte order is involved.
+    """
+    seed_array = np.array(seeds, dtype=np.uint64)
+    low = (seed_array & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seed_array >> np.uint64(32)).astype(np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    a, b, c, d = ((words[2 * i] | words[2 * i + 1] << np.uint64(32)).tolist()
+                  for i in range(4))
+    states = []
+    for initstate_high, initstate_low, initseq_high, initseq_low in zip(a, b, c, d):
+        inc = ((initseq_high << 64 | initseq_low) << 1 | 1) & _MASK128
+        initstate = initstate_high << 64 | initstate_low
+        states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
 
 class HashedEmbedder(EmbeddingProvider):
     """Deterministic test embedder: seeded token-hash projection.
@@ -64,13 +147,21 @@ class HashedEmbedder(EmbeddingProvider):
     seeding a PRNG) to a dense Gaussian direction in ``dim`` dimensions; a
     text embeds to the sum of its tokens' directions, weighted by token
     count.  Identical input always yields an identical vector, across
-    processes and platforms.
+    processes and platforms.  The direction of token ``t`` is
+    ``default_rng(int.from_bytes(blake2b(t, digest_size=8, key=str(seed)),
+    "big")).standard_normal(dim)``.
 
     The directions drawn so far are rows of one float64 token table.  A text
     gathers its tokens' rows and sums them in text order from ``+0.0``, so
-    the sum's rounding is that of adding one token at a time.  One embedder
-    may be shared by threads: new tokens are added under a lock, and a
-    token's row id is published only once its row is in ``self._table``.
+    the sum's rounding is that of adding one token at a time.
+    :meth:`embed_texts` tokenizes each text once and adds all of the batch's
+    new tokens in one step: from ``_SEED_BATCH`` new tokens on, their
+    generator states are computed in one vectorized pass
+    (:func:`_pcg64_states`) and each direction is drawn from one ``PCG64``
+    set to its state, with the bits of its own ``default_rng`` draw.  Fewer
+    new tokens are drawn one ``default_rng`` at a time.  One embedder may be
+    shared by threads: new tokens are added under a lock, and a token's row
+    id is published only once its row is in ``self._table``.
     """
 
     # The first table is larger than 32 MiB, glibc's cap on its mmap
@@ -79,6 +170,9 @@ class HashedEmbedder(EmbeddingProvider):
     # index builds peaked ~15% higher in RSS.  Rows not yet written are pages
     # never touched, which cost no memory.
     _INITIAL_BYTES = 2 ** 25 + 1
+    # The vectorized seeding costs ~170 us per batch, and a default_rng draw
+    # ~14 us per token (2-vCPU host, numpy 2.4), so they break even at ~20
+    _SEED_BATCH = 20
 
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim <= 0:
@@ -95,37 +189,79 @@ class HashedEmbedder(EmbeddingProvider):
         self._table = np.zeros((self._INITIAL_BYTES // (8 * width) + 1, width))
         self._lock = threading.Lock()
 
-    def _add_tokens(self, tokens: list[str]) -> None:
+    def _add_tokens(self, tokens: Iterable[str]) -> None:
+        """Draw the rows of the distinct ``tokens`` not yet in the table."""
         with self._lock:
-            table = self._table
-            for token in tokens:
-                if token in self._rows:
-                    continue
-                row = len(self._rows)
-                if row == table.shape[0]:
-                    grown = np.zeros((2 * row, table.shape[1]))
-                    grown[:row] = table
-                    self._table = table = grown
-                digest = hashlib.blake2b(
-                    token.encode("utf-8"), digest_size=8, key=self._key
-                ).digest()
-                rng = np.random.default_rng(int.from_bytes(digest, "big"))
-                table[row, :self.dim] = rng.standard_normal(self.dim)
-                self._rows[token] = row
+            rows = self._rows
+            new = [token for token in tokens if token not in rows]
+            if not new:
+                return
+            first, table = len(rows), self._table
+            size = table.shape[0]
+            while size < first + len(new):
+                size *= 2
+            if size > table.shape[0]:
+                grown = np.zeros((size, table.shape[1]))
+                grown[:first] = table[:first]
+                self._table = table = grown
+            seeds = [int.from_bytes(hashlib.blake2b(
+                token.encode("utf-8"), digest_size=8, key=self._key).digest(), "big")
+                for token in new]
+            block = table[first:first + len(new), :self.dim]
+            if len(new) < self._SEED_BATCH:
+                for row, seed in zip(block, seeds):
+                    np.random.default_rng(seed).standard_normal(out=row)
+            else:
+                bit_generator = np.random.PCG64(0)
+                generator = np.random.Generator(bit_generator)
+                for row, (state, inc) in zip(block, _pcg64_states(seeds)):
+                    bit_generator.state = {
+                        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+                    generator.standard_normal(out=row)
+            rows.update(zip(new, range(first, first + len(new))))
 
-    def embed_text(self, text: str) -> np.ndarray:
-        tokens = text.lower().split()
-        if not tokens:
+    def _token_ids(self, texts: Sequence[str]) -> list[list[int]]:
+        """Each text's token row ids in text order.  The tokens of the texts
+        that miss a row are added in one :meth:`_add_tokens` call, and only
+        those texts are looked up again."""
+        tokens = [text.lower().split() for text in texts]
+        if not all(tokens):
             raise ValueError("cannot embed empty or whitespace-only text")
         rows = self._rows
-        try:
-            ids = [rows[token] for token in tokens]
-        except KeyError:
-            self._add_tokens([t for t in tokens if t not in rows])
-            ids = [rows[token] for token in tokens]
+        row_of = rows.__getitem__
+        ids, missed = [], []
+        for text_tokens in tokens:
+            try:
+                ids.append(list(map(row_of, text_tokens)))
+            except KeyError:
+                missed.append(len(ids))
+                ids.append([])
+        if missed:
+            self._add_tokens(dict.fromkeys(filterfalse(
+                rows.__contains__, chain.from_iterable(tokens[i] for i in missed))))
+            for i in missed:
+                ids[i] = list(map(row_of, tokens[i]))
+        return ids
+
+    def _sum_rows(self, ids: list[int]) -> np.ndarray:
         # the ids are read before the table, so the table holds their rows
         acc = np.add.reduce(self._table.take(ids, axis=0), axis=0, initial=0.0)
         return acc[:self.dim]
+
+    def embed_text(self, text: str) -> np.ndarray:
+        ids, = self._token_ids([text])
+        return self._sum_rows(ids)
+
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        out = np.empty((len(texts), self.dim))
+        for row, ids in zip(out, self._token_ids(texts)):
+            row[:] = self._sum_rows(ids)
+        return out
+
+    def embed_paragraphs(self, paragraphs: Sequence["Paragraph"],
+                         texts: Sequence[str]) -> np.ndarray:
+        return self.embed_texts(texts)
 
 
 class RemoteEmbedder(EmbeddingProvider):
@@ -136,7 +272,16 @@ class RemoteEmbedder(EmbeddingProvider):
     ``REVTREE_EMBED_API_KEY`` and ``REVTREE_EMBED_MODEL`` environment
     variables.  Construction fails before any network activity if they are
     not set.
+
+    :meth:`embed_texts` posts ``_CHUNK`` texts per request.  A reply must hold
+    one embedding per input; rows are placed by each item's ``index`` when
+    the reply gives one, else in reply order.  Every embedding of a run must
+    have the dim of the first.
     """
+
+    # common services take up to a few thousand inputs a request; 64
+    # paragraphs keep a request well under their body limits and a retry cheap
+    _CHUNK = 64
 
     def __init__(self, session=None, timeout: float = 60.0, max_attempts: int = 3,
                  backoff_s: float = 0.5):
@@ -151,22 +296,50 @@ class RemoteEmbedder(EmbeddingProvider):
         self._session = session if session is not None else new_session()
 
     def embed_text(self, text: str) -> np.ndarray:
-        if not text.strip():
+        return self.embed_texts([text])[0]
+
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        if not all(text.strip() for text in texts):
             raise ValueError("cannot embed empty or whitespace-only text")
-        values = with_retries(
-            lambda: post_json(self._session, f"{self.base_url}/embeddings",
-                              self._api_key, {"model": self.model, "input": [text]},
-                              self.timeout, "embedding",
-                              lambda body: body["data"][0]["embedding"]),
-            self.max_attempts, self.backoff_s, "embedding request")
-        vec = np.asarray(values, dtype=np.float64)
-        if self.dim is None:
-            self.dim = vec.shape[0]
-        elif vec.shape[0] != self.dim:
-            raise ProviderConfigError(
-                f"embedding dim changed mid-run: {vec.shape[0]} != {self.dim}"
-            )
-        return vec
+        chunks = []
+        for start in range(0, len(texts), self._CHUNK):
+            chunk = list(texts[start:start + self._CHUNK])
+            vectors = with_retries(
+                lambda: post_json(self._session, f"{self.base_url}/embeddings",
+                                  self._api_key, {"model": self.model, "input": chunk},
+                                  self.timeout, "embedding",
+                                  lambda body: _reply_rows(body["data"], len(chunk))),
+                self.max_attempts, self.backoff_s, "embedding request")
+            if self.dim is None:
+                self.dim = vectors.shape[1]
+            elif vectors.shape[1] != self.dim:
+                raise ProviderConfigError(
+                    f"embedding dim changed mid-run: {vectors.shape[1]} != {self.dim}"
+                )
+            chunks.append(vectors)
+        return np.concatenate(chunks) if chunks else np.empty((0, self.dim or 0))
+
+    def embed_paragraphs(self, paragraphs: Sequence["Paragraph"],
+                         texts: Sequence[str]) -> np.ndarray:
+        return self.embed_texts(texts)
+
+
+def _reply_rows(data: list, inputs: int) -> np.ndarray:
+    """The ``(inputs, dim)`` embeddings of a reply's ``data``, placed by each
+    item's ``index`` when it has one; a ``ValueError`` if they are not one
+    non-empty embedding per input."""
+    if len(data) != inputs:
+        raise ValueError(f"{len(data)} embeddings for {inputs} inputs")
+    order = [item["index"] if "index" in item else i for i, item in enumerate(data)]
+    if sorted(order) != list(range(inputs)):
+        raise ValueError(f"embedding indices {order} are not one per input")
+    rows: list = [None] * inputs
+    for i, item in zip(order, data):
+        rows[i] = item["embedding"]
+    vectors = np.array(rows, dtype=np.float64)
+    if vectors.ndim != 2 or not vectors.shape[1]:
+        raise ValueError("embeddings are not non-empty vectors of one dim")
+    return vectors
 
 
 class PrecomputedEmbeddings(EmbeddingProvider):
@@ -225,13 +398,19 @@ class PrecomputedEmbeddings(EmbeddingProvider):
                 f"no precomputed embedding for paragraph id '{paragraph.id}'"
             ) from None
 
-    def embed_text(self, text: str) -> np.ndarray:
+    def _free_text_embedder(self) -> EmbeddingProvider:
         if self.fallback is None:
             raise ProviderConfigError(
                 "precomputed embeddings cannot embed free text; configure a "
                 "fallback provider for queries"
             )
-        return self.fallback.embed_text(text)
+        return self.fallback
+
+    def embed_text(self, text: str) -> np.ndarray:
+        return self._free_text_embedder().embed_text(text)
+
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        return self._free_text_embedder().embed_texts(texts)
 
 
 def write_embeddings_file(path: str | Path, embeddings: dict[str, np.ndarray]) -> None:

@@ -187,10 +187,12 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     all returned in acceptance-then-path order without any embedding work.
     Otherwise evidence items are re-ranked by cosine similarity between their
     rendered text and the final response, and paragraphs are emitted in
-    evidence-rank then path order, deduplicated and truncated.
+    evidence-rank then path order, deduplicated and truncated.  The response
+    and then the evidence texts, in pool order, are embedded in one
+    :meth:`~revtree.embedding.EmbeddingProvider.embed_texts` call.
 
     Re-ranking needs a final response that is not blank.  Given the run's
-    ``stats``, a blank response or a query embedding that raised is counted
+    ``stats``, a blank response or an embedding call that raised is counted
     there and logged as one provider failure, and the paragraphs keep
     acceptance-then-path order, cut to ``limit``; without them the error
     propagates.
@@ -203,11 +205,11 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     try:
         if not final_response.strip():
             raise ValueError("final_response must be non-empty")
-        response_vec = provider.embed_text(final_response)
+        vectors = provider.embed_texts(
+            [final_response] + [_evidence_text(e) for e in pool.evidences])
         for order, evidence in enumerate(pool.evidences):
-            score = cosine_similarity(provider.embed_text(_evidence_text(evidence)),
-                                      response_vec)
-            scored.append((score, order, evidence))
+            scored.append((cosine_similarity(vectors[order + 1], vectors[0]),
+                           order, evidence))
     except Exception as exc:
         if stats is None:
             raise

@@ -295,7 +295,7 @@ def post_json(session, url: str, api_key: str, payload: dict, timeout: float,
         )
     try:
         return extract(resp.json())
-    except (KeyError, IndexError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ProviderError(f"malformed {what} payload: {exc}") from exc
 
 

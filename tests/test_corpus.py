@@ -25,8 +25,9 @@ from revtree import (
     retrieve,
 )
 from revtree.corpus import CorpusIndex, _approx_error, format_documents, load_paragraphs
+from revtree import embedding
 from revtree.embedding import EmbeddingProvider, write_embeddings_file
-from revtree.errors import CorpusError, ProviderConfigError
+from revtree.errors import CorpusError, ProviderConfigError, ProviderError
 
 
 def write_corpus(path, records):
@@ -506,6 +507,101 @@ class TestHashedTable:
             assert_same_bits(index.embedding(p.id),
                              loop_embed(format_documents([p]), dim, 3))
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 384])
+    @pytest.mark.parametrize("new_tokens", [1, HashedEmbedder._SEED_BATCH - 1,
+                                            HashedEmbedder._SEED_BATCH,
+                                            HashedEmbedder._SEED_BATCH + 1, 300])
+    def test_embed_texts_equals_the_token_loop(self, dim, new_tokens, monkeypatch):
+        # a batch of exactly new_tokens distinct tokens, each text repeating
+        # some, embedded by a fresh table
+        rng = random.Random(dim * 1000 + new_tokens)
+        vocab = [f"v{i}" for i in range(new_tokens)]
+        texts = [" ".join(vocab)] + [" ".join(rng.choices(vocab, k=rng.randint(1, 60)))
+                                     for _ in range(12)]
+        single = HashedEmbedder(dim=dim, seed=3)
+        singles = [single.embed_text(text) for text in texts]
+        passes = []
+        states = embedding._pcg64_states
+        monkeypatch.setattr(embedding, "_pcg64_states",
+                            lambda seeds: passes.append(len(seeds)) or states(seeds))
+        batched = HashedEmbedder(dim=dim, seed=3)
+        rows = batched.embed_texts(texts)
+        assert passes == ([new_tokens] if new_tokens >= HashedEmbedder._SEED_BATCH
+                          else [])
+        assert rows.shape == (len(texts), dim) and len(batched._rows) == new_tokens
+        for row, text, want in zip(rows, texts, singles):
+            assert_same_bits(row, loop_embed(text, dim, 3))
+            assert_same_bits(row, want)
+            assert_same_bits(batched.embed_text(text), row)
+        # a batch over a warm table draws nothing new and keeps its bits
+        assert_same_bits(batched.embed_texts(texts[::-1]), rows[::-1])
+        assert len(passes) <= 1
+
+    @pytest.mark.parametrize("seeds", [
+        [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 1],
+        [random.Random(8).getrandbits(64) for _ in range(10_000)],
+    ], ids=["edges", "random"])
+    def test_vectorized_states_equal_default_rng(self, seeds):
+        want = [tuple(np.random.default_rng(seed).bit_generator.state["state"].values())
+                for seed in seeds]
+        assert embedding._pcg64_states(seeds) == want
+
+    def test_vectorized_states_of_real_tokens_draw_their_rows(self):
+        tokens = [f"tok{i}" for i in range(2000)] + ["\u00e9t\u00e9", "x" * 300]
+        want = np.array([loop_embed(token, 16, 9) for token in tokens])
+        embedder = HashedEmbedder(dim=16, seed=9)
+        assert_same_bits(embedder.embed_texts(tokens), want)
+
+    def test_a_blank_text_in_a_batch_is_refused_before_any_draw(self):
+        embedder = HashedEmbedder(dim=8, seed=1)
+        for texts in (["alpha beta", "", "gamma"], ["alpha", " \t\n"]):
+            with pytest.raises(ValueError, match="empty or whitespace-only"):
+                embedder.embed_texts(texts)
+        assert not embedder._rows
+        assert embedder.embed_texts([]).shape == (0, 8)
+
+    def test_one_batch_grows_the_table_more_than_once(self, monkeypatch):
+        monkeypatch.setattr(HashedEmbedder, "_INITIAL_BYTES", 8 * 16 * 10)
+        embedder = HashedEmbedder(dim=16, seed=2)
+        initial_rows = embedder._table.shape[0]
+        texts = [f"a{i} b{i} c{i}" for i in range(50)]
+        rows = embedder.embed_texts(texts)
+        assert embedder._table.shape[0] == 16 * initial_rows
+        for row, text in zip(rows, texts):
+            assert_same_bits(row, loop_embed(text, 16, 2))
+
+    def test_threads_adding_batches_equal_a_serial_run(self, monkeypatch):
+        # overlapping windows over one stream of new tokens: the threads race
+        # to add and read the same rows, and each batch adds dozens of tokens
+        texts = [" ".join(f"t{i - d}" for d in range(1 + i % 3) if i >= d)
+                 for i in range(3000)]
+        batches = [[texts[start:start + 40] for start in range(j * 10, 3000, 40)]
+                   for j in range(4)]
+        serial = HashedEmbedder(dim=16, seed=2)
+        want = [[[serial.embed_text(text) for text in batch] for batch in worker]
+                for worker in batches]
+        # a small first table, so that one batch grows it more than once
+        monkeypatch.setattr(HashedEmbedder, "_INITIAL_BYTES", 8 * 16 * 10)
+        shared = HashedEmbedder(dim=16, seed=2)
+        initial_rows = shared._table.shape[0]
+        barrier = threading.Barrier(4)
+
+        def worker(worker_batches):
+            barrier.wait(timeout=30)
+            return [shared.embed_texts(batch) for batch in worker_batches]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(worker, batches, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared._table.shape[0] > 64 * initial_rows
+        for got_worker, want_worker in zip(got, want):
+            for rows, want_rows in zip(got_worker, want_worker):
+                assert_same_bits(rows, np.array(want_rows))
+
     def test_threads_adding_tokens_equal_a_serial_run(self, monkeypatch):
         # the threads walk one stream of new tokens in step, each skipping a
         # quarter of it, so they race to add and read the same rows
@@ -663,6 +759,37 @@ class TestProviders:
         assert list(vec) == [1.0, 2.0, 3.0]
         assert provider.dim == 3
         assert session.calls == 2
+
+    def test_remote_ingest_fails_on_a_chunk_that_fails(self, monkeypatch):
+        # the fifth post, of texts 256 to 319, is refused: the whole build
+        # fails rather than index part of the corpus
+        for var in ("REVTREE_EMBED_BASE_URL", "REVTREE_EMBED_API_KEY",
+                    "REVTREE_EMBED_MODEL"):
+            monkeypatch.setenv(var, "https://emb.example/v1")
+
+        class RefusingSession:
+            def __init__(self):
+                self.inputs = []
+
+            def post(self, url, json, **kwargs):
+                self.inputs.append(json["input"])
+                if len(self.inputs) == 5:
+                    return type("R", (), {"status_code": 400, "text": "no"})()
+                data = [{"index": i, "embedding": [1.0, float(len(text))]}
+                        for i, text in enumerate(json["input"])]
+                return type("R", (), {"status_code": 200,
+                                      "json": staticmethod(lambda: {"data": data})})()
+
+        paragraphs = [Paragraph(f"p{i:04d}", "", f"text {i}") for i in range(600)]
+        session = RefusingSession()
+        with pytest.raises(ProviderError, match="rejected the request: 400"):
+            build_index(paragraphs, RemoteEmbedder(session=session, backoff_s=0))
+        assert [len(texts) for texts in session.inputs] == [64] * 5
+        assert session.inputs[4][0] == "text 256"
+        # a corpus that fits four posts is built, one row per text
+        index = build_index(paragraphs[:200],
+                            RemoteEmbedder(session=RefusingSession(), backoff_s=0))
+        assert index.embedding("p0123").tolist() == [1.0, len("text 123")]
 
     def test_precomputed_roundtrip(self, tmp_path, embedder):
         paragraphs = [Paragraph("a", "", "alpha"), Paragraph("b", "", "beta")]

@@ -14,6 +14,7 @@ from revtree import ExpansionStrategy, LlmClient, ReviewDecision, ScriptedOracle
     TreeConfig, render_mpc_output, render_review_output, run_chain, run_oner, run_tree
 from revtree import cli
 from revtree.cli import main
+from revtree.embedding import EmbeddingProvider
 from revtree.errors import ProviderError, TransportError
 from tests.conftest import SeededDecisionProvider, fresh_corpus
 from tests.test_cli import run_args, write_jsonl
@@ -60,10 +61,11 @@ class FaultInjector:
         return self.inner.generate(request, call_index)
 
 
-class FailingQueryEmbedder:
+class FailingQueryEmbedder(EmbeddingProvider):
     """Wraps an embedder.  Each ``embed_text`` call, counted over the
     wrapper's life, raises with seeded odds; paragraph embeddings pass
-    through.  ``failed`` counts the raised calls."""
+    through.  ``failed`` counts the raised calls.  A batch goes through the
+    base ``embed_texts``, one ``embed_text`` call per text in order."""
 
     def __init__(self, inner, seed: int, p_fail: float = 0.3):
         self.inner = inner

@@ -24,7 +24,7 @@ from revtree import (
     select_scored_paragraphs,
 )
 from revtree.corpus import format_documents
-from revtree.fusion import render_context
+from revtree.fusion import _evidence_text, render_context
 
 
 def make_evidence(index: int, n_paragraphs: int = 1, words_per_text: int = 4,
@@ -287,13 +287,19 @@ class TestGenerateAnswer:
 
 
 class CountingEmbedder(HashedEmbedder):
+    """Records the texts of every embedding call, one list per call."""
+
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self.text_calls = 0
+        self.calls: list[list[str]] = []
 
     def embed_text(self, text):
-        self.text_calls += 1
+        self.calls.append([text])
         return super().embed_text(text)
+
+    def embed_texts(self, texts):
+        self.calls.append(list(texts))
+        return super().embed_texts(texts)
 
 
 class TestSelectScoredParagraphs:
@@ -305,7 +311,7 @@ class TestSelectScoredParagraphs:
         # 6 distinct paragraphs <= 15
         result = select_scored_paragraphs(pool, "final response", provider)
         assert len(result) == 6
-        assert provider.text_calls == 0
+        assert provider.calls == []
         assert result == [p.id for p in pool.distinct_paragraphs()]
 
     def test_empty_pool(self, embedder):
@@ -325,7 +331,7 @@ class TestSelectScoredParagraphs:
         assert stats.provider_failures == 1
         with pytest.raises(ValueError, match="non-empty"):
             select_scored_paragraphs(large, "   ", provider)
-        assert provider.text_calls == 0
+        assert provider.calls == []
 
     def test_over_limit_matches_brute_force_rerank(self, embedder):
         pool = EvidencePool()
@@ -355,6 +361,13 @@ class TestSelectScoredParagraphs:
                 if p.id not in expected:
                     expected.append(p.id)
         assert result == expected[:15]
+
+    def test_response_and_evidence_are_embedded_in_one_batch(self):
+        provider = CountingEmbedder(dim=32, seed=1)
+        pool = make_pool(6, n_paragraphs=3)
+        select_scored_paragraphs(pool, "the final response", provider)
+        assert provider.calls == [["the final response"]
+                                  + [_evidence_text(e) for e in pool.evidences]]
 
     def test_no_duplicates_and_limit(self, embedder):
         shared = Paragraph("dup", "", "alpha beta gamma")

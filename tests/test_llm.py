@@ -8,6 +8,7 @@ import json
 import threading
 
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from revtree import (
     make_token_estimator,
     render_prompt,
 )
+from revtree import cli
 from revtree.errors import OracleMissError, ProviderConfigError, ProviderError, \
     TransportError
 from revtree.llm import TEMPLATE_NAMES, estimate_tokens_chars, new_session
@@ -357,18 +359,24 @@ class TestRemoteProvider:
 
 
 class FakeReply:
+    """A reply whose ``json()`` returns ``payload``, or raises it when it is
+    an exception."""
+
     def __init__(self, status_code: int, payload=None):
         self.status_code = status_code
         self.text = f"status {status_code}"
         self._payload = payload
 
     def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
         return self._payload
 
 
 class FakeSession:
     """Replies with ``statuses`` in turn, repeating the last one; a 200
-    carries ``payload``."""
+    carries ``payload``, and a status that is an exception is raised by
+    ``post``, as ``requests`` raises a connection failure."""
 
     def __init__(self, statuses, payload):
         self.statuses = list(statuses)
@@ -378,6 +386,8 @@ class FakeSession:
     def post(self, url, **kwargs):
         status = self.statuses[min(self.posts, len(self.statuses) - 1)]
         self.posts += 1
+        if isinstance(status, Exception):
+            raise status
         return FakeReply(status, self.payload if status == 200 else None)
 
 
@@ -440,6 +450,127 @@ class TestSharedRemotePath:
         with pytest.raises(ProviderError, match="rejected the request: 400"):
             call(session)
         assert session.posts == 1
+
+    def test_connection_errors_and_timeouts_are_retried(self, remote):
+        _env_vars, payload, expected, call = remote
+        session = FakeSession([requests.ConnectionError("refused"),
+                               requests.Timeout("read timed out"), 200], payload)
+        assert call(session) == expected
+        assert session.posts == 3
+
+    def test_exhausted_connection_errors_raise_provider_error(self, remote):
+        _env_vars, payload, _expected, call = remote
+        session = FakeSession([requests.ConnectionError("refused")], payload)
+        with pytest.raises(ProviderError, match="after 3 attempts.*refused") as info:
+            call(session)
+        assert isinstance(info.value.__cause__, TransportError)
+        assert session.posts == 3
+
+    @pytest.mark.parametrize("body", [
+        requests.JSONDecodeError("Expecting value", "<html>", 0), {}, {"data": None},
+        {"choices": [], "data": []}, ["not", "an", "object"]])
+    def test_unreadable_body_raises_provider_error_after_one_post(self, remote, body):
+        _env_vars, _payload, _expected, call = remote
+        session = FakeSession([200], body)
+        with pytest.raises(ProviderError, match="malformed"):
+            call(session)
+        assert session.posts == 1
+
+
+class EmbeddingService:
+    """A fake embedding endpoint: text ``"t<i>"`` embeds to ``[i, 1.0]``.
+
+    ``dims`` gives each post's embedding dim in turn (extra columns are 0);
+    ``reply`` may rewrite a reply's ``data`` before it is sent.
+    """
+
+    def __init__(self, dims=(2,), reply=lambda data: data):
+        self.dims = list(dims)
+        self.reply = reply
+        self.inputs: list[list[str]] = []
+
+    def post(self, url, json, **kwargs):
+        dim = self.dims[min(len(self.inputs), len(self.dims) - 1)]
+        self.inputs.append(list(json["input"]))
+        data = [{"object": "embedding", "index": i,
+                 "embedding": ([float(text[1:]), 1.0] + [0.0] * dim)[:dim]}
+                for i, text in enumerate(json["input"])]
+        return FakeReply(200, {"data": self.reply(data)})
+
+
+class TestRemoteEmbedderBatches:
+    @pytest.fixture(autouse=True)
+    def env(self, monkeypatch):
+        for var in ("REVTREE_EMBED_BASE_URL", "REVTREE_EMBED_API_KEY",
+                    "REVTREE_EMBED_MODEL"):
+            monkeypatch.setenv(var, "https://remote.example/v1")
+
+    @staticmethod
+    def embedder(service):
+        return RemoteEmbedder(session=service, max_attempts=3, backoff_s=0)
+
+    def test_one_post_per_chunk_in_input_order(self):
+        service = EmbeddingService()
+        texts = [f"t{i}" for i in range(130)]
+        rows = self.embedder(service).embed_texts(texts)
+        assert [len(chunk) for chunk in service.inputs] == [64, 64, 2]
+        assert sum(service.inputs, []) == texts
+        assert rows.shape == (130, 2)
+        assert rows[:, 0].tolist() == list(range(130))
+
+    def test_rows_are_placed_by_index(self):
+        service = EmbeddingService(reply=lambda data: data[::-1])
+        rows = self.embedder(service).embed_texts(["t5", "t6", "t7"])
+        assert rows[:, 0].tolist() == [5, 6, 7]
+
+    def test_rows_without_an_index_keep_reply_order(self):
+        def strip_index(data):
+            return [{"embedding": item["embedding"]} for item in data]
+
+        rows = self.embedder(EmbeddingService(reply=strip_index)).embed_texts(
+            ["t3", "t1"])
+        assert rows[:, 0].tolist() == [3, 1]
+
+    @pytest.mark.parametrize("reply", [
+        lambda data: data[:-1],
+        lambda data: data + data[:1],
+        lambda data: [dict(item, index=0) for item in data],
+        lambda data: [dict(data[0], embedding=[])] + data[1:],
+        lambda data: [dict(data[0], embedding=[1.0])] + data[1:],
+    ], ids=["too-few", "too-many", "repeated-index", "empty-vector", "ragged"])
+    def test_a_reply_not_one_embedding_per_input_is_refused(self, reply):
+        service = EmbeddingService(reply=reply)
+        with pytest.raises(ProviderError, match="malformed embedding payload"):
+            self.embedder(service).embed_texts(["t1", "t2", "t3"])
+        assert len(service.inputs) == 1
+
+    def test_dim_change_between_calls_is_refused(self):
+        embedder = self.embedder(EmbeddingService(dims=(2, 3)))
+        assert embedder.embed_text("t1").tolist() == [1.0, 1.0]
+        assert embedder.dim == 2
+        with pytest.raises(ProviderConfigError, match="dim changed mid-run: 3 != 2"):
+            embedder.embed_text("t2")
+
+    def test_dim_change_between_chunks_is_refused(self):
+        service = EmbeddingService(dims=(2, 2, 4))
+        with pytest.raises(ProviderConfigError, match="dim changed mid-run: 4 != 2"):
+            self.embedder(service).embed_texts([f"t{i}" for i in range(130)])
+        assert len(service.inputs) == 3
+
+    def test_blank_text_is_refused_before_any_post(self):
+        service = EmbeddingService()
+        with pytest.raises(ValueError, match="empty or whitespace-only"):
+            self.embedder(service).embed_texts(["t1", " \n"])
+        assert service.inputs == []
+
+    def test_cli_builds_it_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REVTREE_EMBED_BASE_URL", "https://emb.example/v1/")
+        monkeypatch.setenv("REVTREE_EMBED_MODEL", "embed-small")
+        embedder = cli._build_embedder("remote", 64, 0)
+        assert isinstance(embedder, RemoteEmbedder)
+        assert (embedder.base_url, embedder.model, embedder.provider_id) == (
+            "https://emb.example/v1", "embed-small", "remote:embed-small")
+        assert embedder.dim is None
 
 
 class TestTokenEstimators:

@@ -18,6 +18,9 @@ from revtree import (
     run_oner,
     run_tree,
 )
+from revtree.corpus import retrieve
+from revtree.embedding import EmbeddingProvider
+from revtree.errors import CorpusError
 from tests.conftest import (
     SeededDecisionProvider,
     always_accept_oracle,
@@ -293,6 +296,29 @@ class TestDegradation:
                                always_search_oracle())
         assert stats.provider_failures == 1
         # the poisoned branch lost its 3 + 9 descendants from the full 65
+        assert stats.api_calls == 65 - 12
+
+    def test_query_of_another_dim_closes_branch_not_run(self, embedder):
+        class ShortOn(EmbeddingProvider):
+            """Embeds ``poison`` one dim short of the index."""
+
+            def __init__(self, inner, poison):
+                self.inner, self.poison = inner, poison
+                self.provider_id, self.dim = inner.provider_id, inner.dim
+
+            def embed_text(self, text):
+                vec = self.inner.embed_text(text)
+                return vec[:-1] if text == self.poison else vec
+
+        index = fresh_corpus(groups=70, group_size=3, embedder=embedder)
+        short = ShortOn(embedder, "probe1")
+        with pytest.raises(CorpusError, match="query embedding dim 63 does not "
+                                              "match index dim 64"):
+            retrieve(index, "probe1", 3, short)
+        config = cot_config(relevance_pruning=False, repetitive_pruning=False)
+        _, stats, trace = run_tree("probe0", config, index, short,
+                                   always_search_oracle())
+        assert stats.provider_failures == trace.stats["provider_failures"] == 1
         assert stats.api_calls == 65 - 12
 
 

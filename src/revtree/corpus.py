@@ -218,7 +218,7 @@ def _approx_error(index: CorpusIndex, q: np.ndarray) -> float:
 
 
 # paragraphs embedded per batch.  A batch holds all of its token strings at
-# once: building a 20k-paragraph index peaked ~1.5 MB higher in RSS with 128
+# once: building a 20k-paragraph index peaked ~2 MB higher in RSS with 128
 # paragraphs a batch, ~3.5 MB with 256, at about the same speed
 _EMBED_CHUNK = 128
 

@@ -659,6 +659,14 @@ class TestIndexConstruction:
         with pytest.raises(CorpusError, match="shape"):
             build_index(self.PARAGRAPHS, ShapedEmbedder(4, bad, shape))
 
+    def test_a_batch_of_another_length_is_refused(self):
+        class DropsOne(ShapedEmbedder):
+            def embed_paragraphs(self, paragraphs, texts):
+                return super().embed_paragraphs(paragraphs, texts)[1:]
+
+        with pytest.raises(CorpusError, match="2 embeddings for 3 paragraphs"):
+            build_index(self.PARAGRAPHS, DropsOne(4, None, 4))
+
     def test_precomputed_file_without_a_paragraph(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
         write_embeddings_file(path, {"a": np.ones(4), "c": np.ones(4)})

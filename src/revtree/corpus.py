@@ -175,7 +175,6 @@ def retrieve(index: CorpusIndex, query: str, k: int,
     q = qvec / qnorm
     n = len(index)
     k = min(k, n)
-    rows = np.arange(n)
     if k < n:
         # every row in the exact top k, or tied with the k-th exact score T,
         # has approx >= T - eps, and the k-th largest approx t is at most
@@ -185,6 +184,8 @@ def retrieve(index: CorpusIndex, query: str, k: int,
         approx = np.einsum("ij,j->i", index._unit32, q.astype(np.float32))
         t = float(np.partition(approx, n - k)[n - k])
         rows = np.flatnonzero(approx >= t - 2 * _approx_error(index, q))
+    else:
+        rows = np.arange(n)
     # the contract's own expression on the surviving rows: division and
     # products are elementwise and each row is summed alone, so every score
     # is bit-identical to scoring the whole matrix.  Rows are in ascending-id

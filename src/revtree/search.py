@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -262,6 +262,28 @@ class _Run:
         return self.pool, stats, trace
 
 
+# a candidate whose review waits for its parent's depth-first turn, because
+# repetitive pruning may yet drop it
+_HELD = object()
+
+
+@dataclass(eq=False)
+class _Node:
+    """A tree node from the start of its review on.  Its trace record is made
+    at its parent's depth-first turn."""
+
+    path: tuple[Paragraph, ...]
+    query: str  # the query that retrieved it
+    future: Optional[Future] = None
+    fork: Optional[LlmClient] = None
+    record: Optional[dict] = None
+    # the retrieval for its expansion in rank order, each paragraph with its
+    # node, ``_HELD``, or None when within-path dedup drops it
+    candidates: Optional[list] = None
+    # its shape is final: see ``look_ahead`` in :func:`run_tree`
+    settled: bool = False
+
+
 def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
              embedder: EmbeddingProvider, llm,
              demos: Sequence[str] = ()) -> tuple[EvidencePool, RunStats, RunTrace]:
@@ -274,11 +296,21 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     tallied; they never abort the run.  Trace nodes are the reviewed
     candidates; pruned candidates are recorded apart.
 
-    With an ``order_free`` provider (see :class:`LlmClient`) the reviews of
-    the children of one expansion run together, at most ``max(widths)`` at
-    a time, each on a fork of the client.  Their outcomes are still taken
-    one by one in depth-first order, and each fork's completions are then
-    committed, so the trace and stats equal a serial run's.
+    With an ``order_free`` provider (see :class:`LlmClient`) reviews run
+    ahead of their depth-first turn, at most ``max(widths)`` at a time, each
+    on a fork of the client.  A node is settled when its shape is final: it
+    is at max depth, or its review is done and does not expand it, or it is
+    expanded and all its children are settled.  Once every node before a
+    node in depth-first order is settled and its own review expands it, the
+    node is expanded early: its retrieval runs and the reviews of its
+    candidates start.  Under repetitive pruning a candidate whose id one of
+    those nodes, or the node itself, holds is held back until the node's
+    turn, and starts then if the pruning keeps it.  Every accepted path lies
+    among those nodes, so no other candidate can be pruned, and no review
+    starts that the run would not take.  Outcomes are taken, pruning decided
+    and records made one by one in depth-first order, and each fork's
+    completions are then committed, so the trace and stats equal a serial
+    run's.
     """
     run = _Run(index, embedder, llm)
     client, pool, stats = run.client, run.pool, run.stats
@@ -286,34 +318,71 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     pruned_records: list[dict] = []
     executor = (ThreadPoolExecutor(max(config.widths))
                 if getattr(client.provider, "order_free", False) else None)
+    in_flight: set[Future] = set()
+    # ids of the nodes the look-ahead has reached, which it reaches in
+    # depth-first order
+    walked_ids: set[str] = set()
+    root = _Node((), question)
 
-    def start_review(path: tuple[Paragraph, ...]) -> Callable[[], ReviewOutcome]:
-        """The review of ``path`` as a call that returns its outcome.  With
-        an executor the review starts now on a fork of the client, and the
-        call waits for it and commits the fork's completions."""
+    def start(path: tuple[Paragraph, ...], query: str) -> _Node:
+        """The node for ``path``.  With an executor its review starts now,
+        on a fork of the client."""
+        node = _Node(path, query)
+        if executor is not None:
+            node.fork = client.fork()
+            node.future = executor.submit(review_path, question, path,
+                                          config.expansion, node.fork, demos)
+            in_flight.add(node.future)
+        return node
+
+    def take(node: _Node) -> ReviewOutcome:
+        """``node``'s review outcome; a started review's completions are
+        committed as the client's next ones."""
         if executor is None:
-            return lambda: review_path(question, path, config.expansion, client, demos)
-        fork = client.fork()
-        future = executor.submit(
-            lambda: review_path(question, path, config.expansion, fork, demos))
+            return review_path(question, node.path, config.expansion, client, demos)
+        try:
+            return node.future.result()
+        finally:
+            client.commit(node.fork)
 
-        def take() -> ReviewOutcome:
-            try:
-                return future.result()
-            finally:
-                client.commit(fork)
+    def expansion_query(node: _Node, outcome: ReviewOutcome) -> Optional[str]:
+        """The query ``node``'s children are retrieved for, or None when
+        ``outcome`` does not expand it."""
+        if not isinstance(outcome, ReviewDecision) or len(node.path) >= config.max_depth:
+            return None
+        if outcome.action is Action.SEARCH:
+            return outcome.new_query
+        if outcome.action is Action.REJECT and not config.relevance_pruning:
+            # the review gives no query, so reuse the one that retrieved it
+            return node.query
+        return None
 
-        return take
+    def plan(node: _Node, query: str, early: bool) -> None:
+        """Retrieve ``node``'s candidates.  ``early`` means that every node
+        before it in depth-first order is settled; then the review of each
+        candidate certain to become a node starts now."""
+        path_ids = {p.id for p in node.path}
+        node.candidates = []
+        for paragraph, _score in run.retrieve(query, config.widths[len(node.path)]):
+            if config.within_path_dedup and paragraph.id in path_ids:
+                child = None
+            elif early and not (config.repetitive_pruning
+                                and paragraph.id in walked_ids):
+                child = start(node.path + (paragraph,), query)
+            else:
+                child = _HELD
+            node.candidates.append((paragraph, child))
 
-    def expand(parent: Optional[dict], path: tuple[Paragraph, ...], query: str
-               ) -> list[tuple[dict, tuple[Paragraph, ...], Callable[[], ReviewOutcome]]]:
-        """Retrieve the children of the node at the end of ``path`` (the
-        root when empty); each comes with its own path and review."""
-        path_ids = {p.id for p in path}
-        created = []
-        for rank, (paragraph, _score) in enumerate(
-                run.retrieve(query, config.widths[len(path)])):
-            record = {"paragraph_id": paragraph.id, "depth": len(path) + 1,
+    def commit(node: _Node, query: str) -> list[_Node]:
+        """Expand ``node`` at its depth-first turn: prune its candidates,
+        record the rest as its children and start the reviews held back."""
+        if node.candidates is None:
+            plan(node, query, early=False)
+        path_ids = {p.id for p in node.path}
+        parent = node.record
+        children = []
+        for rank, (paragraph, child) in enumerate(node.candidates):
+            record = {"paragraph_id": paragraph.id, "depth": len(node.path) + 1,
                       "parent": parent["index"] if parent is not None else None,
                       "rank": rank, "query": query}
             reason = None
@@ -325,51 +394,80 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
             if reason is not None:
                 pruned_records.append({**record, "reason": reason,
                                        "at_call": client.calls})
+                node.candidates[rank] = (paragraph, None)
                 continue
+            if child is _HELD:
+                child = start(node.path + (paragraph,), query)
+                node.candidates[rank] = (paragraph, child)
             record.update(index=len(nodes), created_after_call=client.calls,
                           children=[], exhausted=False, supported=None,
                           mpc_answer="", **_UNREVIEWED)
             nodes.append(record)
             if parent is not None:
                 parent["children"].append(record["index"])
-            child_path = path + (paragraph,)
-            created.append((record, child_path, start_review(child_path)))
-        return created
+            child.record = record
+            children.append(child)
+        return children
 
-    def visit(node: dict, path: tuple[Paragraph, ...],
-              review: Callable[[], ReviewOutcome]) -> None:
-        decision = run.review(review, node)
+    def look_ahead(node: _Node) -> bool:
+        """Walk ``node``'s subtree in depth-first order while every node
+        walked is settled, expanding early each node that may be; whether
+        the subtree is settled."""
+        if node.settled:
+            return True
+        if node.path:
+            walked_ids.add(node.path[-1].id)
+        if node.candidates is None and len(node.path) < config.max_depth:
+            if not node.future.done():
+                return False
+            query = (None if node.future.exception() is not None
+                     else expansion_query(node, node.future.result()))
+            if query is not None:
+                plan(node, query, early=True)
+        for _paragraph, child in node.candidates or ():
+            if child is _HELD or (child is not None and not look_ahead(child)):
+                return False
+        node.settled = True
+        return True
+
+    def await_review(node: _Node) -> None:
+        """Wait for ``node``'s review, expanding nodes early as the reviews
+        in flight finish."""
+        while True:
+            look_ahead(root)
+            if node.future.done():
+                return
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            in_flight.difference_update(done)
+
+    def visit(node: _Node) -> None:
+        if executor is not None:
+            await_review(node)
+        decision = run.review(lambda: take(node), node.record)
         if decision is None:
             return
-        if decision.action is Action.ACCEPT:
-            pool.add(Evidence(path=path, brief_analysis=decision.brief_analysis,
-                              accepted_at_call=node["call_index"]))
-            return
-        if len(path) >= config.max_depth:
-            node["exhausted"] = decision.action is Action.SEARCH
-            return
-        if decision.action is Action.SEARCH:
-            query = decision.new_query
-        elif config.relevance_pruning:
-            stats.pruned_relevance += 1
-            return
+        query = expansion_query(node, decision)
+        if query is not None:
+            for child in commit(node, query):
+                visit(child)
+        elif decision.action is Action.ACCEPT:
+            pool.add(Evidence(path=node.path, brief_analysis=decision.brief_analysis,
+                              accepted_at_call=node.record["call_index"]))
+        elif len(node.path) >= config.max_depth:
+            node.record["exhausted"] = decision.action is Action.SEARCH
         else:
-            # with relevance pruning disabled, a rejected node still expands;
-            # the review gives no query, so reuse the one that retrieved it
-            query = node["query"]
-        for child in expand(node, path, query):
-            visit(*child)
+            stats.pruned_relevance += 1
 
     try:
-        for root_child in expand(None, (), question):
-            visit(*root_child)
+        for child in commit(root, question):
+            visit(child)
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
-        # ``visit`` refers to itself through its closure cell, which holds
-        # the run; emptying the cells frees the run on return rather than at
-        # the next cyclic collection
-        del visit, expand
+        # ``visit`` and ``look_ahead`` refer to themselves through their
+        # closure cells, which hold the run; emptying the cells frees the
+        # run on return rather than at the next cyclic collection
+        del visit, look_ahead
 
     meta = {
         "max_depth": config.max_depth,

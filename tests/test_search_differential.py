@@ -36,6 +36,7 @@ from revtree import (
     run_tree,
 )
 from revtree import search
+from tests.conftest import fresh_corpus
 from revtree.errors import ProviderError, TransportError
 
 
@@ -152,13 +153,13 @@ def simulate(question: str, config: TreeConfig, index, embedder,
     }
 
 
-def scenarios():
-    """The 60 seeded scenarios: (context, question, config, index, embedder,
-    policy) each."""
-    rng = random.Random(2024)
+def scenarios(seed: int = 2024, count: int = 60,
+              width_options=((2, 2), (3, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2))):
+    """``count`` seeded scenarios, 60 by default: (context, question, config,
+    index, embedder, policy) each."""
+    rng = random.Random(seed)
     vocab_size = 40
-    width_options = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 2, 2), (3, 2, 2)]
-    for scenario in range(60):
+    for scenario in range(count):
         embedder = HashedEmbedder(dim=64, seed=scenario)
         n = rng.randint(25, 60)
         paragraphs = [
@@ -383,3 +384,224 @@ def test_a_finished_run_is_freed_without_the_cyclic_collector(
         assert len(runs) == 1 and runs[0]() is None
     finally:
         gc.enable()
+
+
+# Look-ahead across subtrees ---------------------------------------------------
+#
+# With an order-free provider, run_tree expands a node ahead of its turn once
+# every node before it in depth-first order is settled.  A max-depth node is
+# settled while its review is still pending, so later subtrees go on while
+# earlier leaves wait; a candidate whose id a walked node holds is held back.
+
+
+class TableProvider:
+    """Reviews by ``table``, keyed on the path's paragraph ids; a path the
+    table lacks is rejected."""
+
+    def __init__(self, table: dict):
+        self.table = table
+        self.review_paths: list[tuple[str, ...]] = []
+
+    def generate(self, request, call_index):
+        path = tuple(request.tags["path_ids"])
+        self.review_paths.append(path)
+        return render_review_output(self.table.get(path, ReviewDecision.reject("no")))
+
+
+class GatedTableProvider(TableProvider):
+    """Order-free; the review of each path that ``gated`` selects waits, up
+    to 10 s, until ``release`` is set."""
+
+    order_free = True
+
+    def __init__(self, table: dict, gated):
+        super().__init__(table)
+        self.gated = gated
+        self.release = threading.Event()
+        self.arrived = threading.Condition()
+
+    def generate(self, request, call_index):
+        with self.arrived:
+            text = super().generate(request, call_index)
+            self.arrived.notify_all()
+        if self.gated(tuple(request.tags["path_ids"])):
+            self.release.wait(timeout=10)
+        return text
+
+
+def run_gated(provider: GatedTableProvider, paths, question, config, index,
+              embedder) -> tuple[tuple, bool]:
+    """Run the tree on ``provider`` in a thread; once the reviews of every
+    path in ``paths`` have reached it, or after 10 s, release the gated
+    ones.  Returns the run's outputs and whether all of ``paths`` arrived
+    before the release."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(
+        outputs(run_tree(question, config, index, embedder, provider))))
+    thread.start()
+    try:
+        with provider.arrived:
+            arrived = provider.arrived.wait_for(
+                lambda: set(paths) <= set(provider.review_paths), timeout=10)
+    finally:
+        provider.release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    return result[0], arrived
+
+
+def test_a_later_subtree_expands_while_earlier_leaves_are_pending(embedder):
+    # probe{n} retrieves group n: g{n}a, g{n}b, g{n}c
+    index = fresh_corpus(groups=5, group_size=3, embedder=embedder)
+    a, b = "g0000a", "g0000b"
+    table = {
+        (a,): ReviewDecision.search("probe1"),
+        (a, "g0001a"): ReviewDecision.search("probe2"),
+        (a, "g0001b"): ReviewDecision.search("probe3"),
+        (b,): ReviewDecision.search("probe4"),
+    }
+    config = TreeConfig(widths=(3, 2, 1), expansion=ExpansionStrategy.COT)
+    leaves = [(a, "g0001a", "g0002a"), (a, "g0001b", "g0003a")]
+    later = [(b, "g0004a"), (b, "g0004b")]
+    provider = GatedTableProvider(table, gated=lambda path: len(path) == 3)
+    # every max-depth review waits, so without look-ahead the run would not
+    # start b's children before the release
+    run, arrived = run_gated(provider, leaves + later, "probe0", config, index,
+                             embedder)
+    assert arrived
+    serial = TableProvider(table)
+    assert run == outputs(run_tree("probe0", config, index, embedder, serial))
+    assert sorted(provider.review_paths) == sorted(serial.review_paths)
+
+
+def holdback_index(embedder):
+    """A corpus where "probe0" retrieves A, B, C; "probe1" retrieves a2,
+    then a1; "shared" retrieves b1, then a1; and "probe2" retrieves x1, x2."""
+    index = build_index([
+        Paragraph("A", "", "probe0"), Paragraph("B", "", "probe0"),
+        Paragraph("C", "", "probe0"), Paragraph("a1", "", "probe1 shared"),
+        Paragraph("a2", "", "probe1"), Paragraph("b1", "", "shared"),
+        Paragraph("x1", "", "probe2"), Paragraph("x2", "", "probe2"),
+    ], embedder)
+    for query, k, ids in [("probe0", 3, ["A", "B", "C"]), ("probe1", 2, ["a2", "a1"]),
+                          ("shared", 2, ["b1", "a1"]), ("probe2", 2, ["x1", "x2"])]:
+        assert [p.id for p, _ in retrieve(index, query, k, embedder)] == ids
+    return index
+
+
+def test_a_candidate_a_pending_leaf_may_accept_is_held_back(embedder):
+    index = holdback_index(embedder)
+    table = {
+        ("A",): ReviewDecision.search("probe1"),
+        ("A", "a1"): ReviewDecision.accept("a1 settles it"),
+        ("B",): ReviewDecision.search("shared"),
+    }
+    config = TreeConfig(widths=(3, 2), expansion=ExpansionStrategy.COT)
+    provider = GatedTableProvider(table, gated=lambda path: len(path) == 2)
+    # B expands while A's leaves are pending: b1's review starts, and a1,
+    # which A's subtree holds, waits for B's turn
+    run, arrived = run_gated(provider, [("A", "a1"), ("B", "b1")], "probe0",
+                             config, index, embedder)
+    assert arrived
+    assert ("B", "a1") not in provider.review_paths
+    trace = json.loads(run[0])
+    b = next(n["index"] for n in trace["nodes"] if n["paragraph_id"] == "B")
+    assert [(p["paragraph_id"], p["reason"]) for p in trace["pruned"]
+            if p["parent"] == b] == [("a1", "repetitive")]
+    serial = TableProvider(table)
+    assert run == outputs(run_tree("probe0", config, index, embedder, serial))
+    assert sorted(provider.review_paths) == sorted(serial.review_paths)
+
+
+def test_an_ancestor_a_pending_leaf_may_accept_is_held_back(embedder):
+    index = holdback_index(embedder)
+    table = {
+        ("A",): ReviewDecision.search("probe1"),
+        ("A", "a2"): ReviewDecision.search("probe2"),
+        ("A", "a2", "x1"): ReviewDecision.accept("x1 settles it"),
+        ("A", "a1"): ReviewDecision.search("probe0"),
+    }
+    config = TreeConfig(widths=(1, 2, 2), expansion=ExpansionStrategy.COT,
+                        within_path_dedup=False)
+    provider = GatedTableProvider(table, gated=lambda path: path == ("A", "a2", "x1"))
+    # a1 expands while x1 is pending; its candidate A, its own ancestor, is
+    # on the path that x1 accepts
+    run, arrived = run_gated(provider, [("A", "a2", "x1"), ("A", "a1", "B")],
+                             "probe0", config, index, embedder)
+    assert arrived
+    assert ("A", "a1", "A") not in provider.review_paths
+    trace = json.loads(run[0])
+    a1 = next(n["index"] for n in trace["nodes"] if n["paragraph_id"] == "a1")
+    assert [(p["paragraph_id"], p["reason"]) for p in trace["pruned"]
+            if p["parent"] == a1] == [("A", "repetitive")]
+    serial = TableProvider(table)
+    assert run == outputs(run_tree("probe0", config, index, embedder, serial))
+    assert sorted(provider.review_paths) == sorted(serial.review_paths)
+
+
+def held_back(trace: dict) -> tuple[int, int]:
+    """(kept, pruned): how many candidates of an overlapped run with trace
+    ``trace`` were held back and then kept or pruned.
+
+    The look-ahead plans every expansion of an overlapped run, and under
+    repetitive pruning it holds back a candidate whose id a node before its
+    parent in depth-first order, or the parent, holds, unless within-path
+    dedup drops it.
+    """
+    if not trace["meta"]["repetitive_pruning"]:
+        return 0, 0
+    nodes = trace["nodes"]
+    walked: dict[int, set[str]] = {}
+    order: list[str] = []
+
+    def walk(index: int) -> None:
+        order.append(nodes[index]["paragraph_id"])
+        walked[index] = set(order)
+        for child in nodes[index]["children"]:
+            walk(child)
+
+    for node in nodes:
+        if node["parent"] is None:
+            walk(node["index"])
+
+    def path_ids(index) -> set[str]:
+        ids = set()
+        while index is not None:
+            ids.add(nodes[index]["paragraph_id"])
+            index = nodes[index]["parent"]
+        return ids
+
+    kept = pruned = 0
+    for candidate in nodes + trace["pruned"]:
+        parent, pid = candidate["parent"], candidate["paragraph_id"]
+        if parent is None or pid not in walked[parent] or (
+                trace["meta"]["within_path_dedup"] and pid in path_ids(parent)):
+            continue
+        if "reason" in candidate:
+            pruned += 1
+        else:
+            kept += 1
+    return kept, pruned
+
+
+def test_overlapped_deep_runs_equal_serial_runs_and_hold_candidates_back():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    held = [0, 0]
+    try:
+        for context, question, config, index, embedder, policy in scenarios(
+                seed=13, count=24, width_options=((3, 3, 3), (4, 2, 3), (5, 3, 3))):
+            serial = PolicyProvider(policy)
+            expected = outputs(run_tree(question, config, index, embedder, serial))
+            provider = overlapped(PolicyProvider)(policy)
+            assert outputs(run_tree(question, config, index, embedder, provider)) \
+                == expected, context
+            # no review was made that the run did not take, held-back
+            # candidates included
+            assert sorted(provider.review_paths) == sorted(serial.review_paths), context
+            kept, pruned = held_back(json.loads(expected[0]))
+            held[0] += kept
+            held[1] += pruned
+    finally:
+        sys.setswitchinterval(interval)
+    assert held[0] > 0 and held[1] > 0, held

@@ -269,8 +269,9 @@ _HELD = object()
 
 @dataclass(eq=False)
 class _Node:
-    """A tree node from the start of its review on.  Its trace record is made
-    at its parent's depth-first turn."""
+    """A tree node: its path, its review once started, its trace record
+    once its parent's depth-first turn has made it, and its candidates once
+    planned."""
 
     path: tuple[Paragraph, ...]
     query: str  # the query that retrieved it
@@ -278,7 +279,7 @@ class _Node:
     fork: Optional[LlmClient] = None
     record: Optional[dict] = None
     # the retrieval for its expansion in rank order, each paragraph with its
-    # node, ``_HELD``, or None when within-path dedup drops it
+    # node, ``_HELD``, or None once it is certain to be pruned
     candidates: Optional[list] = None
     # its shape is final: see ``look_ahead`` in :func:`run_tree`
     settled: bool = False

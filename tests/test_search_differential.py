@@ -36,8 +36,8 @@ from revtree import (
     run_tree,
 )
 from revtree import search
-from tests.conftest import fresh_corpus
 from revtree.errors import ProviderError, TransportError
+from tests.conftest import fresh_corpus
 
 
 def _digest(seed: int, path: tuple[str, ...], salt: str = "") -> int:

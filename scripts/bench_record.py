@@ -11,9 +11,10 @@ first alternates from pair to pair.
 
 Writes ``BENCH_<label>.json`` at the root of this checkout: the environment
 (python, numpy, BLAS, ``os.cpu_count()``), every run's metrics, the median
-and quartiles of each metric, the correct and failed counts, and, with a
-baseline, per end-to-end metric the pairs the change won and the median
-change/baseline ratio.  Runs go one at a time, so they do not compete for
+and quartiles of each metric, the correct and failed counts, the fewest and
+most questions a run attempted, and, with a baseline, per end-to-end metric
+the pairs the change won, the median change/baseline ratio and a verdict
+(see :func:`verdict`).  Runs go one at a time, so they do not compete for
 the host.
 """
 
@@ -89,14 +90,49 @@ def summarize(runs: list[dict]) -> dict:
     for run in runs:
         for name, value in run["metrics"].items():
             metrics.setdefault(name, []).append(value)
+    # a run that used up its workload's questions stops early, and its
+    # attempted count shows it
+    attempted = [r["attempted"] for r in runs]
     return {"runs": len(runs), "correct": sum(r["correct"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
+            "attempted": {"min": min(attempted, default=0),
+                          "max": max(attempted, default=0)},
             "metrics": {name: spread(values) for name, values in sorted(metrics.items())}}
 
 
+def verdict(sides: list[tuple[float, float]], better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric from its (baseline, change)
+    pairs, ``better`` being ``"lower"`` or ``"higher"`` and ``bound`` the
+    share of the baseline's median by which the metric may worsen.
+
+    - ``gain``: the change wins at least nine tenths of the pairs, ties
+      counting for neither, and its median is better than the baseline's
+      by more than the baseline's interquartile range.
+    - ``worse``: the change's median is worse by more than the bound.
+    - ``unresolved``: either side's interquartile range is wider than the
+      bound of its median, unless every change run reads better than every
+      baseline run.
+    - ``within bound``: anything else.
+    """
+    lower = better == "lower"
+    baseline, change = [b for b, _ in sides], [c for _, c in sides]
+    wins = sum((c < b) if lower else (c > b) for b, c in sides)
+    base, new = spread(baseline), spread(change)
+    gain_by = (base["median"] - new["median"]) * (1 if lower else -1)
+    if wins >= 0.9 * len(sides) and gain_by > base["q3"] - base["q1"]:
+        return "gain"
+    if -gain_by > bound * abs(base["median"]):
+        return "worse"
+    separated = (max(change) < min(baseline)) if lower else (min(change) > max(baseline))
+    if not separated and any(side["q3"] - side["q1"] > bound * abs(side["median"])
+                             for side in (base, new)):
+        return "unresolved"
+    return "within bound"
+
+
 def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
-    """Per end-to-end metric: the pairs the change won and the median of
-    change / baseline."""
+    """Per end-to-end metric: the pairs the change won, the median of
+    change / baseline and the :func:`verdict`."""
     table = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -107,7 +143,9 @@ def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
         wins = sum((c < b) if lower else (c > b) for b, c in sides)
         ratios = [c / b for b, c in sides if b]
         table[name] = {"better": metric["better"], "wins": wins, "pairs": len(sides),
-                       "median_ratio": statistics.median(ratios) if ratios else None}
+                       "median_ratio": statistics.median(ratios) if ratios else None,
+                       "bound": metric["bound"],
+                       "verdict": verdict(sides, metric["better"], metric["bound"])}
     return table
 
 

@@ -147,6 +147,29 @@ def cosine_similarity(a: Sequence[float] | np.ndarray,
     return float(np.dot(va, vb) / (norm_a * norm_b))
 
 
+def cosine_similarities(rows: np.ndarray, b: Sequence[float] | np.ndarray) -> np.ndarray:
+    """:func:`cosine_similarity` of each row of ``rows`` with ``b``, bit for
+    bit, in one pass: every row is scaled by its power of two at once and
+    ``b``'s norm is taken once; each row then takes the two ``np.dot``
+    products that :func:`cosine_similarity` takes per pair."""
+    rows = np.asarray(rows, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
+    if rows.ndim != 2 or vb.ndim != 1:
+        raise ValueError("cosine_similarities expects a 2-D matrix and a 1-D vector")
+    if rows.shape[1] != vb.shape[0]:
+        raise ValueError(f"dimension mismatch: {rows.shape[1]} != {vb.shape[0]}")
+    rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1][:, None])
+    vb = np.ldexp(vb, -np.frexp(np.abs(vb).max(initial=0.0))[1])
+    norm_b = float(np.linalg.norm(vb))
+    dots = np.empty((len(rows), 2))
+    for i, row in enumerate(rows):
+        dots[i] = np.dot(row, row), np.dot(row, vb)
+    norms = np.sqrt(dots[:, 0])
+    if norm_b == 0.0 or not norms.all():
+        raise ValueError("cosine_similarity is undefined for zero vectors")
+    return dots[:, 1] / (norms * norm_b)
+
+
 def retrieve(index: CorpusIndex, query: str, k: int,
              provider: EmbeddingProvider) -> list[tuple[Paragraph, float]]:
     """Top-k paragraphs by cosine similarity to ``query``.

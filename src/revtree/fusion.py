@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .corpus import cosine_similarity, format_documents
+import numpy as np
+
+from .corpus import cosine_similarities, format_documents
 from .embedding import EmbeddingProvider
 from .llm import CompletionRequest, LlmClient, TokenEstimator, estimate_tokens, \
     load_template, render_prompt
@@ -191,9 +193,10 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     and then the evidence texts, in pool order, are embedded in one
     :meth:`~revtree.embedding.EmbeddingProvider.embed_texts` call.
 
-    Re-ranking needs a final response that is not blank.  Given the run's
-    ``stats``, a blank response or an embedding call that raised is counted
-    there and logged as one provider failure, and the paragraphs keep
+    Re-ranking needs a final response that is not blank and embeddings that
+    are finite and not zero.  Given the run's ``stats``, a blank response,
+    such an embedding or an embedding call that raised is counted there and
+    logged as one provider failure, and the paragraphs keep
     acceptance-then-path order, cut to ``limit``; without them the error
     propagates.
     """
@@ -201,21 +204,23 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     if len(distinct) <= limit:
         return [p.id for p in distinct]
 
-    scored = []
     try:
         if not final_response.strip():
             raise ValueError("final_response must be non-empty")
         vectors = provider.embed_texts(
             [final_response] + [_evidence_text(e) for e in pool.evidences])
-        for order, evidence in enumerate(pool.evidences):
-            scored.append((cosine_similarity(vectors[order + 1], vectors[0]),
-                           order, evidence))
+        # a remote reply may spell NaN or Infinity, which json reads
+        if not np.isfinite(vectors).all():
+            raise ValueError("re-ranking embedded a non-finite vector")
+        scores = cosine_similarities(vectors[1:], vectors[0])
+        # stable, so equal scores keep acceptance order
+        scored = sorted(zip(scores.tolist(), pool.evidences, strict=True),
+                        key=lambda item: -item[0])
     except Exception as exc:
         if stats is None:
             raise
         stats.provider_failures += 1
         logger.warning("re-ranking failure, kept acceptance order: %s", exc)
         return [p.id for p in distinct[:limit]]
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    ranked = distinct_paragraphs(evidence for _score, _order, evidence in scored)
+    ranked = distinct_paragraphs(evidence for _score, evidence in scored)
     return [p.id for p in ranked[:limit]]

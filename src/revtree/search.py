@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -269,7 +270,7 @@ _HELD = object()
 
 @dataclass(eq=False)
 class _Node:
-    """A tree node: its path, its review once started, its trace record
+    """A tree node: its path, its review once submitted, its trace record
     once its parent's depth-first turn has made it, and its candidates once
     planned."""
 
@@ -308,7 +309,10 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     those nodes, or the node itself, holds is held back until the node's
     turn, and starts then if the pruning keeps it.  Every accepted path lies
     among those nodes, so no other candidate can be pruned, and no review
-    starts that the run would not take.  Outcomes are taken, pruning decided
+    starts that the run would not take.  A started review waits for a free
+    slot: the reviews of nodes that can still expand take free slots before
+    the max-depth ones, each group in start order, and the review the walk
+    waits on is submitted at once.  Outcomes are taken, pruning decided
     and records made one by one in depth-first order, and each fork's
     completions are then committed, so the trace and stats equal a serial
     run's.
@@ -317,9 +321,15 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     client, pool, stats = run.client, run.pool, run.stats
     nodes: list[dict] = []
     pruned_records: list[dict] = []
-    executor = (ThreadPoolExecutor(max(config.widths))
+    slots = max(config.widths)
+    executor = (ThreadPoolExecutor(slots)
                 if getattr(client.provider, "order_free", False) else None)
+    # submitted reviews not yet seen done
     in_flight: set[Future] = set()
+    # started reviews not yet submitted: those of nodes that can still
+    # expand, then the max-depth ones, each in start order.  A max-depth
+    # review gates no expansion, so it gives way to the ones that do
+    waiting: tuple[deque, deque] = (deque(), deque())
     # ids of the nodes the look-ahead has reached, which it reaches in
     # depth-first order
     walked_ids: set[str] = set()
@@ -327,14 +337,25 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
 
     def start(path: tuple[Paragraph, ...], query: str) -> _Node:
         """The node for ``path``.  With an executor its review starts now,
-        on a fork of the client."""
+        on a fork of the client, and waits for a free slot."""
         node = _Node(path, query)
         if executor is not None:
             node.fork = client.fork()
-            node.future = executor.submit(review_path, question, path,
-                                          config.expansion, node.fork, demos)
-            in_flight.add(node.future)
+            waiting[len(path) >= config.max_depth].append(node)
         return node
+
+    def submit(node: _Node) -> None:
+        """Hand ``node``'s review to the executor."""
+        node.future = executor.submit(review_path, question, node.path,
+                                      config.expansion, node.fork, demos)
+        in_flight.add(node.future)
+
+    def dispatch() -> None:
+        """Submit waiting reviews while fewer than ``slots`` run."""
+        in_flight.difference_update([f for f in in_flight if f.done()])
+        for queue in waiting:
+            while queue and len(in_flight) < slots:
+                submit(queue.popleft())
 
     def take(node: _Node) -> ReviewOutcome:
         """``node``'s review outcome; a started review's completions are
@@ -419,7 +440,7 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
         if node.path:
             walked_ids.add(node.path[-1].id)
         if node.candidates is None and len(node.path) < config.max_depth:
-            if not node.future.done():
+            if node.future is None or not node.future.done():
                 return False
             query = (None if node.future.exception() is not None
                      else expansion_query(node, node.future.result()))
@@ -432,14 +453,18 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
         return True
 
     def await_review(node: _Node) -> None:
-        """Wait for ``node``'s review, expanding nodes early as the reviews
+        """Wait for ``node``'s review, submitted now if it is still waiting,
+        expanding nodes early and dispatching waiting reviews as the reviews
         in flight finish."""
+        if node.future is None:
+            waiting[len(node.path) >= config.max_depth].remove(node)
+            submit(node)
         while True:
             look_ahead(root)
+            dispatch()
             if node.future.done():
                 return
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            in_flight.difference_update(done)
+            wait(in_flight, return_when=FIRST_COMPLETED)
 
     def visit(node: _Node) -> None:
         if executor is not None:
@@ -459,12 +484,17 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
         else:
             stats.pruned_relevance += 1
 
+    finished = False
     try:
         for child in commit(root, question):
             visit(child)
+        finished = True
     finally:
         if executor is not None:
-            executor.shutdown(cancel_futures=True)
+            # a finished walk has taken every review it started, so its idle
+            # workers need not be joined; a walk that raised waits for the
+            # reviews still running, so that no call outlives the run
+            executor.shutdown(wait=not finished, cancel_futures=True)
         # ``visit`` and ``look_ahead`` refer to themselves through their
         # closure cells, which hold the run; emptying the cells frees the
         # run on return rather than at the next cyclic collection

@@ -24,7 +24,8 @@ from revtree import (
     ingest_corpus,
     retrieve,
 )
-from revtree.corpus import CorpusIndex, _approx_error, format_documents, load_paragraphs
+from revtree.corpus import CorpusIndex, _approx_error, cosine_similarities, \
+    format_documents, load_paragraphs
 from revtree import embedding
 from revtree.embedding import EmbeddingProvider, write_embeddings_file
 from revtree.errors import CorpusError, ProviderConfigError, ProviderError
@@ -143,6 +144,32 @@ class TestCosine:
         ba = cosine_similarity(b, a)
         assert ab == ba
         assert abs(ab) <= 1 + 1e-9
+
+    @given(st.sampled_from([1, 7, 64, 129]),
+           st.lists(st.integers(-1040, 1000), min_size=2, max_size=7),
+           st.integers(0, 2**32 - 1))
+    def test_batch_bits_equal_per_pair_bits(self, dim, exponents, seed):
+        # odd dims start the rows of one matrix at alignments a fresh
+        # array does not have
+        rng = np.random.default_rng(seed)
+        b = np.ldexp(rng.standard_normal(dim), exponents[0])
+        rows = np.ldexp(rng.standard_normal((len(exponents) - 1, dim)),
+                        np.array(exponents[1:])[:, None])
+        if not b.any() or not rows.any(axis=1).all():
+            with pytest.raises(ValueError, match="zero"):
+                cosine_similarities(rows, b)
+            return
+        expected = np.array([cosine_similarity(row, b) for row in rows])
+        assert (cosine_similarities(rows, b).view(np.uint64)
+                == expected.view(np.uint64)).all()
+
+    def test_batch_refuses_zero_vectors_and_mismatched_dims(self):
+        with pytest.raises(ValueError, match="zero"):
+            cosine_similarities([[1.0, 2.0], [0.0, 0.0]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="zero"):
+            cosine_similarities([[1.0, 2.0]], [0.0, 0.0])
+        with pytest.raises(ValueError, match="mismatch"):
+            cosine_similarities([[1.0, 2.0]], [1.0, 2.0, 3.0])
 
 
 def brute_force_topk(index, query, k, provider):

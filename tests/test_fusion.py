@@ -333,6 +333,28 @@ class TestSelectScoredParagraphs:
             select_scored_paragraphs(large, "   ", provider)
         assert provider.calls == []
 
+    def test_non_finite_embeddings_fall_back_to_acceptance_order(self):
+        class NonFiniteEmbedder(HashedEmbedder):
+            def embed_texts(self, texts):
+                vectors = super().embed_texts(texts)
+                vectors[4, 0] = float("nan")
+                vectors[12, 3] = float("inf")
+                return vectors
+
+        pool = make_pool(20)
+        # 20 evidence texts; re-ranking them would move at least one
+        ranked = select_scored_paragraphs(pool, "final response",
+                                          HashedEmbedder(dim=32, seed=1))
+        assert ranked != [p.id for p in pool.distinct_paragraphs()[:15]]
+        provider = NonFiniteEmbedder(dim=32, seed=1)
+        stats = RunStats()
+        assert select_scored_paragraphs(pool, "final response", provider,
+                                        stats=stats) == \
+            [p.id for p in pool.distinct_paragraphs()[:15]]
+        assert stats.provider_failures == 1
+        with pytest.raises(ValueError, match="non-finite"):
+            select_scored_paragraphs(pool, "final response", provider)
+
     def test_over_limit_matches_brute_force_rerank(self, embedder):
         pool = EvidencePool()
         for i in range(6):

@@ -410,7 +410,8 @@ class TableProvider:
 
 class GatedTableProvider(TableProvider):
     """Order-free; the review of each path that ``gated`` selects waits, up
-    to 10 s, until ``release`` is set."""
+    to 10 s, until ``release`` is set.  Records the peak number of calls in
+    flight."""
 
     order_free = True
 
@@ -419,14 +420,23 @@ class GatedTableProvider(TableProvider):
         self.gated = gated
         self.release = threading.Event()
         self.arrived = threading.Condition()
+        self.inflight = 0
+        self.peak = 0
 
     def generate(self, request, call_index):
+        path = tuple(request.tags["path_ids"])
         with self.arrived:
             text = super().generate(request, call_index)
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
             self.arrived.notify_all()
-        if self.gated(tuple(request.tags["path_ids"])):
-            self.release.wait(timeout=10)
-        return text
+        try:
+            if self.gated(path):
+                self.release.wait(timeout=10)
+            return text
+        finally:
+            with self.arrived:
+                self.inflight -= 1
 
 
 def run_gated(provider: GatedTableProvider, paths, question, config, index,
@@ -472,6 +482,81 @@ def test_a_later_subtree_expands_while_earlier_leaves_are_pending(embedder):
     serial = TableProvider(table)
     assert run == outputs(run_tree("probe0", config, index, embedder, serial))
     assert sorted(provider.review_paths) == sorted(serial.review_paths)
+
+
+def test_expansion_gating_reviews_take_free_slots_before_max_depth_reviews(embedder):
+    # probe{n} retrieves group n: g{n}a, g{n}b
+    index = fresh_corpus(groups=5, group_size=2, embedder=embedder)
+    a, b = "g0000a", "g0000b"
+    table = {
+        (a,): ReviewDecision.search("probe1"),
+        (a, "g0001a"): ReviewDecision.search("probe2"),
+        (b,): ReviewDecision.search("probe3"),
+        (b, "g0003a"): ReviewDecision.search("probe4"),
+    }
+    config = TreeConfig(widths=(2, 1, 2), expansion=ExpansionStrategy.COT)
+    provider = GatedTableProvider(table, gated=lambda path: len(path) == 3)
+    # once a's child has expanded, a's subtree is settled and b expands: a's
+    # two leaves and b's child wait for at most two free slots.  A
+    # first-come queue gives the slots to the leaves, which hold them until
+    # the release, so b's child would reach the provider only after it
+    run, arrived = run_gated(provider, [(b, "g0003a")], "probe0", config, index,
+                             embedder)
+    assert arrived
+    assert provider.peak <= max(config.widths)
+    serial = TableProvider(table)
+    assert run == outputs(run_tree("probe0", config, index, embedder, serial))
+    assert sorted(provider.review_paths) == sorted(serial.review_paths)
+
+
+class InterruptedProvider:
+    """Order-free; the review of ``interrupted`` raises
+    :class:`KeyboardInterrupt` once ``others`` other calls have started, or
+    after 2 s, and every other call sleeps 50 ms and then searches.  Counts
+    the calls started and still running."""
+
+    order_free = True
+
+    def __init__(self, interrupted: tuple[str, ...], others: int):
+        self.interrupted = interrupted
+        self.others = others
+        self.started = 0
+        self.running = 0
+        self._cond = threading.Condition()
+
+    def generate(self, request, call_index):
+        path = tuple(request.tags["path_ids"])
+        with self._cond:
+            self.started += 1
+            self.running += 1
+            self._cond.notify_all()
+        try:
+            if request.tags["template"] == "mpc":
+                time.sleep(0.05)
+                return render_mpc_output("probe1")
+            if path == self.interrupted:
+                with self._cond:
+                    self._cond.wait_for(lambda: self.started > self.others,
+                                        timeout=2.0)
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            return render_review_output(ReviewDecision.search("probe1"))
+        finally:
+            with self._cond:
+                self.running -= 1
+
+
+def test_no_call_outlives_a_run_that_raised(embedder):
+    index = fresh_corpus(groups=2, group_size=3, embedder=embedder)
+    provider = InterruptedProvider(("g0000a",), others=2)
+    # the first child's review raises while its siblings' reviews, each
+    # followed by an MPC call, are running
+    with pytest.raises(KeyboardInterrupt):
+        run_tree("probe0", TreeConfig(widths=(3, 2)), index, embedder, provider)
+    started = provider.started
+    assert provider.running == 0 and started == 5
+    time.sleep(0.2)
+    assert provider.started == started
 
 
 def holdback_index(embedder):

@@ -10,7 +10,8 @@ metrics and, for the first two seeds, traced for the per-layer ones.  With
 first alternates from pair to pair.
 
 Writes ``BENCH_<label>.json`` at the root of this checkout: the environment
-(python, numpy, BLAS, ``os.cpu_count()``), every run's metrics, the median
+(python, numpy, BLAS, ``os.cpu_count()``), each checkout's commit and source
+line count, every run's metrics, the median
 and quartiles of each metric, the correct and failed counts, the fewest and
 most questions a run attempted, and, with a baseline, per end-to-end metric
 the pairs the change won, the median change/baseline ratio and a verdict
@@ -52,14 +53,20 @@ def environment() -> dict:
 
 
 def checkout_info(root: Path) -> dict:
-    """The commit a checkout is at and whether its tree differs from it."""
+    """The commit a checkout is at, whether its tree differs from it, and
+    the line count of its ``src/revtree/*.py``."""
     def git(*args):
         result = subprocess.run(["git", "-C", str(root), *args], capture_output=True,
                                 text=True)
         return result.stdout.strip() if result.returncode == 0 else None
 
+    src_lines = 0
+    for path in (root / "src" / "revtree").glob("*.py"):
+        with path.open("rb") as handle:
+            src_lines += sum(1 for _line in handle)
     return {"commit": git("rev-parse", "HEAD"),
-            "modified": bool(git("status", "--porcelain", "--untracked-files=no"))}
+            "modified": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "src_lines": src_lines}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

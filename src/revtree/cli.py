@@ -220,6 +220,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     traces_dir.mkdir(parents=True, exist_ok=True)
 
     dataset = load_dataset(config.dataset_path)
+    if not dataset:
+        raise ValueError(f"{config.dataset_path}: the dataset holds no questions")
     demos = {}
     if config.demos_dir:
         demos = {

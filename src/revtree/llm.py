@@ -35,27 +35,19 @@ LLM_MODEL_VAR = "REVTREE_LLM_MODEL"
 
 T = TypeVar("T")
 
-TEMPLATE_NAMES = (
-    "review_cot",
-    "review_direct",
-    "mpc",
-    "fusion_analysis",
-    "fusion_paragraph",
-    "fusion_evidence",
-    "cor",
-)
-
 # (instruction label, ((slot name, slot label), ...)) per template; label
 # strings are emitted literally, including their colon/space quirks
 _LAYOUTS: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
     "review_cot": ("Instruction:", (("Question", "Question:"), ("Documents", "Documents: "))),
     "review_direct": ("Instruction:", (("Question", "Question:"), ("Documents", "Documents: "))),
-    "cor": ("Instruction:", (("Question", "Question:"), ("Documents", "Documents: "))),
     "mpc": ("Instruction:", (("Question", "Question:"), ("References", "References: "))),
-    "fusion_paragraph": ("Instruct:", (("Documents", "Documents:"), ("Question", "Question:"))),
     "fusion_analysis": ("Instruct:", (("Assertions", "Assertions:"), ("Question", "Question:"))),
+    "fusion_paragraph": ("Instruct:", (("Documents", "Documents:"), ("Question", "Question:"))),
     "fusion_evidence": ("Instruct:", (("Evidence", "Evidence:"), ("Question", "Question:"))),
+    "cor": ("Instruction:", (("Question", "Question:"), ("Documents", "Documents: "))),
 }
+
+TEMPLATE_NAMES = tuple(_LAYOUTS)
 
 _DEMO_LABEL = "Demonstration:"
 
@@ -77,8 +69,6 @@ class PromptTemplate:
 
 @lru_cache(maxsize=None)
 def _instruction_text(name: str) -> str:
-    if name not in _LAYOUTS:
-        raise ValueError(f"unknown template '{name}'; expected one of {TEMPLATE_NAMES}")
     return (
         resources.files("revtree")
         .joinpath(f"templates/{name}.txt")
@@ -192,31 +182,39 @@ class ScriptedOracle:
     def from_file(cls, path: str | Path) -> "ScriptedOracle":
         """Load rules from a line-delimited JSON file.
 
-        Each line is an object with a required ``response`` field and optional
-        ``question``, ``path_ids`` and ``template`` matchers.  A line with
+        Each line is an object with a required ``response`` string and
+        optional ``question``, ``path_ids`` and ``template`` matchers; a
+        ``template`` must name one of :data:`TEMPLATE_NAMES`.  A line with
         ``{"default": "..."}`` sets the default response.
         """
         rules: list[ScriptedRule] = []
         default: Optional[str] = None
         for lineno, record in read_jsonl(path, ProviderConfigError):
+            where = f"{path}: line {lineno}"
             if "default" in record:
                 default = record["default"]
+                if not isinstance(default, str):
+                    raise ProviderConfigError(f"{where}: default must be a string")
                 continue
             if "response" not in record:
+                raise ProviderConfigError(f"{where}: rule needs a 'response' field")
+            if not isinstance(record["response"], str):
+                raise ProviderConfigError(f"{where}: response must be a string")
+            question, template = record.get("question"), record.get("template")
+            if question is not None and not isinstance(question, str):
+                raise ProviderConfigError(f"{where}: question must be a string")
+            if template is not None and template not in TEMPLATE_NAMES:
                 raise ProviderConfigError(
-                    f"{path}: line {lineno}: rule needs a 'response' field"
-                )
+                    f"{where}: template must be one of {TEMPLATE_NAMES}")
             path_ids = record.get("path_ids")
             if path_ids is not None and not is_str_list(path_ids):
-                raise ProviderConfigError(
-                    f"{path}: line {lineno}: path_ids must be a list of strings"
-                )
+                raise ProviderConfigError(f"{where}: path_ids must be a list of strings")
             rules.append(
                 ScriptedRule(
                     response=record["response"],
-                    question=record.get("question"),
+                    question=question,
                     path_ids=tuple(path_ids) if path_ids is not None else None,
-                    template=record.get("template"),
+                    template=template,
                 )
             )
         return cls(rules, default_response=default)
@@ -351,9 +349,17 @@ class RemoteChatProvider:
                 # no max_tokens: the server's own output limit applies
                 "temperature": 0.0,
             },
-            self.timeout, "completion",
-            lambda body: body["choices"][0]["message"]["content"],
+            self.timeout, "completion", _completion_text,
         )
+
+
+def _completion_text(body) -> str:
+    """The reply text of a chat-completion payload.  OpenAI-compatible
+    servers may send a null ``content``; any non-string is refused."""
+    content = body["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise ValueError(f"content is {type(content).__name__}, not a string")
+    return content
 
 
 class LlmClient:

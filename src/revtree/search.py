@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -263,16 +262,11 @@ class _Run:
         return self.pool, stats, trace
 
 
-# a candidate whose review waits for its parent's depth-first turn, because
-# repetitive pruning may yet drop it
-_HELD = object()
-
-
 @dataclass(eq=False)
 class _Node:
-    """A tree node: its path, its review once submitted, its trace record
-    once its parent's depth-first turn has made it, and its candidates once
-    planned."""
+    """A tree node: its path, its review's fork once started and future once
+    submitted, its trace record once its parent's depth-first turn has kept
+    it, and its candidates once planned."""
 
     path: tuple[Paragraph, ...]
     query: str  # the query that retrieved it
@@ -280,7 +274,7 @@ class _Node:
     fork: Optional[LlmClient] = None
     record: Optional[dict] = None
     # the retrieval for its expansion in rank order, each paragraph with its
-    # node, ``_HELD``, or None once it is certain to be pruned
+    # node, or None once it is certain to be pruned
     candidates: Optional[list] = None
     # its shape is final: see ``look_ahead`` in :func:`run_tree`
     settled: bool = False
@@ -304,16 +298,17 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
     is at max depth, or its review is done and does not expand it, or it is
     expanded and all its children are settled.  Once every node before a
     node in depth-first order is settled and its own review expands it, the
-    node is expanded early: its retrieval runs and the reviews of its
-    candidates start.  Under repetitive pruning a candidate whose id one of
-    those nodes, or the node itself, holds is held back until the node's
-    turn, and starts then if the pruning keeps it.  Every accepted path lies
-    among those nodes, so no other candidate can be pruned, and no review
-    starts that the run would not take.  A started review waits for a free
-    slot: the reviews of nodes that can still expand take free slots before
-    the max-depth ones, each group in start order, and the review the walk
-    waits on is submitted at once.  Outcomes are taken, pruning decided
-    and records made one by one in depth-first order, and each fork's
+    node is expanded early: its retrieval runs and its candidates become
+    nodes.  A candidate's review starts at once, unless repetitive pruning
+    may yet drop it because one of those nodes, or the node itself, holds
+    its id; such a candidate is held back until the node's turn, and starts
+    then if the pruning keeps it.  Every accepted path lies among those
+    nodes, so no other candidate can be pruned, and no review starts that
+    the run would not take.  A started review waits for a free slot: the
+    reviews of nodes that can still expand take free slots before the
+    max-depth ones, each group in start order, and the review the walk
+    waits on is submitted at once.  Outcomes are taken, pruning decided and
+    records made one by one in depth-first order, and each fork's
     completions are then committed, so the trace and stats equal a serial
     run's.
     """
@@ -326,23 +321,19 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
                 if getattr(client.provider, "order_free", False) else None)
     # submitted reviews not yet seen done
     in_flight: set[Future] = set()
-    # started reviews not yet submitted: those of nodes that can still
-    # expand, then the max-depth ones, each in start order.  A max-depth
-    # review gates no expansion, so it gives way to the ones that do
-    waiting: tuple[deque, deque] = (deque(), deque())
+    # started reviews not yet submitted, in start order
+    waiting: list[_Node] = []
     # ids of the nodes the look-ahead has reached, which it reaches in
     # depth-first order
     walked_ids: set[str] = set()
     root = _Node((), question)
 
-    def start(path: tuple[Paragraph, ...], query: str) -> _Node:
-        """The node for ``path``.  With an executor its review starts now,
-        on a fork of the client, and waits for a free slot."""
-        node = _Node(path, query)
+    def start(node: _Node) -> None:
+        """With an executor, start ``node``'s review on a fork of the
+        client; it waits for a free slot."""
         if executor is not None:
             node.fork = client.fork()
-            waiting[len(path) >= config.max_depth].append(node)
-        return node
+            waiting.append(node)
 
     def submit(node: _Node) -> None:
         """Hand ``node``'s review to the executor."""
@@ -351,11 +342,13 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
         in_flight.add(node.future)
 
     def dispatch() -> None:
-        """Submit waiting reviews while fewer than ``slots`` run."""
+        """Submit waiting reviews while fewer than ``slots`` run.  A
+        max-depth review gates no expansion, so it gives way to the ones
+        that do."""
         in_flight.difference_update([f for f in in_flight if f.done()])
-        for queue in waiting:
-            while queue and len(in_flight) < slots:
-                submit(queue.popleft())
+        waiting.sort(key=lambda node: len(node.path) >= config.max_depth)
+        while waiting and len(in_flight) < slots:
+            submit(waiting.pop(0))
 
     def take(node: _Node) -> ReviewOutcome:
         """``node``'s review outcome; a started review's completions are
@@ -379,28 +372,27 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
             return node.query
         return None
 
-    def plan(node: _Node, query: str, early: bool) -> None:
-        """Retrieve ``node``'s candidates.  ``early`` means that every node
-        before it in depth-first order is settled; then the review of each
-        candidate certain to become a node starts now."""
+    def plan(node: _Node, query: str) -> None:
+        """Retrieve ``node``'s candidates, each a node unless within-path
+        dedup drops it, and start the reviews that repetitive pruning cannot
+        drop.  Every node before ``node`` in depth-first order has been
+        walked, and every accepted path lies among them, so a candidate
+        whose id no walked node holds is kept."""
         path_ids = {p.id for p in node.path}
         node.candidates = []
         for paragraph, _score in run.retrieve(query, config.widths[len(node.path)]):
-            if config.within_path_dedup and paragraph.id in path_ids:
-                child = None
-            elif early and not (config.repetitive_pruning
-                                and paragraph.id in walked_ids):
-                child = start(node.path + (paragraph,), query)
-            else:
-                child = _HELD
+            child = None
+            if not (config.within_path_dedup and paragraph.id in path_ids):
+                child = _Node(node.path + (paragraph,), query)
+                if not (config.repetitive_pruning and paragraph.id in walked_ids):
+                    start(child)
             node.candidates.append((paragraph, child))
 
     def commit(node: _Node, query: str) -> list[_Node]:
         """Expand ``node`` at its depth-first turn: prune its candidates,
         record the rest as its children and start the reviews held back."""
         if node.candidates is None:
-            plan(node, query, early=False)
-        path_ids = {p.id for p in node.path}
+            plan(node, query)
         parent = node.record
         children = []
         for rank, (paragraph, child) in enumerate(node.candidates):
@@ -411,16 +403,15 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
             if config.repetitive_pruning and paragraph.id in pool.accepted_ids:
                 stats.pruned_repetitive += 1
                 reason = "repetitive"
-            elif config.within_path_dedup and paragraph.id in path_ids:
+            elif child is None:
                 reason = "on_path"
             if reason is not None:
                 pruned_records.append({**record, "reason": reason,
                                        "at_call": client.calls})
                 node.candidates[rank] = (paragraph, None)
                 continue
-            if child is _HELD:
-                child = start(node.path + (paragraph,), query)
-                node.candidates[rank] = (paragraph, child)
+            if child.fork is None:
+                start(child)
             record.update(index=len(nodes), created_after_call=client.calls,
                           children=[], exhausted=False, supported=None,
                           mpc_answer="", **_UNREVIEWED)
@@ -445,9 +436,9 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
             query = (None if node.future.exception() is not None
                      else expansion_query(node, node.future.result()))
             if query is not None:
-                plan(node, query, early=True)
+                plan(node, query)
         for _paragraph, child in node.candidates or ():
-            if child is _HELD or (child is not None and not look_ahead(child)):
+            if child is not None and (child.fork is None or not look_ahead(child)):
                 return False
         node.settled = True
         return True
@@ -457,7 +448,7 @@ def run_tree(question: str, config: TreeConfig, index: CorpusIndex,
         expanding nodes early and dispatching waiting reviews as the reviews
         in flight finish."""
         if node.future is None:
-            waiting[len(node.path) >= config.max_depth].remove(node)
+            waiting.remove(node)
             submit(node)
         while True:
             look_ahead(root)

@@ -62,3 +62,12 @@ def test_summary_records_the_fewest_and_most_questions_attempted():
     summary = bench_record.summarize(runs)
     assert summary["attempted"] == {"min": 152, "max": 160}
     assert summary["metrics"]["qps"]["median"] == 16.0
+
+
+def test_checkout_info_counts_the_source_lines(tmp_path):
+    src = tmp_path / "src" / "revtree"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("one\ntwo\n")
+    (src / "b.py").write_text("three\nfour\nfive")
+    (src / "notes.txt").write_text("not\ncounted\n")
+    assert bench_record.checkout_info(tmp_path)["src_lines"] == 5

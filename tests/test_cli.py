@@ -635,6 +635,10 @@ class TestRunConfig:
          "line 2: record must be an object"),
         ("rules", ['{"response": "ok", "path_ids": "p1"}'],
          "line 1: path_ids must be a list of strings"),
+        # a number used to fail every question at its first review
+        ("rules", ['{"template": "review_cot", "response": 42}',
+                   '{"default": "the answer is x"}'],
+         "line 1: response must be a string"),
         ("dataset", ['{"id": "q1", "question": "boston", "gold_answers": "Boston"}'],
          "line 1: gold_answers and gold_paragraph_ids must be lists of strings"),
     ])
@@ -649,6 +653,16 @@ class TestRunConfig:
         assert main(run_args(corpus_file, files["dataset"], out,
                              files["rules"])) == 1
         assert f"bad.jsonl: {message}" in caplog.text
+        assert not (out / "answers.jsonl").exists()
+
+    def test_a_dataset_with_no_questions_fails_before_the_index(
+            self, tmp_path, corpus_file, rules_file, no_index, caplog):
+        # it used to build the index, write empty outputs and exit 1 silently
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, empty, out, rules_file)) == 1
+        assert f"{empty}: the dataset holds no questions" in caplog.text
         assert not (out / "answers.jsonl").exists()
 
 

@@ -165,6 +165,13 @@ class TestScriptedOracle:
         ({"path_ids": "ab", "response": "r"}, "line 2: path_ids must be a list of strings"),
         ({"path_ids": ["a", 1], "response": "r"}, "line 2: path_ids must be a list"),
         ("default", "line 2: record must be an object"),
+        # a non-string response or default used to fail every question
+        ({"template": "review_cot", "response": 42}, "line 2: response must be a string"),
+        ({"default": 7}, "line 2: default must be a string"),
+        ({"question": ["q"], "response": "r"}, "line 2: question must be a string"),
+        ({"template": 3, "response": "r"}, "line 2: template must be one of"),
+        # a misspelt template used to never match
+        ({"template": "review-cot", "response": "r"}, "line 2: template must be one of"),
     ])
     def test_from_file_refuses_a_malformed_rule(self, tmp_path, line, message):
         # a string path_ids used to match the path of its characters
@@ -475,6 +482,18 @@ class TestSharedRemotePath:
         with pytest.raises(ProviderError, match="malformed"):
             call(session)
         assert session.posts == 1
+
+
+@pytest.mark.parametrize("content", [None, 5, ["a"]])
+def test_a_completion_whose_content_is_not_a_string_is_a_provider_failure(
+        monkeypatch, content):
+    # it used to reach the parser, which raised AttributeError
+    for var in REMOTE_CLIENTS["chat"][0]:
+        monkeypatch.setenv(var, "https://remote.example/v1")
+    session = FakeSession([200], {"choices": [{"message": {"content": content}}]})
+    with pytest.raises(ProviderError, match="malformed completion payload"):
+        _chat(session)
+    assert session.posts == 1
 
 
 class EmbeddingService:

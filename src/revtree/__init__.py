@@ -12,7 +12,6 @@ from .corpus import (
     Paragraph,
     build_index,
     cosine_similarity,
-    ingest_corpus,
     retrieve,
 )
 from .embedding import (
@@ -119,7 +118,6 @@ __all__ = [
     "f1_score",
     "generate_answer",
     "generate_mpc_query",
-    "ingest_corpus",
     "load_dataset",
     "load_template",
     "make_token_estimator",

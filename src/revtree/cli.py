@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import embedding
-from .corpus import CorpusIndex, build_index, ingest_corpus, load_paragraphs
+from .corpus import CorpusIndex, build_index, load_paragraphs
 from .errors import CorpusError, RevtreeError
 from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
     select_scored_paragraphs
@@ -125,10 +125,11 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _check_manifest(embeddings_path: str, query_embedder) -> None:
+def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder) -> None:
     """Refuse an embeddings file whose ingest manifest, when one sits beside
-    it, names another embedder than the one queries use, or another
-    checksum than the file has."""
+    it, names another embedder than the one queries use, another checksum
+    than the file has, or another corpus checksum than ``corpus_path`` has
+    (manifests written before ingest recorded one are not checked for it)."""
     manifest_path = Path(embeddings_path).with_name("manifest.json")
     if not manifest_path.exists():
         return
@@ -141,35 +142,42 @@ def _check_manifest(embeddings_path: str, query_embedder) -> None:
     if manifest.get("checksum") != _file_sha256(embeddings_path):
         raise CorpusError(
             f"{embeddings_path} does not match the checksum in {manifest_path}")
+    recorded = manifest.get("corpus_sha256")
+    if recorded is not None and recorded != _file_sha256(corpus_path):
+        raise CorpusError(
+            f"{corpus_path} is not the corpus {embeddings_path} was embedded "
+            f"from: its sha256 differs from the one in {manifest_path}")
 
 
 def _build_embedder(kind: str, dim: int, seed: int,
-                    embeddings_path: Optional[str] = None):
+                    embeddings_path: Optional[str] = None,
+                    corpus_path: Optional[str] = None):
     if kind == "remote":
         return embedding.RemoteEmbedder()
     hashed = embedding.HashedEmbedder(dim=dim, seed=seed)
     if kind == "hashed":
         return hashed
-    _check_manifest(embeddings_path, hashed)
+    _check_manifest(embeddings_path, corpus_path, hashed)
     return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    provider = _build_embedder(args.embedder, args.dim, args.seed)
+    index = build_index(load_paragraphs(args.corpus), provider,
+                        embed_title=not args.no_embed_title)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    provider = _build_embedder(args.embedder, args.dim, args.seed)
-    index = ingest_corpus(args.corpus, provider, embed_title=not args.no_embed_title)
-
     embeddings_path = out_dir / "embeddings.jsonl"
-    embedding.write_embeddings_file(embeddings_path, index.embeddings)
-    checksum = _file_sha256(embeddings_path)
+    embedding.write_embeddings_file(embeddings_path, index)
     _dump_json(out_dir / "manifest.json", {
         "corpus": str(args.corpus),
+        "corpus_sha256": _file_sha256(args.corpus),
         "count": len(index),
         "dim": index.dim,
         "provider_id": index.provider_id,
         "embed_title": not args.no_embed_title,
-        "checksum": checksum,
+        "checksum": _file_sha256(embeddings_path),
     })
     print(f"ingested {len(index)} paragraphs -> {out_dir}")
     return 0
@@ -215,10 +223,6 @@ def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_run_config(args)
-    out_dir = Path(config.output_dir)
-    traces_dir = out_dir / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
-
     dataset = load_dataset(config.dataset_path)
     if not dataset:
         raise ValueError(f"{config.dataset_path}: the dataset holds no questions")
@@ -241,9 +245,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                     if config.provider == "scripted" else
                     RemoteChatProvider(pool_size=config.parallel * max(config.tree.widths)))
     embedder = _build_embedder(config.embedder, config.dim, config.seed,
-                               config.embeddings_path)
+                               config.embeddings_path, config.corpus_path)
     index = build_index(load_paragraphs(config.corpus_path), embedder,
                         embed_title=config.embed_title)
+    # made only now, so that a run refused before its first question leaves
+    # no output tree
+    out_dir = Path(config.output_dir)
+    traces_dir = out_dir / "traces"
+    traces_dir.mkdir(parents=True, exist_ok=True)
 
     records: dict[str, dict] = {}
     # at most two questions per worker are submitted and not yet written,

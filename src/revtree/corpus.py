@@ -122,10 +122,6 @@ class CorpusIndex:
         """The raw (not normalised) vector of ``pid``, as given."""
         return self._matrix[self._row[pid]]
 
-    @property
-    def embeddings(self) -> dict[str, np.ndarray]:
-        return dict(zip(self._ids, self._matrix))
-
 
 def cosine_similarity(a: Sequence[float] | np.ndarray,
                       b: Sequence[float] | np.ndarray) -> float:
@@ -316,9 +312,3 @@ def load_paragraphs(source_path: str | Path) -> list[Paragraph]:
         seen[pid] = lineno
         paragraphs.append(paragraph)
     return paragraphs
-
-
-def ingest_corpus(source_path: str | Path, provider: EmbeddingProvider,
-                  embed_title: bool = True) -> CorpusIndex:
-    """Load a corpus file and build its index with ``provider``."""
-    return build_index(load_paragraphs(source_path), provider, embed_title)

@@ -18,8 +18,8 @@ back the corpus index and query embedding:
 * :class:`RemoteEmbedder` -- thin client for an HTTPS embedding endpoint,
   configured through environment variables; a batch is posted in chunks.
 * :class:`PrecomputedEmbeddings` -- serves vectors loaded from a file keyed by
-  paragraph id, optionally delegating free-text (query) embedding to a
-  fallback provider.
+  paragraph id, delegating free-text (query) embedding to a fallback
+  provider.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .jsonl import read_jsonl
 from .llm import new_session, post_json, read_env, with_retries
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .corpus import Paragraph
+    from .corpus import CorpusIndex, Paragraph
 
 EMBED_BASE_URL_VAR = "REVTREE_EMBED_BASE_URL"
 EMBED_API_KEY_VAR = "REVTREE_EMBED_API_KEY"
@@ -282,16 +282,15 @@ class RemoteEmbedder(EmbeddingProvider):
     # common services take up to a few thousand inputs a request; 64
     # paragraphs keep a request well under their body limits and a retry cheap
     _CHUNK = 64
+    # seconds a post may take
+    TIMEOUT = 60.0
 
-    def __init__(self, session=None, timeout: float = 60.0, max_attempts: int = 3,
-                 backoff_s: float = 0.5):
+    def __init__(self, session=None, backoff_s: float = 0.5):
         base_url, self._api_key, self.model = read_env(
             (EMBED_BASE_URL_VAR, EMBED_API_KEY_VAR, EMBED_MODEL_VAR),
             "remote embedder")
         self.base_url = base_url.rstrip("/")
         self.provider_id = f"remote:{self.model}"
-        self.timeout = timeout
-        self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self._session = session if session is not None else new_session()
 
@@ -307,9 +306,9 @@ class RemoteEmbedder(EmbeddingProvider):
             vectors = with_retries(
                 lambda: post_json(self._session, f"{self.base_url}/embeddings",
                                   self._api_key, {"model": self.model, "input": chunk},
-                                  self.timeout, "embedding",
+                                  self.TIMEOUT, "embedding",
                                   lambda body: _reply_rows(body["data"], len(chunk))),
-                self.max_attempts, self.backoff_s, "embedding request")
+                self.backoff_s, "embedding request")
             if self.dim is None:
                 self.dim = vectors.shape[1]
             elif vectors.shape[1] != self.dim:
@@ -346,11 +345,11 @@ class PrecomputedEmbeddings(EmbeddingProvider):
     """Serves paragraph vectors loaded from a line-delimited file.
 
     Each line is a JSON record ``{"id": ..., "values": [...]}``.  Free-text
-    embedding (needed at query time) is delegated to ``fallback`` when given,
-    otherwise it is an error.
+    embedding (needed at query time) is delegated to ``fallback``, which must
+    embed to the file's dim.
     """
 
-    def __init__(self, path: str | Path, fallback: Optional[EmbeddingProvider] = None):
+    def __init__(self, path: str | Path, fallback: EmbeddingProvider):
         self.path = Path(path)
         self.fallback = fallback
         self._vectors: dict[str, np.ndarray] = {}
@@ -381,8 +380,7 @@ class PrecomputedEmbeddings(EmbeddingProvider):
                     f"{self.path}: line {lineno}: duplicate embedding id '{pid}'"
                 )
             self._vectors[pid] = vec
-        if fallback is not None and None not in (fallback.dim, dim) \
-                and fallback.dim != dim:
+        if None not in (fallback.dim, dim) and fallback.dim != dim:
             raise CorpusError(
                 f"{self.path}: query embedder dim {fallback.dim} does not match "
                 f"the file's embedding dim {dim}"
@@ -398,32 +396,22 @@ class PrecomputedEmbeddings(EmbeddingProvider):
                 f"no precomputed embedding for paragraph id '{paragraph.id}'"
             ) from None
 
-    def _free_text_embedder(self) -> EmbeddingProvider:
-        if self.fallback is None:
-            raise ProviderConfigError(
-                "precomputed embeddings cannot embed free text; configure a "
-                "fallback provider for queries"
-            )
-        return self.fallback
-
     def embed_text(self, text: str) -> np.ndarray:
-        return self._free_text_embedder().embed_text(text)
+        return self.fallback.embed_text(text)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        return self._free_text_embedder().embed_texts(texts)
+        return self.fallback.embed_texts(texts)
 
 
-def write_embeddings_file(path: str | Path, embeddings: dict[str, np.ndarray]) -> None:
-    """Write an id -> vector map as line-delimited JSON, sorted by id.
+def write_embeddings_file(path: str | Path, index: "CorpusIndex") -> None:
+    """Write an index's embeddings as line-delimited JSON, in its ascending-id
+    order.
 
     Each line is ``{"id": ..., "values": [...]}`` with every value spelled
-    by ``repr``, as ``json.dumps`` spells a float.  Non-finite values, which
-    json would write as ``NaN`` or ``Infinity``, are refused.
+    by ``repr``, as ``json.dumps`` spells a float.  An index holds only finite
+    values, so no line spells ``NaN`` or ``Infinity``.
     """
     with open(path, "w", encoding="utf-8") as handle:
-        for pid in sorted(embeddings):
-            vec = np.asarray(embeddings[pid], dtype=np.float64)
-            if not np.isfinite(vec).all():
-                raise ValueError(f"non-finite embedding for id {pid!r}")
-            handle.write('{"id": ' + json.dumps(pid) + ', "values": ['
-                         + ", ".join(map(repr, vec.tolist())) + "]}\n")
+        for pid in index.ids:
+            values = ", ".join(map(repr, index.embedding(pid).tolist()))
+            handle.write('{"id": ' + json.dumps(pid) + ', "values": [' + values + "]}\n")

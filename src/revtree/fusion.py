@@ -23,6 +23,7 @@ from .corpus import cosine_similarities, format_documents
 from .embedding import EmbeddingProvider
 from .llm import CompletionRequest, LlmClient, TokenEstimator, estimate_tokens, \
     load_template, render_prompt
+from .metrics import RECALL_K
 from .search import Evidence, EvidencePool, RunStats, distinct_paragraphs, \
     new_paragraphs
 
@@ -181,11 +182,12 @@ def _evidence_text(evidence: Evidence) -> str:
 
 
 def select_scored_paragraphs(pool: EvidencePool, final_response: str,
-                             provider: EmbeddingProvider, limit: int = 15,
+                             provider: EmbeddingProvider,
                              stats: Optional[RunStats] = None) -> list[str]:
-    """Paragraph ids submitted for retrieval scoring, at most ``limit``.
+    """Paragraph ids submitted for retrieval scoring, at most
+    :data:`~revtree.metrics.RECALL_K`, the cut recall is scored at.
 
-    When the pool holds no more distinct paragraphs than the limit they are
+    When the pool holds no more distinct paragraphs than that they are
     all returned in acceptance-then-path order without any embedding work.
     Otherwise evidence items are re-ranked by cosine similarity between their
     rendered text and the final response, and paragraphs are emitted in
@@ -197,11 +199,11 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     are finite and not zero.  Given the run's ``stats``, a blank response,
     such an embedding or an embedding call that raised is counted there and
     logged as one provider failure, and the paragraphs keep
-    acceptance-then-path order, cut to ``limit``; without them the error
+    acceptance-then-path order, cut the same way; without them the error
     propagates.
     """
-    distinct = pool.distinct_paragraphs()
-    if len(distinct) <= limit:
+    distinct = distinct_paragraphs(pool)
+    if len(distinct) <= RECALL_K:
         return [p.id for p in distinct]
 
     try:
@@ -221,6 +223,6 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
             raise
         stats.provider_failures += 1
         logger.warning("re-ranking failure, kept acceptance order: %s", exc)
-        return [p.id for p in distinct[:limit]]
+        return [p.id for p in distinct[:RECALL_K]]
     ranked = distinct_paragraphs(evidence for _score, evidence in scored)
-    return [p.id for p in ranked[:limit]]
+    return [p.id for p in ranked[:RECALL_K]]

@@ -33,6 +33,9 @@ LLM_BASE_URL_VAR = "REVTREE_LLM_BASE_URL"
 LLM_API_KEY_VAR = "REVTREE_LLM_API_KEY"
 LLM_MODEL_VAR = "REVTREE_LLM_MODEL"
 
+# attempts per request, for completions and embeddings alike
+MAX_ATTEMPTS = 3
+
 T = TypeVar("T")
 
 # (instruction label, ((slot name, slot label), ...)) per template; label
@@ -61,10 +64,6 @@ class PromptTemplate:
     demos: tuple[str, ...] = ()
     instruction_label: str = "Instruction:"
     slots: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.slots)
 
 
 @lru_cache(maxsize=None)
@@ -297,21 +296,21 @@ def post_json(session, url: str, api_key: str, payload: dict, timeout: float,
         raise ProviderError(f"malformed {what} payload: {exc}") from exc
 
 
-def with_retries(attempt: Callable[[], T], max_attempts: int, backoff_s: float,
-                 what: str, sleep: Callable[[float], None] = time.sleep) -> T:
-    """Call ``attempt`` until it returns, retrying :class:`TransportError`
-    with exponential backoff; anything else surfaces at once.  Exhausted
-    attempts raise :class:`ProviderError`."""
+def with_retries(attempt: Callable[[], T], backoff_s: float, what: str,
+                 sleep: Callable[[float], None] = time.sleep) -> T:
+    """Call ``attempt`` until it returns, at most :data:`MAX_ATTEMPTS` times,
+    retrying :class:`TransportError` with exponential backoff; anything else
+    surfaces at once.  Exhausted attempts raise :class:`ProviderError`."""
     last_error: Exception | None = None
-    for i in range(max_attempts):
+    for i in range(MAX_ATTEMPTS):
         try:
             return attempt()
         except TransportError as exc:
             last_error = exc
-            if i + 1 < max_attempts:
+            if i + 1 < MAX_ATTEMPTS:
                 sleep(backoff_s * (2 ** i))
     raise ProviderError(
-        f"{what} failed after {max_attempts} attempts: {last_error}"
+        f"{what} failed after {MAX_ATTEMPTS} attempts: {last_error}"
     ) from last_error
 
 
@@ -330,13 +329,14 @@ class RemoteChatProvider:
     """
 
     order_free = True
+    # seconds a post may take
+    TIMEOUT = 120.0
 
-    def __init__(self, session=None, timeout: float = 120.0, pool_size: int = 10):
+    def __init__(self, session=None, pool_size: int = 10):
         base_url, self._api_key, self.model = read_env(
             (LLM_BASE_URL_VAR, LLM_API_KEY_VAR, LLM_MODEL_VAR),
             "remote completion provider")
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
         self._session = session if session is not None else new_session(pool_size)
 
     def generate(self, request: CompletionRequest, call_index: int) -> str:
@@ -349,7 +349,7 @@ class RemoteChatProvider:
                 # no max_tokens: the server's own output limit applies
                 "temperature": 0.0,
             },
-            self.timeout, "completion", _completion_text,
+            self.TIMEOUT, "completion", _completion_text,
         )
 
 
@@ -367,8 +367,9 @@ class LlmClient:
 
     The counter counts successful completions only; a call's ``call_index``
     is the counter after it, so indices strictly increase in the order the
-    calls are made.  Transport errors are retried with exponential backoff;
-    anything else surfaces immediately.
+    calls are made.  Transport errors are retried with exponential backoff,
+    :data:`MAX_ATTEMPTS` attempts in all; anything else surfaces
+    immediately.
 
     A provider whose class sets ``order_free = True`` declares that its
     output ignores ``call_index`` and call order.  For such a provider a
@@ -380,12 +381,9 @@ class LlmClient:
     serial run's.
     """
 
-    def __init__(self, provider, max_attempts: int = 3, backoff_s: float = 0.2,
+    def __init__(self, provider, backoff_s: float = 0.2,
                  sleep: Callable[[float], None] = time.sleep):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.provider = provider
-        self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -398,7 +396,7 @@ class LlmClient:
     def fork(self) -> "LlmClient":
         """A client over the same provider and retry policy with its own
         counter, from zero."""
-        return LlmClient(self.provider, self.max_attempts, self.backoff_s, self._sleep)
+        return LlmClient(self.provider, self.backoff_s, self._sleep)
 
     def commit(self, fork: "LlmClient") -> None:
         """Count the completions ``fork`` made as this client's next ones."""
@@ -410,8 +408,7 @@ class LlmClient:
             call_index = self._calls + 1
             started = time.monotonic()
             text = with_retries(lambda: self.provider.generate(request, call_index),
-                                self.max_attempts, self.backoff_s, "completion",
-                                self._sleep)
+                                self.backoff_s, "completion", self._sleep)
             self._calls = call_index
         latency_ms = int((time.monotonic() - started) * 1000)
         return CompletionResponse(text=text, provider_latency_ms=latency_ms,

@@ -19,6 +19,9 @@ from .errors import RevtreeError
 from .jsonl import is_str_list, read_jsonl
 from .search import RunStats
 
+# the retrieval cut: recall@15 scores the first 15 submitted paragraph ids
+RECALL_K = 15
+
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -128,7 +131,7 @@ def f1_score(prediction: str, gold_answers: Sequence[str]) -> float:
 
 
 def recall_at_k(retrieved_ids: Sequence[str], gold_ids: frozenset[str] | set[str],
-                k: int = 15) -> float:
+                k: int = RECALL_K) -> float:
     """Fraction of gold paragraph ids present in the first k retrieved."""
     if not gold_ids:
         raise ValueError("gold_ids must be non-empty for a scored example")
@@ -137,12 +140,12 @@ def recall_at_k(retrieved_ids: Sequence[str], gold_ids: frozenset[str] | set[str
 
 
 def evaluate_run(dataset: Sequence[QAExample],
-                 results: Mapping[str, ExampleResult],
-                 recall_k: int = 15) -> MetricsReport:
+                 results: Mapping[str, ExampleResult]) -> MetricsReport:
     """Aggregate per-example results into one report.
 
-    A failed example scores 0 on EM, F1 and recall.  Examples without gold
-    paragraph ids are excluded from recall (counted, not scored as zero).
+    A failed example scores 0 on EM, F1 and recall at :data:`RECALL_K`.
+    Examples without gold paragraph ids are excluded from recall (counted,
+    not scored as zero).
     Call, document and evidence means are taken over the completed
     examples; the rate is the ratio of the mean distinct-document count to
     the mean call count, and parse success is computed over call totals.
@@ -166,7 +169,7 @@ def evaluate_run(dataset: Sequence[QAExample],
         f1_sum += f1_score(result.answer, example.gold_answers)
         if example.gold_paragraph_ids:
             recall_sum += recall_at_k(result.scored_ids,
-                                      example.gold_paragraph_ids, recall_k)
+                                      example.gold_paragraph_ids)
         completed.append(result.stats)
     n = len(dataset)
     done = len(completed) or 1  # with none completed, every mean is 0

@@ -92,10 +92,6 @@ class EvidencePool:
     def __iter__(self):
         return iter(self.evidences)
 
-    def distinct_paragraphs(self) -> list[Paragraph]:
-        """Distinct paragraphs in acceptance order, then path order."""
-        return distinct_paragraphs(self.evidences)
-
 
 def distinct_paragraphs(evidences: Iterable[Evidence]) -> list[Paragraph]:
     """Paragraphs of ``evidences`` in their order, then path order, each id

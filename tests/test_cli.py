@@ -8,6 +8,7 @@ import json
 import threading
 import time
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,8 @@ class TestIngest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["count"] == 3
         assert manifest["provider_id"].startswith("hashed:")
+        assert manifest["corpus_sha256"] == \
+            hashlib.sha256(corpus_file.read_bytes()).hexdigest()
         assert (out / "embeddings.jsonl").exists()
 
     def test_rerun_same_input_same_checksum(self, tmp_path, corpus_file):
@@ -90,6 +93,27 @@ class TestIngest:
         code = main(["ingest", "--corpus", str(bad), "--out", str(out)])
         assert code == 1
         assert "line 2" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, extra, message", [
+        (['{"id": "a", "text": "one"}', '{"id": "a", "text": "two"}'], [],
+         "duplicate id 'a'"),
+        (['{"id": "a", "title": "t", "text": "  "}'], [], "empty text"),
+        (['{"id": "a", "text": "one"}'], ["--embedder", "remote"],
+         "REVTREE_EMBED_BASE_URL"),
+    ])
+    def test_a_refused_ingest_leaves_no_output_directory(
+            self, tmp_path, caplog, monkeypatch, lines, extra, message):
+        for var in ("REVTREE_EMBED_BASE_URL", "REVTREE_EMBED_API_KEY",
+                    "REVTREE_EMBED_MODEL"):
+            monkeypatch.delenv(var, raising=False)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(out),
+                     *extra]) == 1
+        assert message in caplog.text
+        assert not out.exists()
 
 
 class PromptSession:
@@ -371,7 +395,7 @@ class TestRun:
                              "--embedder", "precomputed", "--embeddings",
                              str(index_dir / "embeddings.jsonl"),
                              "--dim", "64")) == 1
-        assert not (out / "answers.jsonl").exists()
+        assert not out.exists()
 
     def test_manifest_seed_mismatch_fails_before_the_first_question(
             self, tmp_path, corpus_file, dataset_file, rules_file, caplog):
@@ -383,7 +407,7 @@ class TestRun:
                              "--embedder", "precomputed", "--embeddings",
                              str(index_dir / "embeddings.jsonl"),
                              "--seed", "0")) == 1
-        assert not (out / "answers.jsonl").exists()
+        assert not out.exists()
         assert "hashed:dim=64,seed=1" in caplog.text
 
     def test_manifest_checksum_mismatch_fails_before_the_first_question(
@@ -403,8 +427,49 @@ class TestRun:
         assert main(run_args(corpus_file, dataset_file, out, rules_file,
                              "--embedder", "precomputed", "--embeddings",
                              str(path))) == 1
-        assert not (out / "answers.jsonl").exists()
+        assert not out.exists()
         assert "checksum" in caplog.text
+
+    def test_a_corpus_edited_since_ingest_fails_before_the_first_question(
+            self, tmp_path, dataset_file, rules_file, caplog, monkeypatch):
+        corpus = tmp_path / "corpus30.jsonl"
+        rows = [{"id": f"p{i:02d}", "title": f"T{i}", "text": f"boston city fact {i}"}
+                for i in range(30)]
+        write_jsonl(corpus, rows)
+        index_dir = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(index_dir)]) == 0
+        # one paragraph's text changes and another is dropped
+        rows[4] = dict(rows[4], text="a different fact")
+        del rows[17]
+        write_jsonl(corpus, rows)
+
+        def build_index(*args, **kwargs):
+            raise AssertionError("the run built its index")
+
+        monkeypatch.setattr("revtree.cli.build_index", build_index)
+        out = tmp_path / "run"
+        assert main(run_args(corpus, dataset_file, out, rules_file,
+                             "--embedder", "precomputed", "--embeddings",
+                             str(index_dir / "embeddings.jsonl"))) == 1
+        assert not out.exists()
+        assert f"{corpus} is not the corpus" in caplog.text
+
+    def test_a_manifest_without_the_corpus_checksum_is_still_accepted(
+            self, tmp_path, corpus_file, dataset_file, rules_file):
+        index_dir = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus_file),
+                     "--out", str(index_dir)]) == 0
+        manifest_path = index_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["corpus_sha256"]
+        manifest_path.write_text(json.dumps(manifest))
+        out, baseline = tmp_path / "run", tmp_path / "baseline"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--embedder", "precomputed", "--embeddings",
+                             str(index_dir / "embeddings.jsonl"))) == 0
+        assert main(run_args(corpus_file, dataset_file, baseline, rules_file)) == 0
+        assert (out / "answers.jsonl").read_bytes() == \
+            (baseline / "answers.jsonl").read_bytes()
 
     @pytest.mark.parametrize("mode", ["tor", "cor", "oner"])
     def test_run_in_which_no_retrieval_succeeded_exits_one(
@@ -538,6 +603,13 @@ class TestRunConfig:
 
         monkeypatch.setattr("revtree.cli.build_index", build_index)
 
+    def test_every_run_flag_sets_a_field_and_every_field_has_a_flag(self):
+        subparsers, = (action for action in cli.build_parser()._actions
+                       if action.dest == "command")
+        dests = {action.dest for action in subparsers.choices["run"]._actions}
+        assert dests - {"help", "config"} == \
+            {f.name for f in fields(cli.RunConfig)}
+
     @pytest.mark.parametrize("extra, message", [
         (["--widths", "5,0,3"], "widths"),
         (["--mode", "oner", "--k", "0"], "oner_k"),
@@ -550,7 +622,7 @@ class TestRunConfig:
         out = tmp_path / "run"
         assert main(run_args(corpus_file, dataset_file, out, rules_file,
                              *extra)) == 1
-        assert not (out / "answers.jsonl").exists()
+        assert not out.exists()
         assert message in caplog.text
 
     @pytest.mark.parametrize("field, value, message", [
@@ -571,7 +643,7 @@ class TestRunConfig:
             "corpus_path": str(corpus_file), "dataset_path": str(dataset_file),
             "output_dir": str(out), "rules_path": str(rules_file), field: value}))
         assert main(["run", "--config", str(config)]) == 1
-        assert not (out / "answers.jsonl").exists()
+        assert not out.exists()
         assert message in caplog.text
 
     # the fixed evidence prompt takes 79 whitespace tokens with the short
@@ -593,7 +665,7 @@ class TestRunConfig:
         ])
         out = tmp_path / "run"
         assert main(run_args(corpus_file, dataset, out, rules_file, *extra)) == 1
-        assert not (out / "answers.jsonl").exists()
+        assert not out.exists()
         assert f"question '{first}', which needs more than {needed} tokens" \
             in caplog.text
 
@@ -653,7 +725,7 @@ class TestRunConfig:
         assert main(run_args(corpus_file, files["dataset"], out,
                              files["rules"])) == 1
         assert f"bad.jsonl: {message}" in caplog.text
-        assert not (out / "answers.jsonl").exists()
+        assert not out.exists()
 
     def test_a_dataset_with_no_questions_fails_before_the_index(
             self, tmp_path, corpus_file, rules_file, no_index, caplog):
@@ -663,7 +735,7 @@ class TestRunConfig:
         out = tmp_path / "run"
         assert main(run_args(corpus_file, empty, out, rules_file)) == 1
         assert f"{empty}: the dataset holds no questions" in caplog.text
-        assert not (out / "answers.jsonl").exists()
+        assert not out.exists()
 
 
 class TestEval:

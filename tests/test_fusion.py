@@ -25,6 +25,7 @@ from revtree import (
 )
 from revtree.corpus import format_documents
 from revtree.fusion import _evidence_text, render_context
+from revtree.search import distinct_paragraphs
 
 
 def make_evidence(index: int, n_paragraphs: int = 1, words_per_text: int = 4,
@@ -312,7 +313,7 @@ class TestSelectScoredParagraphs:
         result = select_scored_paragraphs(pool, "final response", provider)
         assert len(result) == 6
         assert provider.calls == []
-        assert result == [p.id for p in pool.distinct_paragraphs()]
+        assert result == [p.id for p in distinct_paragraphs(pool)]
 
     def test_empty_pool(self, embedder):
         assert select_scored_paragraphs(EvidencePool(), "resp", embedder) == []
@@ -322,12 +323,12 @@ class TestSelectScoredParagraphs:
         small, large = make_pool(2, n_paragraphs=2), make_pool(6, n_paragraphs=3)
         # no re-ranking under the limit, so a blank response does no harm
         assert select_scored_paragraphs(small, " ", provider) == \
-            [p.id for p in small.distinct_paragraphs()]
+            [p.id for p in distinct_paragraphs(small)]
         # over it, re-ranking needs a response: counted when the run's stats
         # are given, raised otherwise
         stats = RunStats()
         assert select_scored_paragraphs(large, "\n ", provider, stats=stats) == \
-            [p.id for p in large.distinct_paragraphs()[:15]]
+            [p.id for p in distinct_paragraphs(large)[:15]]
         assert stats.provider_failures == 1
         with pytest.raises(ValueError, match="non-empty"):
             select_scored_paragraphs(large, "   ", provider)
@@ -345,12 +346,12 @@ class TestSelectScoredParagraphs:
         # 20 evidence texts; re-ranking them would move at least one
         ranked = select_scored_paragraphs(pool, "final response",
                                           HashedEmbedder(dim=32, seed=1))
-        assert ranked != [p.id for p in pool.distinct_paragraphs()[:15]]
+        assert ranked != [p.id for p in distinct_paragraphs(pool)[:15]]
         provider = NonFiniteEmbedder(dim=32, seed=1)
         stats = RunStats()
         assert select_scored_paragraphs(pool, "final response", provider,
                                         stats=stats) == \
-            [p.id for p in pool.distinct_paragraphs()[:15]]
+            [p.id for p in distinct_paragraphs(pool)[:15]]
         assert stats.provider_failures == 1
         with pytest.raises(ValueError, match="non-finite"):
             select_scored_paragraphs(pool, "final response", provider)
@@ -362,7 +363,7 @@ class TestSelectScoredParagraphs:
                                    analysis=f"statement number {i}"))
         # 18 distinct paragraphs > 15
         response = "statement number 4 looks right"
-        result = select_scored_paragraphs(pool, response, embedder, limit=15)
+        result = select_scored_paragraphs(pool, response, embedder)
         assert len(result) == 15
         assert len(set(result)) == 15
 
@@ -400,5 +401,5 @@ class TestSelectScoredParagraphs:
             )
             pool.add(Evidence(path=path, brief_analysis=f"claim {i}",
                               accepted_at_call=i + 1))
-        result = select_scored_paragraphs(pool, "claim 3", embedder, limit=15)
+        result = select_scored_paragraphs(pool, "claim 3", embedder)
         assert len(result) == len(set(result)) <= 15

@@ -79,7 +79,7 @@ class TestRenderPrompt:
         for name in TEMPLATE_NAMES:
             template = load_template(name)
             assert template.instruction
-            assert template.slot_names
+            assert template.slots
 
     @given(
         st.tuples(
@@ -207,7 +207,7 @@ class FlakyProvider:
 class TestLlmClient:
     def test_retries_transport_errors(self):
         provider = FlakyProvider(fail_times=2)
-        client = LlmClient(provider, max_attempts=3, backoff_s=0, sleep=lambda s: None)
+        client = LlmClient(provider, backoff_s=0, sleep=lambda s: None)
         response = client.complete(CompletionRequest(prompt="p"))
         assert response.text == "recovered"
         assert provider.attempts == 3
@@ -215,7 +215,7 @@ class TestLlmClient:
 
     def test_surfaces_after_exhausted_retries(self):
         provider = FlakyProvider(fail_times=5)
-        client = LlmClient(provider, max_attempts=3, backoff_s=0, sleep=lambda s: None)
+        client = LlmClient(provider, backoff_s=0, sleep=lambda s: None)
         with pytest.raises(ProviderError):
             client.complete(CompletionRequest(prompt="p"))
         # failed completions never consume a call index
@@ -229,8 +229,7 @@ class TestLlmClient:
                 calls["n"] += 1
                 raise OracleMissError("no rule")
 
-        client = LlmClient(Missing(), max_attempts=3, backoff_s=0,
-                           sleep=lambda s: None)
+        client = LlmClient(Missing(), backoff_s=0, sleep=lambda s: None)
         with pytest.raises(OracleMissError):
             client.complete(CompletionRequest(prompt="p"))
         assert calls["n"] == 1
@@ -297,8 +296,7 @@ class TestRemoteProvider:
 
         session = Flaky500Session()
         provider = RemoteChatProvider(session=session)
-        client = LlmClient(provider, max_attempts=3, backoff_s=0,
-                           sleep=lambda s: None)
+        client = LlmClient(provider, backoff_s=0, sleep=lambda s: None)
         response = client.complete(CompletionRequest(prompt="hi"))
         assert response.text == "ok"
         assert session.calls == 3
@@ -317,8 +315,7 @@ class TestRemoteProvider:
                 return type("R", (), {"status_code": 400, "text": "bad"})()
 
         provider = RemoteChatProvider(session=Rejecting())
-        client = LlmClient(provider, max_attempts=3, backoff_s=0,
-                           sleep=lambda s: None)
+        client = LlmClient(provider, backoff_s=0, sleep=lambda s: None)
         with pytest.raises(ProviderError):
             client.complete(CompletionRequest(prompt="hi"))
         assert Rejecting.calls == 1
@@ -399,14 +396,13 @@ class FakeSession:
 
 
 def _chat(session):
-    client = LlmClient(RemoteChatProvider(session=session), max_attempts=3,
-                       backoff_s=0, sleep=lambda s: None)
+    client = LlmClient(RemoteChatProvider(session=session), backoff_s=0,
+                       sleep=lambda s: None)
     return client.complete(CompletionRequest(prompt="hi")).text
 
 
 def _embed(session):
-    return list(RemoteEmbedder(session=session, max_attempts=3,
-                               backoff_s=0).embed_text("hi"))
+    return list(RemoteEmbedder(session=session, backoff_s=0).embed_text("hi"))
 
 
 # client name -> (env vars, 200 payload, what the call returns, call)
@@ -526,7 +522,7 @@ class TestRemoteEmbedderBatches:
 
     @staticmethod
     def embedder(service):
-        return RemoteEmbedder(session=service, max_attempts=3, backoff_s=0)
+        return RemoteEmbedder(session=service, backoff_s=0)
 
     def test_one_post_per_chunk_in_input_order(self):
         service = EmbeddingService()

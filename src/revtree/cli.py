@@ -125,14 +125,18 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder) -> None:
+def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder) -> bool:
     """Refuse an embeddings file whose ingest manifest, when one sits beside
     it, names another embedder than the one queries use, another checksum
     than the file has, or another corpus checksum than ``corpus_path`` has
-    (manifests written before ingest recorded one are not checked for it)."""
+    (manifests written before ingest recorded one are not checked for it).
+
+    Return whether the manifest records the checksums of the matrix and ids
+    files ingest writes beside the file, once they are checked too; only
+    then are the vectors loaded from those files."""
     manifest_path = Path(embeddings_path).with_name("manifest.json")
     if not manifest_path.exists():
-        return
+        return False
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     if manifest.get("provider_id") != query_embedder.provider_id:
         raise CorpusError(
@@ -147,6 +151,14 @@ def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder) -> N
         raise CorpusError(
             f"{corpus_path} is not the corpus {embeddings_path} was embedded "
             f"from: its sha256 differs from the one in {manifest_path}")
+    stored = {"matrix_sha256": embedding.MATRIX_FILE, "ids_sha256": embedding.IDS_FILE}
+    if not stored.keys() <= manifest.keys():
+        return False
+    for key, name in stored.items():
+        path = manifest_path.with_name(name)
+        if manifest[key] != _file_sha256(path):
+            raise CorpusError(f"{path} does not match the checksum in {manifest_path}")
+    return True
 
 
 def _build_embedder(kind: str, dim: int, seed: int,
@@ -157,8 +169,9 @@ def _build_embedder(kind: str, dim: int, seed: int,
     hashed = embedding.HashedEmbedder(dim=dim, seed=seed)
     if kind == "hashed":
         return hashed
-    _check_manifest(embeddings_path, corpus_path, hashed)
-    return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed)
+    binary = _check_manifest(embeddings_path, corpus_path, hashed)
+    return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed,
+                                           binary=binary)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -178,6 +191,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "provider_id": index.provider_id,
         "embed_title": not args.no_embed_title,
         "checksum": _file_sha256(embeddings_path),
+        "matrix_sha256": _file_sha256(out_dir / embedding.MATRIX_FILE),
+        "ids_sha256": _file_sha256(out_dir / embedding.IDS_FILE),
     })
     print(f"ingested {len(index)} paragraphs -> {out_dir}")
     return 0

@@ -6,8 +6,8 @@ paragraphs) an exact scan beats maintaining an ANN structure.  Scores are raw
 cosine values; downstream code only consumes the ranking.
 
 Raw embeddings live in one float64 ``(n, dim)`` matrix in ascending-id order,
-which ``build_index`` fills row by row as it embeds, beside their norms and
-float32 unit rows.  A score is
+which ``build_index`` fills row by row as it embeds, or adopts from stored
+vectors, beside their norms and float32 unit rows.  A score is
 ``(unit * query).sum(axis=1)`` with ``unit = matrix / norms[:, None]``, so
 identical embeddings tie exactly.  Top-k has two stages: one single-threaded
 float32 pass scores every row to within ``_approx_error``, then only
@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingProvider
+from .embedding import EmbeddingProvider, PrecomputedEmbeddings
 from .errors import CorpusError
 from .jsonl import read_jsonl
 
@@ -51,6 +51,11 @@ def format_documents(paragraphs: Iterable[Paragraph]) -> str:
     """
     return "\n\n".join(f"{p.title}\n{p.text}" if p.title.strip() else p.text
                        for p in paragraphs)
+
+
+# the norms and unit rows of an index are taken this many bytes of its
+# matrix at a time
+_BLOCK_BYTES = 1 << 20
 
 
 class CorpusIndex:
@@ -88,21 +93,43 @@ class CorpusIndex:
         self.dim: Optional[int] = self._matrix.shape[1] if self._ids else None
         self._matrix.flags.writeable = False
 
-        finite = np.isfinite(self._matrix).all(axis=1)
-        if not finite.all():
-            bad = [self._ids[i] for i in np.flatnonzero(~finite)[:5]]
-            raise CorpusError(f"non-finite embeddings for ids: {bad}")
-        norms = np.linalg.norm(self._matrix, axis=1)
-        if np.any(norms == 0.0):
-            zero = [self._ids[i] for i in np.flatnonzero(norms == 0.0)[:5]]
-            raise CorpusError(f"all-zero embeddings for ids: {zero}")
-        self._norms = norms
-        self._norms.flags.writeable = False
-        # divided in float64 and rounded straight into place, so no float64
-        # unit copy is made
+        # taken a block of rows at a time, so that no (n, dim) float64
+        # temporary is made; a row's norm has the same bits either way.  A
+        # row whose norm overflows is scaled by the power of two of its
+        # largest value first, as cosine_similarity does, and its unit row
+        # and scores are taken from that scaled row: _shifts holds the
+        # exponent, 0 for every other row, and is None when no row needs
+        # one.  A row with a non-finite value gets a non-finite norm even so.
+        n = len(self._ids)
+        self._norms = np.empty(n)
+        self._shifts = np.zeros(n, dtype=np.int32)
         self._unit32 = np.empty(self._matrix.shape, dtype=np.float32)
-        np.divide(self._matrix, norms[:, None], out=self._unit32, casting="same_kind")
-        self._unit32.flags.writeable = False
+        step = max(1, _BLOCK_BYTES // (8 * max(self.dim or 1, 1)))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            block, norms, shifts = self._matrix[rows], self._norms[rows], self._shifts[rows]
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms[:] = np.linalg.norm(block, axis=1)
+                huge = np.flatnonzero(np.isinf(norms))
+                if huge.size:
+                    shifts[huge] = -np.frexp(np.abs(block[huge]).max(axis=1))[1]
+                    block = np.ldexp(block, shifts[:, None])
+                    norms[huge] = np.linalg.norm(block[huge], axis=1)
+                # divided in float64 and rounded straight into place, so no
+                # float64 unit block is made
+                np.divide(block, norms[:, None], out=self._unit32[rows],
+                          casting="same_kind")
+        bad = ~np.isfinite(self._norms)
+        if bad.any():
+            raise CorpusError(f"non-finite embeddings for ids: "
+                              f"{[self._ids[i] for i in np.flatnonzero(bad)[:5]]}")
+        if np.any(self._norms == 0.0):
+            zero = [self._ids[i] for i in np.flatnonzero(self._norms == 0.0)[:5]]
+            raise CorpusError(f"all-zero embeddings for ids: {zero}")
+        for array in (self._norms, self._shifts, self._unit32):
+            array.flags.writeable = False
+        if not self._shifts.any():
+            self._shifts = None
         # a tiny vector's norm loses bits in the float64 subnormals, so its
         # unit row can be longer than 1
         self._longest_unit = float(np.sqrt(
@@ -117,6 +144,11 @@ class CorpusIndex:
 
     def get(self, pid: str) -> Paragraph:
         return self._by_id[pid]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The raw vectors, read-only, row ``i`` that of ``ids[i]``."""
+        return self._matrix
 
     def embedding(self, pid: str) -> np.ndarray:
         """The raw (not normalised) vector of ``pid``, as given."""
@@ -209,7 +241,12 @@ def retrieve(index: CorpusIndex, query: str, k: int,
     # products are elementwise and each row is summed alone, so every score
     # is bit-identical to scoring the whole matrix.  Rows are in ascending-id
     # order, so a stable sort on -score gives (score desc, id asc).
-    scores = (index._matrix[rows] / index._norms[rows, None] * q).sum(axis=1)
+    raw = index._matrix[rows]
+    if index._shifts is not None:
+        # a row whose norm overflows is scaled by its power of two first;
+        # a shift of 0 leaves a row's bits alone
+        raw = np.ldexp(raw, index._shifts[rows, None])
+    scores = (raw / index._norms[rows, None] * q).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:k]
     return [(index.get(index.ids[rows[i]]), float(scores[i])) for i in order]
 
@@ -249,10 +286,15 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
 
     Paragraphs are embedded in the order given, ``_EMBED_CHUNK`` at a time
     through :meth:`EmbeddingProvider.embed_paragraphs`, and each vector is
-    written straight into its row of the index's matrix.
+    written straight into its row of the index's matrix.  Stored vectors
+    (:class:`PrecomputedEmbeddings`) are not embedded: the index adopts
+    their matrix, or the rows of it that the paragraphs' ids select.
     """
     plist = list(paragraphs)
     ordered = sorted(plist, key=lambda p: p.id)
+    if isinstance(provider, PrecomputedEmbeddings):
+        return CorpusIndex(ordered, provider.matrix_for([p.id for p in ordered]),
+                           provider.provider_id)
     row = {p.id: i for i, p in enumerate(ordered)}
     matrix = np.zeros((0, 0))
     for start in range(0, len(plist), _EMBED_CHUNK):

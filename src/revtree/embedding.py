@@ -17,8 +17,9 @@ back the corpus index and query embedding:
   gives each direction the bits of its own ``default_rng`` draw.
 * :class:`RemoteEmbedder` -- thin client for an HTTPS embedding endpoint,
   configured through environment variables; a batch is posted in chunks.
-* :class:`PrecomputedEmbeddings` -- serves vectors loaded from a file keyed by
-  paragraph id, delegating free-text (query) embedding to a fallback
+* :class:`PrecomputedEmbeddings` -- serves stored paragraph vectors, parsed
+  from a line-delimited file or loaded from the binary matrix an ingest
+  writes beside it, delegating free-text (query) embedding to a fallback
   provider.
 """
 
@@ -342,18 +343,39 @@ def _reply_rows(data: list, inputs: int) -> np.ndarray:
 
 
 class PrecomputedEmbeddings(EmbeddingProvider):
-    """Serves paragraph vectors loaded from a line-delimited file.
+    """Serves stored paragraph vectors: one ``(n, dim)`` float64 matrix and
+    its ids, in the order stored.
 
-    Each line is a JSON record ``{"id": ..., "values": [...]}``.  Free-text
-    embedding (needed at query time) is delegated to ``fallback``, which must
-    embed to the file's dim.
+    By default they are parsed from the line-delimited file ``path``, one
+    JSON record ``{"id": ..., "values": [...]}`` a line.  With ``binary``
+    they are loaded instead from the ``matrix.npy`` and ``ids.json`` that
+    :func:`write_embeddings_file` writes beside ``path``; the caller has
+    checked their checksums, and the stored ids must then be exactly the
+    ids an index asks for (:meth:`matrix_for`).  Free-text embedding (needed
+    at query time) is delegated to ``fallback``, which must embed to the
+    stored dim.
     """
 
-    def __init__(self, path: str | Path, fallback: EmbeddingProvider):
+    def __init__(self, path: str | Path, fallback: EmbeddingProvider,
+                 binary: bool = False):
         self.path = Path(path)
         self.fallback = fallback
-        self._vectors: dict[str, np.ndarray] = {}
-        dim: Optional[int] = None
+        self._binary = binary
+        if binary:
+            self._load_binary()
+        else:
+            self._parse()
+        self.dim = self.matrix.shape[1] if self.ids else None
+        if None not in (fallback.dim, self.dim) and fallback.dim != self.dim:
+            raise CorpusError(
+                f"{self.path}: query embedder dim {fallback.dim} does not match "
+                f"the file's embedding dim {self.dim}"
+            )
+        self.provider_id = f"precomputed:{self.path.name}"
+
+    def _parse(self) -> None:
+        rows: list[np.ndarray] = []
+        self._row: dict[str, int] = {}
         for lineno, record in read_jsonl(self.path, CorpusError):
             try:
                 pid = record["id"]
@@ -368,33 +390,59 @@ class PrecomputedEmbeddings(EmbeddingProvider):
                     f"{self.path}: line {lineno}: embedding values must be a "
                     "non-empty flat list"
                 )
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
+            if rows and vec.shape != rows[0].shape:
                 raise CorpusError(
                     f"{self.path}: line {lineno}: inconsistent embedding dim "
-                    f"{vec.shape[0]} != {dim}"
+                    f"{vec.shape[0]} != {rows[0].shape[0]}"
                 )
-            if pid in self._vectors:
+            if pid in self._row:
                 raise CorpusError(
                     f"{self.path}: line {lineno}: duplicate embedding id '{pid}'"
                 )
-            self._vectors[pid] = vec
-        if None not in (fallback.dim, dim) and fallback.dim != dim:
-            raise CorpusError(
-                f"{self.path}: query embedder dim {fallback.dim} does not match "
-                f"the file's embedding dim {dim}"
-            )
-        self.dim = dim
-        self.provider_id = f"precomputed:{self.path.name}"
+            self._row[pid] = len(rows)
+            rows.append(vec)
+        self.ids = list(self._row)
+        self.matrix = np.array(rows) if rows else np.empty((0, 0))
 
-    def embed_paragraph(self, paragraph: "Paragraph", text: str) -> np.ndarray:
+    def _load_binary(self) -> None:
+        ids_path = self.path.with_name(IDS_FILE)
+        matrix_path = self.path.with_name(MATRIX_FILE)
+        self.ids = json.loads(ids_path.read_text(encoding="utf-8"))
+        if not isinstance(self.ids, list) or \
+                not all(isinstance(pid, str) for pid in self.ids):
+            raise CorpusError(f"{ids_path} does not hold a list of paragraph ids")
+        self._row = dict(zip(self.ids, range(len(self.ids))))
+        self.matrix = np.load(matrix_path, allow_pickle=False)
+        if self.matrix.dtype != np.float64 or self.matrix.ndim != 2 or \
+                self.matrix.shape[0] != len(self.ids):
+            raise CorpusError(
+                f"{matrix_path} holds a {self.matrix.dtype} array of shape "
+                f"{self.matrix.shape}, not a float64 matrix with one row for each "
+                f"of the {len(self.ids)} ids in {ids_path}")
+
+    def matrix_for(self, ids: Sequence[str]) -> np.ndarray:
+        """Row ``i`` is the stored vector of ``ids[i]``.  That is the stored
+        matrix itself, not a copy, when ``ids`` are the stored ids in order;
+        otherwise it is a gather of the stored rows, which vectors loaded
+        with ``binary`` refuse."""
+        if list(ids) == self.ids:
+            return self.matrix
+        if self._binary:
+            raise CorpusError(
+                f"the corpus's sorted paragraph ids differ from the {len(self.ids)} "
+                f"ids stored in {self.path.with_name(IDS_FILE)}")
+        return self.matrix[[self._row_of(pid) for pid in ids]]
+
+    def _row_of(self, pid: str) -> int:
         try:
-            return self._vectors[paragraph.id]
+            return self._row[pid]
         except KeyError:
             raise CorpusError(
-                f"no precomputed embedding for paragraph id '{paragraph.id}'"
+                f"no precomputed embedding for paragraph id '{pid}'"
             ) from None
+
+    def embed_paragraph(self, paragraph: "Paragraph", text: str) -> np.ndarray:
+        return self.matrix[self._row_of(paragraph.id)]
 
     def embed_text(self, text: str) -> np.ndarray:
         return self.fallback.embed_text(text)
@@ -403,15 +451,24 @@ class PrecomputedEmbeddings(EmbeddingProvider):
         return self.fallback.embed_texts(texts)
 
 
+# what write_embeddings_file writes beside the line-delimited file
+MATRIX_FILE = "matrix.npy"
+IDS_FILE = "ids.json"
+
+
 def write_embeddings_file(path: str | Path, index: "CorpusIndex") -> None:
     """Write an index's embeddings as line-delimited JSON, in its ascending-id
-    order.
+    order, and beside ``path`` its matrix as ``MATRIX_FILE`` and its ids as
+    a JSON list in ``IDS_FILE``.
 
     Each line is ``{"id": ..., "values": [...]}`` with every value spelled
     by ``repr``, as ``json.dumps`` spells a float.  An index holds only finite
     values, so no line spells ``NaN`` or ``Infinity``.
     """
+    path = Path(path)
     with open(path, "w", encoding="utf-8") as handle:
-        for pid in index.ids:
-            values = ", ".join(map(repr, index.embedding(pid).tolist()))
+        for pid, row in zip(index.ids, index.matrix):
+            values = ", ".join(map(repr, row.tolist()))
             handle.write('{"id": ' + json.dumps(pid) + ', "values": [' + values + "]}\n")
+    np.save(path.with_name(MATRIX_FILE), index.matrix, allow_pickle=False)
+    path.with_name(IDS_FILE).write_text(json.dumps(list(index.ids)), encoding="utf-8")

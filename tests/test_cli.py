@@ -11,10 +11,11 @@ import weakref
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from revtree import ReviewDecision, render_mpc_output, render_review_output
-from revtree import cli, llm, search
+from revtree import cli, embedding, llm, search
 from revtree.cli import main
 
 
@@ -531,6 +532,126 @@ class TestRun:
         assert trace["stats"]["provider_failures"] == failures
         assert data["summary"]["total_provider_failures"] == failures
         assert data["summary"]["failed"] == 0
+
+
+class TestBinaryIndex:
+    """``ingest`` writes the index's matrix and ids beside
+    ``embeddings.jsonl``; ``run --embedder precomputed`` loads them instead
+    of parsing the file when the manifest records their checksums."""
+
+    @pytest.fixture
+    def corpus30(self, tmp_path):
+        corpus = tmp_path / "corpus30.jsonl"
+        # written out of id order: the stored rows are in ascending-id order
+        write_jsonl(corpus, [{"id": f"p{i:02d}", "title": f"T{i}",
+                              "text": f"boston city fact {i} river {i % 7}"}
+                             for i in reversed(range(30))])
+        return corpus
+
+    @pytest.fixture
+    def index_dir(self, tmp_path, corpus30):
+        index_dir = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus30), "--out", str(index_dir)]) == 0
+        return index_dir
+
+    @pytest.fixture
+    def questions(self, tmp_path):
+        dataset = tmp_path / "questions.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "question": f"boston fact {i} river",
+                               "gold_answers": ["Boston"]} for i in range(6)])
+        return dataset
+
+    def run_precomputed(self, tmp_path, corpus, dataset, rules, index_dir, name):
+        out = tmp_path / name
+        code = main(run_args(corpus, dataset, out, rules, "--embedder", "precomputed",
+                             "--embeddings", str(index_dir / "embeddings.jsonl")))
+        return code, out
+
+    @staticmethod
+    def edit_manifest(index_dir, **changes):
+        path = index_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest.update(changes)
+        path.write_text(json.dumps({k: v for k, v in manifest.items() if v is not None}))
+
+    def test_ingest_writes_the_matrix_and_ids_with_their_checksums(self, index_dir):
+        manifest = json.loads((index_dir / "manifest.json").read_text())
+        for key, name in (("matrix_sha256", "matrix.npy"), ("ids_sha256", "ids.json")):
+            assert manifest[key] == hashlib.sha256(
+                (index_dir / name).read_bytes()).hexdigest()
+        ids = json.loads((index_dir / "ids.json").read_text())
+        assert ids == [f"p{i:02d}" for i in range(30)]
+        records = [json.loads(line) for line in
+                   (index_dir / "embeddings.jsonl").read_text().splitlines()]
+        assert [r["id"] for r in records] == ids
+        matrix = np.load(index_dir / "matrix.npy", allow_pickle=False)
+        assert matrix.dtype == np.float64 and matrix.shape == (30, 64)
+        parsed = np.array([r["values"] for r in records], dtype=np.float64)
+        assert np.array_equal(matrix.view(np.uint64), parsed.view(np.uint64))
+
+    def test_the_matrix_and_the_jsonl_give_the_same_bytes(
+            self, tmp_path, monkeypatch, corpus30, questions, rules_file, index_dir):
+        def refuse(self):
+            raise AssertionError("the wrong vector source was read")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding.PrecomputedEmbeddings, "_parse", refuse)
+            code, binary = self.run_precomputed(tmp_path, corpus30, questions,
+                                                rules_file, index_dir, "binary")
+            assert code == 0
+        # a manifest from before ingest wrote the matrix: the JSONL is parsed
+        self.edit_manifest(index_dir, matrix_sha256=None, ids_sha256=None)
+        (index_dir / "matrix.npy").unlink()
+        monkeypatch.setattr(embedding.PrecomputedEmbeddings, "_load_binary", refuse)
+        code, parsed = self.run_precomputed(tmp_path, corpus30, questions,
+                                            rules_file, index_dir, "parsed")
+        assert code == 0
+        outputs = [{p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                    if p.is_file() and p.name != "config.json"}
+                   for out in (binary, parsed)]
+        assert outputs[0] == outputs[1]
+        assert len([p for p in outputs[0] if p.parts[0] == "traces"]) == 6
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("matrix_bytes", "matrix.npy does not match the checksum"),
+        ("ids_bytes", "ids.json does not match the checksum"),
+        ("float32", "holds a float32 array of shape (30, 64)"),
+        ("short", "of shape (29, 64), not a float64 matrix"),
+        ("flat", "of shape (1920,), not a float64 matrix"),
+        ("corpus_ids", "sorted paragraph ids differ from the 30 ids stored"),
+    ])
+    def test_a_stored_index_that_does_not_fit_fails_before_the_first_question(
+            self, tmp_path, caplog, corpus30, questions, rules_file, index_dir,
+            tamper, message):
+        matrix_path = index_dir / "matrix.npy"
+        matrix = np.load(matrix_path)
+        corpus = corpus30
+        if tamper == "matrix_bytes":
+            data = bytearray(matrix_path.read_bytes())
+            data[-3] ^= 1  # a low bit of the last value: still a valid file
+            matrix_path.write_bytes(bytes(data))
+        elif tamper == "ids_bytes":
+            ids = json.loads((index_dir / "ids.json").read_text())
+            (index_dir / "ids.json").write_text(json.dumps(ids[1:] + ["p99"]))
+        elif tamper == "corpus_ids":
+            # a corpus of other ids whose sha256 the manifest records
+            rows = [json.loads(line) for line in corpus30.read_text().splitlines()]
+            rows[0]["id"] = "p99"
+            corpus = tmp_path / "other_ids.jsonl"
+            write_jsonl(corpus, rows)
+            self.edit_manifest(index_dir, corpus_sha256=hashlib.sha256(
+                corpus.read_bytes()).hexdigest())
+        else:
+            np.save(matrix_path, {"float32": matrix.astype(np.float32),
+                                  "short": matrix[:-1],
+                                  "flat": matrix.ravel()}[tamper])
+            self.edit_manifest(index_dir, matrix_sha256=hashlib.sha256(
+                matrix_path.read_bytes()).hexdigest())
+        code, out = self.run_precomputed(tmp_path, corpus, questions, rules_file,
+                                         index_dir, "run")
+        assert code == 1
+        assert not out.exists()
+        assert message in caplog.text
 
 
 class TestStreamedRun:

@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +26,7 @@ from revtree import (
 )
 from revtree.corpus import CorpusIndex, _approx_error, cosine_similarities, \
     format_documents, load_paragraphs
-from revtree import embedding
+from revtree import corpus, embedding
 from revtree.embedding import EmbeddingProvider, write_embeddings_file
 from revtree.errors import CorpusError, ProviderConfigError, ProviderError
 
@@ -324,6 +325,35 @@ class TestScoring:
         with pytest.raises(CorpusError, match="'a'"):
             build_index(paragraphs,
                         PrecomputedEmbeddings(path, fallback=HashedEmbedder(dim=2)))
+
+
+    def test_a_row_whose_norm_overflows_is_scaled_not_zeroed(self):
+        # 1e308 squared overflows float64: the row is scaled by its power of
+        # two first, as cosine_similarity does
+        index = vector_index({"a": [1e308, 1e308], "b": [0.0, 1.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = retrieve(index, "q", 2, FixedQuery([1.0, 0.0]))
+        assert [p.id for p, _ in got] == ["a", "b"]
+        assert got[0][1] == pytest.approx(2 ** -0.5, rel=1e-15)
+        assert got[0][1] == pytest.approx(cosine_similarity([1e308, 1e308], [1, 0]))
+        assert np.array_equal(index.embedding("a"), [1e308, 1e308])
+        assert index._shifts.tolist() == [-1024, 0]
+
+    def test_norms_are_taken_in_blocks_with_the_bits_of_one_pass(self):
+        rng = np.random.default_rng(12)
+        dim = 64
+        step = corpus._BLOCK_BYTES // (8 * dim)
+        matrix = rng.standard_normal((3 * step + 17, dim))
+        matrix[::5] = tiny_vectors(rng, (len(matrix[::5]), dim))
+        matrix[1::7] *= 1e150
+        index = vector_index(dict(zip((f"p{i:05d}" for i in range(len(matrix))),
+                                      matrix)))
+        norms = np.linalg.norm(matrix, axis=1)
+        assert np.array_equal(index._norms.view(np.uint64), norms.view(np.uint64))
+        unit32 = (matrix / norms[:, None]).astype(np.float32)
+        assert np.array_equal(index._unit32.view(np.uint32), unit32.view(np.uint32))
+        assert index._shifts is None
 
 
 def row_sum_topk(matrix, qvec, k):
@@ -831,6 +861,22 @@ class TestProviders:
         # queries go through the fallback
         got = [p.id for p, _ in retrieve(rebuilt, "alpha", 1, provider)]
         assert got == ["a"]
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_stored_vectors_in_id_order_are_adopted_not_copied(
+            self, tmp_path, embedder, binary):
+        paragraphs = [Paragraph(pid, "", f"text {pid}") for pid in ("c", "a", "b")]
+        path = tmp_path / "embeddings.jsonl"
+        write_embeddings_file(path, build_index(paragraphs, embedder))
+        provider = PrecomputedEmbeddings(path, fallback=embedder, binary=binary)
+        assert build_index(paragraphs, provider).matrix is provider.matrix
+        # other ids: gathered from the parsed file, refused from the matrix
+        if binary:
+            with pytest.raises(CorpusError, match="ids differ"):
+                build_index(paragraphs[:2], provider)
+        else:
+            index = build_index(paragraphs[:2], provider)
+            assert np.array_equal(index.matrix, provider.matrix[[0, 2]])
 
     def test_precomputed_missing_id(self, tmp_path, embedder):
         path = tmp_path / "embeddings.jsonl"

@@ -326,7 +326,6 @@ class TestScoring:
             build_index(paragraphs,
                         PrecomputedEmbeddings(path, fallback=HashedEmbedder(dim=2)))
 
-
     def test_a_row_whose_norm_overflows_is_scaled_not_zeroed(self):
         # 1e308 squared overflows float64: the row is scaled by its power of
         # two first, as cosine_similarity does

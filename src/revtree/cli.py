@@ -125,19 +125,30 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder) -> bool:
+def _check_manifest(embeddings_path: str, corpus_path: str,
+                    query_embedder) -> tuple[bool, Optional[str]]:
     """Refuse an embeddings file whose ingest manifest, when one sits beside
-    it, names another embedder than the one queries use, another checksum
-    than the file has, or another corpus checksum than ``corpus_path`` has
-    (manifests written before ingest recorded one are not checked for it).
+    it, is not a JSON object with a string ``provider_id`` and, if it has
+    one, a bool ``embed_title``, or names another embedder than the one
+    queries use, another checksum than the file has, or another corpus
+    checksum than ``corpus_path`` has (manifests written before ingest
+    recorded one are not checked for it).
 
     Return whether the manifest records the checksums of the matrix and ids
-    files ingest writes beside the file, once they are checked too; only
-    then are the vectors loaded from those files."""
+    files ingest writes beside the file, once they are checked too (only
+    then are the vectors loaded from those files), and the query embedder's
+    id if the stored vectors are its embeddings of ``format_documents([p])``:
+    the manifest says ``embed_title`` and its corpus checksum was checked."""
     manifest_path = Path(embeddings_path).with_name("manifest.json")
     if not manifest_path.exists():
-        return False
+        return False, None
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{manifest_path} does not hold a JSON object")
+    for key, kind in (("provider_id", str), ("embed_title", bool)):
+        if key in manifest and not isinstance(manifest[key], kind):
+            raise CorpusError(f"{manifest_path}: {key} is not a {kind.__name__}: "
+                              f"{manifest[key]!r}")
     if manifest.get("provider_id") != query_embedder.provider_id:
         raise CorpusError(
             f"{embeddings_path} was embedded by {manifest.get('provider_id')!r} "
@@ -151,14 +162,16 @@ def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder) -> b
         raise CorpusError(
             f"{corpus_path} is not the corpus {embeddings_path} was embedded "
             f"from: its sha256 differs from the one in {manifest_path}")
+    documents = query_embedder.provider_id \
+        if recorded is not None and manifest.get("embed_title") is True else None
     stored = {"matrix_sha256": embedding.MATRIX_FILE, "ids_sha256": embedding.IDS_FILE}
     if not stored.keys() <= manifest.keys():
-        return False
+        return False, documents
     for key, name in stored.items():
         path = manifest_path.with_name(name)
         if manifest[key] != _file_sha256(path):
             raise CorpusError(f"{path} does not match the checksum in {manifest_path}")
-    return True
+    return True, documents
 
 
 def _build_embedder(kind: str, dim: int, seed: int,
@@ -169,9 +182,10 @@ def _build_embedder(kind: str, dim: int, seed: int,
     hashed = embedding.HashedEmbedder(dim=dim, seed=seed)
     if kind == "hashed":
         return hashed
-    binary = _check_manifest(embeddings_path, corpus_path, hashed)
+    binary, documents = _check_manifest(embeddings_path, corpus_path, hashed)
     return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed,
-                                           binary=binary)
+                                           binary=binary,
+                                           document_provider_id=documents)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -219,7 +233,7 @@ def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
                              estimator=config.token_estimator,
                              demos=demos.get("fusion", ()))
     scored = select_scored_paragraphs(pool, answer.full_response, embedder,
-                                      stats=stats)
+                                      stats=stats, index=index)
     # the trace's stats take a re-ranking failure too
     trace.stats = stats.to_dict()
     record = {

@@ -67,12 +67,17 @@ class CorpusIndex:
     """
 
     def __init__(self, paragraphs: Sequence[Paragraph], matrix: np.ndarray,
-                 provider_id: str):
+                 provider_id: str, document_provider_id: Optional[str] = None):
         """Adopt ``matrix``, whose row ``i`` is the embedding of
         ``paragraphs[i]``; the paragraphs must be in strictly ascending-id
         order.  The matrix is made read-only, not copied, when it is a
-        C-ordered float64 array."""
+        C-ordered float64 array.
+
+        ``document_provider_id`` is the id of the provider whose
+        ``embed_text(format_documents([p]))`` is the row of each paragraph
+        ``p``, or ``None`` when no provider is known to give the rows."""
         self.provider_id = provider_id
+        self.document_provider_id = document_provider_id
         self._ids: tuple[str, ...] = tuple(p.id for p in paragraphs)
         for first, second in zip(self._ids, self._ids[1:]):
             if first == second:
@@ -286,15 +291,18 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
 
     Paragraphs are embedded in the order given, ``_EMBED_CHUNK`` at a time
     through :meth:`EmbeddingProvider.embed_paragraphs`, and each vector is
-    written straight into its row of the index's matrix.  Stored vectors
+    written straight into its row of the index's matrix; with
+    ``embed_title`` the rows are then the provider's embeddings of
+    ``format_documents([p])``, which the index records.  Stored vectors
     (:class:`PrecomputedEmbeddings`) are not embedded: the index adopts
-    their matrix, or the rows of it that the paragraphs' ids select.
+    their matrix, or the rows of it that the paragraphs' ids select, and
+    their ``document_provider_id``.
     """
     plist = list(paragraphs)
     ordered = sorted(plist, key=lambda p: p.id)
     if isinstance(provider, PrecomputedEmbeddings):
         return CorpusIndex(ordered, provider.matrix_for([p.id for p in ordered]),
-                           provider.provider_id)
+                           provider.provider_id, provider.document_provider_id)
     row = {p.id: i for i, p in enumerate(ordered)}
     matrix = np.zeros((0, 0))
     for start in range(0, len(plist), _EMBED_CHUNK):
@@ -317,7 +325,8 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
                     f"embedding of '{p.id}' has shape {vec.shape}, the others "
                     f"{matrix.shape[1:]}")
             matrix[row[p.id]] = vec
-    return CorpusIndex(ordered, matrix, provider.provider_id)
+    return CorpusIndex(ordered, matrix, provider.provider_id,
+                       provider.provider_id if embed_title else None)
 
 
 def load_paragraphs(source_path: str | Path) -> list[Paragraph]:

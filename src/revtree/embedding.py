@@ -14,7 +14,10 @@ back the corpus index and query embedding:
   token table; a text gathers its tokens' rows and adds them in text order,
   so its vector has the bits of adding one token vector at a time.  A
   batch's new tokens are seeded together in one vectorized pass, which
-  gives each direction the bits of its own ``default_rng`` draw.
+  gives each direction the bits of its own ``default_rng`` draw.  A sum
+  can also be continued from a stored vector over more text
+  (:meth:`HashedEmbedder.continue_folds`), which fusion's re-ranking does
+  from the rows of an index the embedder built.
 * :class:`RemoteEmbedder` -- thin client for an HTTPS embedding endpoint,
   configured through environment variables; a batch is posted in chunks.
 * :class:`PrecomputedEmbeddings` -- serves stored paragraph vectors, parsed
@@ -222,12 +225,14 @@ class HashedEmbedder(EmbeddingProvider):
                     generator.standard_normal(out=row)
             rows.update(zip(new, range(first, first + len(new))))
 
-    def _token_ids(self, texts: Sequence[str]) -> list[list[int]]:
+    def _token_ids(self, texts: Sequence[str],
+                   empty_ok: bool = False) -> list[list[int]]:
         """Each text's token row ids in text order.  The tokens of the texts
         that miss a row are added in one :meth:`_add_tokens` call, and only
-        those texts are looked up again."""
+        those texts are looked up again.  A text without tokens is refused
+        unless ``empty_ok``."""
         tokens = [text.lower().split() for text in texts]
-        if not all(tokens):
+        if not empty_ok and not all(tokens):
             raise ValueError("cannot embed empty or whitespace-only text")
         rows = self._rows
         row_of = rows.__getitem__
@@ -258,6 +263,28 @@ class HashedEmbedder(EmbeddingProvider):
         out = np.empty((len(texts), self.dim))
         for row, ids in zip(out, self._token_ids(texts)):
             row[:] = self._sum_rows(ids)
+        return out
+
+    def continue_folds(self, starts: np.ndarray, texts: Sequence[str]) -> np.ndarray:
+        """Row ``i`` is the sum of ``texts[i]``'s token rows added in text
+        order to ``starts[i]``, where :meth:`embed_text` adds them to
+        ``+0.0``; an empty text gives its start row.
+
+        So when ``starts[i]`` is this embedder's vector of a text ``a`` and
+        ``texts[i]`` is empty or starts with whitespace, row ``i`` has the
+        bits of ``embed_text(a + texts[i])``: ``str.lower`` reads no context
+        across whitespace, the tokens split there, and a sum from ``+0.0``
+        is never ``-0.0``, so starting from it changes no bit.
+        """
+        out = np.empty((len(texts), self.dim))
+        width = self._table.shape[1]
+        for row, start, ids in zip(out, starts, self._token_ids(texts, empty_ok=True)):
+            # the start row, padded as the table is, then the token rows
+            rows = np.empty((len(ids) + 1, width))
+            rows[0, :self.dim] = start
+            rows[0, self.dim:] = 0.0
+            self._table.take(ids, axis=0, out=rows[1:])
+            row[:] = np.add.reduce(rows, axis=0, initial=0.0)[:self.dim]
         return out
 
     def embed_paragraphs(self, paragraphs: Sequence["Paragraph"],
@@ -353,14 +380,18 @@ class PrecomputedEmbeddings(EmbeddingProvider):
     checked their checksums, and the stored ids must then be exactly the
     ids an index asks for (:meth:`matrix_for`).  Free-text embedding (needed
     at query time) is delegated to ``fallback``, which must embed to the
-    stored dim.
+    stored dim.  ``document_provider_id`` is the id of the provider whose
+    ``embed_text(format_documents([p]))`` is the stored vector of each
+    paragraph ``p``, when the caller knows it; an index built from these
+    vectors records it (:class:`~revtree.corpus.CorpusIndex`).
     """
 
     def __init__(self, path: str | Path, fallback: EmbeddingProvider,
-                 binary: bool = False):
+                 binary: bool = False, document_provider_id: Optional[str] = None):
         self.path = Path(path)
         self.fallback = fallback
         self._binary = binary
+        self.document_provider_id = document_provider_id
         if binary:
             self._load_binary()
         else:

@@ -19,8 +19,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corpus import cosine_similarities, format_documents
-from .embedding import EmbeddingProvider
+from .corpus import CorpusIndex, cosine_similarities, format_documents
+from .embedding import EmbeddingProvider, HashedEmbedder, PrecomputedEmbeddings
 from .llm import CompletionRequest, LlmClient, TokenEstimator, estimate_tokens, \
     load_template, render_prompt
 from .metrics import RECALL_K
@@ -174,16 +174,44 @@ def generate_answer(question: str, pool: EvidencePool, strategy: FusionStrategy,
     )
 
 
-def _evidence_text(evidence: Evidence) -> str:
-    text = format_documents(evidence.path)
+def _evidence_rest(evidence: Evidence) -> str:
+    """What :func:`_evidence_text` puts after the evidence's first document:
+    empty, or whitespace and then its other documents and brief analysis."""
+    rest = f"\n\n{format_documents(evidence.path[1:])}" if len(evidence.path) > 1 else ""
     if evidence.brief_analysis:
-        text = f"{text}\n{evidence.brief_analysis}"
-    return text
+        rest = f"{rest}\n{evidence.brief_analysis}"
+    return rest
+
+
+def _evidence_text(evidence: Evidence) -> str:
+    return format_documents(evidence.path[:1]) + _evidence_rest(evidence)
+
+
+def _first_document_rows(evidences: Sequence[Evidence], provider: EmbeddingProvider,
+                         index: Optional[CorpusIndex]
+                         ) -> Optional[tuple[HashedEmbedder, np.ndarray]]:
+    """The hashed embedder that embeds ``provider``'s texts and the index
+    rows of the evidences' first paragraphs, when each such row is that
+    embedder's vector of ``format_documents([p])``; else ``None``."""
+    if isinstance(provider, PrecomputedEmbeddings):
+        provider = provider.fallback
+    # a subclass may embed otherwise
+    if index is None or type(provider) is not HashedEmbedder or \
+            index.document_provider_id != provider.provider_id:
+        return None
+    firsts = [e.path[0] for e in evidences]
+    try:
+        if any(index.get(p.id) != p for p in firsts):
+            return None
+    except KeyError:
+        return None
+    return provider, np.array([index.embedding(p.id) for p in firsts])
 
 
 def select_scored_paragraphs(pool: EvidencePool, final_response: str,
                              provider: EmbeddingProvider,
-                             stats: Optional[RunStats] = None) -> list[str]:
+                             stats: Optional[RunStats] = None,
+                             index: Optional[CorpusIndex] = None) -> list[str]:
     """Paragraph ids submitted for retrieval scoring, at most
     :data:`~revtree.metrics.RECALL_K`, the cut recall is scored at.
 
@@ -194,6 +222,14 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     evidence-rank then path order, deduplicated and truncated.  The response
     and then the evidence texts, in pool order, are embedded in one
     :meth:`~revtree.embedding.EmbeddingProvider.embed_texts` call.
+
+    Given the ``index`` the pool was retrieved from, a hashed embedder that
+    gave the index's rows as its vectors of ``format_documents([p])``
+    embeds only the response; each evidence vector continues the fold of
+    its first paragraph's stored row over the rest of its text
+    (:meth:`~revtree.embedding.HashedEmbedder.continue_folds`), with the
+    bits the whole text embeds to.  Every other provider or index embeds
+    the whole texts.
 
     Re-ranking needs a final response that is not blank and embeddings that
     are finite and not zero.  Given the run's ``stats``, a blank response,
@@ -209,8 +245,15 @@ def select_scored_paragraphs(pool: EvidencePool, final_response: str,
     try:
         if not final_response.strip():
             raise ValueError("final_response must be non-empty")
-        vectors = provider.embed_texts(
-            [final_response] + [_evidence_text(e) for e in pool.evidences])
+        reuse = _first_document_rows(pool.evidences, provider, index)
+        if reuse is None:
+            vectors = provider.embed_texts(
+                [final_response] + [_evidence_text(e) for e in pool.evidences])
+        else:
+            hashed, starts = reuse
+            vectors = np.concatenate([
+                hashed.embed_texts([final_response]),
+                hashed.continue_folds(starts, [_evidence_rest(e) for e in pool.evidences])])
         # a remote reply may spell NaN or Infinity, which json reads
         if not np.isfinite(vectors).all():
             raise ValueError("re-ranking embedded a non-finite vector")

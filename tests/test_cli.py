@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from revtree import ReviewDecision, render_mpc_output, render_review_output
-from revtree import cli, embedding, llm, search
+from revtree import cli, embedding, fusion, llm, search
 from revtree.cli import main
 
 
@@ -651,6 +651,128 @@ class TestBinaryIndex:
                                          index_dir, "run")
         assert code == 1
         assert not out.exists()
+        assert message in caplog.text
+
+
+class TestReRankingFromStoredRows:
+    """Re-ranking continues each evidence's fold from its first paragraph's
+    index row only when the rows are the query embedder's vectors of
+    ``format_documents([p])``; the answers are those of embedding whole
+    evidence texts either way."""
+
+    @pytest.fixture
+    def corpus30(self, tmp_path):
+        corpus = tmp_path / "corpus30.jsonl"
+        write_jsonl(corpus, [{"id": f"p{i:02d}", "title": f"T{i % 4}",
+                              "text": f"word{i} shared fact {i % 7}"} for i in range(30)])
+        return corpus
+
+    @pytest.fixture
+    def questions(self, tmp_path):
+        dataset = tmp_path / "questions.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "question": f"word{i} shared",
+                               "gold_answers": ["x"]} for i in range(4)])
+        return dataset
+
+    @pytest.fixture
+    def accept_rules(self, tmp_path):
+        # every review accepts, so each pool holds 20 paragraphs and is re-ranked
+        rules = tmp_path / "accept.jsonl"
+        write_jsonl(rules, [
+            {"template": "fusion_evidence", "response": "The answer is fact 3."},
+            {"default": render_review_output(ReviewDecision.accept("it is fact 5"))},
+        ])
+        return rules
+
+    def ingest(self, tmp_path, corpus, *extra):
+        index_dir = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(index_dir),
+                     *extra]) == 0
+        return index_dir
+
+    def answers(self, monkeypatch, tmp_path, corpus, dataset, rules, *extra,
+                reuse: bool = True) -> tuple[bytes, int]:
+        """A run's answers and the number of continue_folds calls it made;
+        without ``reuse`` every evidence text is embedded whole."""
+        calls = []
+        continue_folds = embedding.HashedEmbedder.continue_folds
+
+        def spy(self, starts, texts):
+            calls.append(len(texts))
+            return continue_folds(self, starts, texts)
+
+        out = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding.HashedEmbedder, "continue_folds", spy)
+            if not reuse:
+                patch.setattr(fusion, "_first_document_rows", lambda *args: None)
+            assert main(run_args(corpus, dataset, out, rules, "--widths", "20",
+                                 *extra)) == 0
+        answers = (out / "answers.jsonl").read_bytes()
+        assert all(len(json.loads(line)["scored_ids"]) == 15
+                   for line in answers.splitlines())
+        return answers, len(calls)
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_stored_rows_give_the_answers_of_whole_texts(
+            self, tmp_path, monkeypatch, corpus30, questions, accept_rules, precomputed):
+        extra = ()
+        if precomputed:
+            index_dir = self.ingest(tmp_path, corpus30)
+            extra = ("--embedder", "precomputed",
+                     "--embeddings", str(index_dir / "embeddings.jsonl"))
+        reused, calls = self.answers(monkeypatch, tmp_path, corpus30, questions,
+                                     accept_rules, *extra)
+        assert calls == 4
+        whole, _ = self.answers(monkeypatch, tmp_path, corpus30, questions,
+                                accept_rules, *extra, reuse=False)
+        assert reused == whole
+
+    @pytest.mark.parametrize("case", ["ingest_no_title", "run_no_title",
+                                      "no_corpus_checksum", "no_manifest"])
+    def test_rows_that_may_be_other_vectors_are_not_reused(
+            self, tmp_path, monkeypatch, corpus30, questions, accept_rules, case):
+        if case == "run_no_title":
+            extra = ("--embedder", "hashed", "--no-embed-title")
+        else:
+            index_dir = self.ingest(tmp_path, corpus30, *(
+                ["--no-embed-title"] if case == "ingest_no_title" else []))
+            manifest_path = index_dir / "manifest.json"
+            if case == "no_corpus_checksum":
+                manifest = json.loads(manifest_path.read_text())
+                del manifest["corpus_sha256"]
+                manifest_path.write_text(json.dumps(manifest))
+            elif case == "no_manifest":
+                manifest_path.unlink()
+            extra = ("--embedder", "precomputed",
+                     "--embeddings", str(index_dir / "embeddings.jsonl"))
+        answers, calls = self.answers(monkeypatch, tmp_path, corpus30, questions,
+                                      accept_rules, *extra)
+        assert calls == 0
+        assert answers == self.answers(monkeypatch, tmp_path, corpus30, questions,
+                                       accept_rules, *extra, reuse=False)[0]
+
+    @pytest.mark.parametrize("manifest, message", [
+        ([], "does not hold a JSON object"),
+        ("text", "does not hold a JSON object"),
+        ({"provider_id": 5}, "provider_id is not a str: 5"),
+        ({"embed_title": "yes"}, "embed_title is not a bool: 'yes'"),
+        ({"embed_title": 1}, "embed_title is not a bool: 1"),
+    ])
+    def test_a_malformed_manifest_fails_before_the_first_question(
+            self, tmp_path, caplog, corpus30, questions, accept_rules, manifest,
+            message):
+        index_dir = self.ingest(tmp_path, corpus30)
+        manifest_path = index_dir / "manifest.json"
+        if isinstance(manifest, dict):
+            manifest = {**json.loads(manifest_path.read_text()), **manifest}
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        assert main(run_args(corpus30, questions, out, accept_rules,
+                             "--embedder", "precomputed",
+                             "--embeddings", str(index_dir / "embeddings.jsonl"))) == 1
+        assert not out.exists()
+        assert f"{manifest_path}" in caplog.text
         assert message in caplog.text
 
 

@@ -640,15 +640,19 @@ class TestHashedTable:
         initial_rows = shared._table.shape[0]
         barrier = threading.Barrier(4)
 
-        def worker(worker_batches):
+        def worker(j):
             barrier.wait(timeout=30)
-            return [shared.embed_texts(batch) for batch in worker_batches]
+            # a fold continued from zero rows has the bits of one from +0.0
+            if j % 2:
+                return [shared.continue_folds(np.zeros((len(batch), 16)), batch)
+                        for batch in batches[j]]
+            return [shared.embed_texts(batch) for batch in batches[j]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(worker, batches, timeout=120))
+                got = list(pool.map(worker, range(4), timeout=120))
         finally:
             sys.setswitchinterval(interval)
         assert shared._table.shape[0] > 64 * initial_rows

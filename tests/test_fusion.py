@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revtree import (
@@ -23,8 +24,11 @@ from revtree import (
     pack_evidence,
     select_scored_paragraphs,
 )
+from revtree import PrecomputedEmbeddings, build_index
 from revtree.corpus import format_documents
-from revtree.fusion import _evidence_text, render_context
+from revtree.embedding import write_embeddings_file
+from revtree.fusion import _evidence_rest, _evidence_text, _first_document_rows, \
+    render_context
 from revtree.search import distinct_paragraphs
 
 
@@ -403,3 +407,87 @@ class TestSelectScoredParagraphs:
                               accepted_at_call=i + 1))
         result = select_scored_paragraphs(pool, "claim 3", embedder)
         assert len(result) == len(set(result)) <= 15
+
+
+# letters whose lower case depends on their neighbours or grows (final sigma,
+# dotted capital I), case-ignorable combining marks, and whitespace that
+# str.split splits on but a space test would miss
+EDGE_TEXT = st.text(alphabet=st.sampled_from(
+    ["a", "B", "x", "Σ", "σ", "ς", "İ", "i", "\u0307", "\u0301", "Α", " ", "\n",
+     "\x85", "\u2028", "\t"]), max_size=14)
+
+
+@st.composite
+def corpora_and_pools(draw):
+    """A corpus of 16-20 paragraphs, some with blank titles, and a pool
+    with an evidence starting at each, in a drawn order, whose paths hold
+    up to two more paragraphs and whose analyses may be empty."""
+    paragraphs = [Paragraph(f"p{i:02d}", draw(EDGE_TEXT),
+                            draw(EDGE_TEXT.filter(str.strip)))
+                  for i in range(draw(st.integers(16, 20)))]
+    pool = EvidencePool()
+    for call, first in enumerate(draw(st.permutations(paragraphs))):
+        rest = draw(st.lists(st.sampled_from(paragraphs), max_size=2))
+        pool.add(Evidence(path=(first, *rest), brief_analysis=draw(EDGE_TEXT),
+                          accepted_at_call=call + 1))
+    return paragraphs, pool
+
+
+class TestReRankingFromIndexRows:
+    """With the index its pool came from, re-ranking continues each
+    evidence's fold from its first paragraph's stored row."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    @settings(max_examples=30, deadline=None)
+    @given(case=corpora_and_pools(), response=EDGE_TEXT.filter(str.strip))
+    def test_continued_folds_have_the_bits_of_whole_texts(self, dim, case, response):
+        paragraphs, pool = case
+        embedder = HashedEmbedder(dim=dim, seed=3)
+        index = build_index(paragraphs, embedder)
+        starts = np.array([index.embedding(e.path[0].id) for e in pool.evidences])
+        continued = embedder.continue_folds(
+            starts, [_evidence_rest(e) for e in pool.evidences])
+        whole = HashedEmbedder(dim=dim, seed=3).embed_texts(
+            [_evidence_text(e) for e in pool.evidences])
+        assert continued.tobytes() == whole.tobytes()
+        assert _first_document_rows(pool.evidences, embedder, index) is not None
+        assert select_scored_paragraphs(pool, response, embedder, index=index) == \
+            select_scored_paragraphs(pool, response, HashedEmbedder(dim=dim, seed=3))
+
+    def test_an_empty_rest_gives_its_start_row(self):
+        embedder = HashedEmbedder(dim=1, seed=0)
+        starts = np.array([[1.5], [-2.0]])
+        assert embedder.continue_folds(starts, ["", " \n"]).tobytes() == \
+            starts.tobytes()
+
+    def test_stored_rows_of_a_title_embedding_provider_are_reused(self, tmp_path):
+        paragraphs = [Paragraph(f"p{i:02d}", f"T{i}", f"word{i} shared")
+                      for i in range(20)]
+        pool = make_pool(0)
+        for i, p in enumerate(paragraphs):
+            pool.add(Evidence(path=(p,), brief_analysis=f"claim {i}",
+                              accepted_at_call=i + 1))
+        hashed = HashedEmbedder(dim=16, seed=1)
+        index = build_index(paragraphs, hashed)
+        assert index.document_provider_id == hashed.provider_id
+        # stored vectors, through their hashed query embedder, when the
+        # caller vouches for them
+        write_embeddings_file(tmp_path / "e.jsonl", index)
+        for vouched in (None, hashed.provider_id):
+            stored = PrecomputedEmbeddings(tmp_path / "e.jsonl", fallback=hashed,
+                                           document_provider_id=vouched)
+            reuse = _first_document_rows(pool.evidences, stored,
+                                         build_index(paragraphs, stored))
+            assert (reuse is not None and reuse[0] is hashed) == bool(vouched)
+        # not for vectors of the texts alone, another provider, a subclass
+        # that may embed otherwise, or a paragraph the index does not hold
+        assert build_index(paragraphs, hashed, embed_title=False) \
+            .document_provider_id is None
+        for provider in (HashedEmbedder(dim=16, seed=2), CountingEmbedder(dim=16, seed=1)):
+            assert _first_document_rows(pool.evidences, provider, index) is None
+        other = make_evidence(99)
+        assert _first_document_rows(pool.evidences + [other], hashed, index) is None
+        edited = Evidence(path=(Paragraph("p03", "T3", "edited"),), brief_analysis="",
+                          accepted_at_call=99)
+        assert _first_document_rows([edited], hashed, index) is None
+        assert _first_document_rows(pool.evidences, hashed, None) is None

@@ -15,8 +15,9 @@ line count, every run's metrics, the median
 and quartiles of each metric, the correct and failed counts, the fewest and
 most questions a run attempted, and, with a baseline, per end-to-end metric
 the pairs the change won, the median change/baseline ratio and a verdict
-(see :func:`verdict`).  Runs go one at a time, so they do not compete for
-the host.
+(see :func:`verdict`), over the pairs whose two runs were correct with no
+failed question; ``excluded_pairs`` counts the others.  Runs go one at a
+time, so they do not compete for the host.
 """
 
 from __future__ import annotations
@@ -137,23 +138,31 @@ def verdict(sides: list[tuple[float, float]], better: str, bound: float) -> str:
     return "within bound"
 
 
-def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> dict:
+def comparable(run: dict) -> bool:
+    """Whether a run's metrics may enter a comparison: it was correct and no
+    question failed.  A crashed run is neither."""
+    return run["correct"] and not run["failed"]
+
+
+def compare(pairs: list[tuple[dict, dict]], declared: list[dict]) -> tuple[dict, int]:
     """Per end-to-end metric: the pairs the change won, the median of
-    change / baseline and the :func:`verdict`."""
+    change / baseline and the :func:`verdict`, all over the pairs whose two
+    runs are :func:`comparable`; and the number of pairs left out.  Every
+    metric reads ``unresolved`` when a pair was left out."""
+    kept = [(b, c) for b, c in pairs if comparable(b) and comparable(c)]
+    excluded = len(pairs) - len(kept)
     table = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
-        sides = [(b["metrics"][name], c["metrics"][name]) for b, c in pairs
-                 if name in b["metrics"] and name in c["metrics"]]
-        if not sides:
-            continue
+        sides = [(b["metrics"][name], c["metrics"][name]) for b, c in kept]
         wins = sum((c < b) if lower else (c > b) for b, c in sides)
         ratios = [c / b for b, c in sides if b]
         table[name] = {"better": metric["better"], "wins": wins, "pairs": len(sides),
                        "median_ratio": statistics.median(ratios) if ratios else None,
                        "bound": metric["bound"],
-                       "verdict": verdict(sides, metric["better"], metric["bound"])}
-    return table
+                       "verdict": "unresolved" if excluded or not sides else
+                       verdict(sides, metric["better"], metric["bound"])}
+    return table, excluded
 
 
 def main(argv=None) -> int:
@@ -194,7 +203,8 @@ def main(argv=None) -> int:
         if "baseline" in sides:
             untraced = [[r for r in runs[side] if r["trace"] == 0]
                         for side in ("baseline", "change")]
-            entry["pairs"] = compare(list(zip(*untraced)), spec["end_to_end"])
+            entry["pairs"], entry["excluded_pairs"] = compare(list(zip(*untraced)),
+                                                              spec["end_to_end"])
         record["workloads"][workload] = entry
 
     out = ROOT / f"BENCH_{args.label}.json"

@@ -125,66 +125,71 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _check_manifest(embeddings_path: str, corpus_path: str,
-                    query_embedder) -> tuple[bool, Optional[str]]:
-    """Refuse an embeddings file whose ingest manifest, when one sits beside
-    it, is not a JSON object with a string ``provider_id`` and, if it has
-    one, a bool ``embed_title``, or names another embedder than the one
-    queries use, another checksum than the file has, or another corpus
-    checksum than ``corpus_path`` has (manifests written before ingest
-    recorded one are not checked for it).
+# the fields of the manifest.json ingest writes that run reads
+_MANIFEST_FIELDS = (("provider_id", str), ("embed_title", bool), ("corpus_sha256", str),
+                    ("matrix_sha256", str), ("ids_sha256", str))
 
-    Return whether the manifest records the checksums of the matrix and ids
-    files ingest writes beside the file, once they are checked too (only
-    then are the vectors loaded from those files), and the query embedder's
-    id if the stored vectors are its embeddings of ``format_documents([p])``:
-    the manifest says ``embed_title`` and its corpus checksum was checked."""
+
+def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder,
+                    embed_title: bool) -> Optional[str]:
+    """Refuse stored vectors unless the ``manifest.json`` their ingest wrote
+    beside ``embeddings_path`` is a JSON object with each of
+    ``_MANIFEST_FIELDS`` of its type, names the embedder queries use and the
+    run's ``embed_title``, and records the sha256 of ``corpus_path`` and of
+    the matrix and ids files the vectors are loaded from.
+
+    Return the query embedder's id if the stored vectors are its embeddings
+    of ``format_documents([p])`` (the manifest says ``embed_title``), else
+    ``None``."""
     manifest_path = Path(embeddings_path).with_name("manifest.json")
     if not manifest_path.exists():
-        return False, None
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        raise CorpusError(f"{manifest_path} is missing: stored vectors are read "
+                          "only from the output of revtree ingest")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{manifest_path} is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise CorpusError(f"{manifest_path} does not hold a JSON object")
-    for key, kind in (("provider_id", str), ("embed_title", bool)):
-        if key in manifest and not isinstance(manifest[key], kind):
+    for key, kind in _MANIFEST_FIELDS:
+        if key not in manifest:
+            raise CorpusError(f"{manifest_path}: {key} is missing")
+        if not isinstance(manifest[key], kind):
             raise CorpusError(f"{manifest_path}: {key} is not a {kind.__name__}: "
                               f"{manifest[key]!r}")
-    if manifest.get("provider_id") != query_embedder.provider_id:
+    if manifest["provider_id"] != query_embedder.provider_id:
         raise CorpusError(
-            f"{embeddings_path} was embedded by {manifest.get('provider_id')!r} "
+            f"{embeddings_path} was embedded by {manifest['provider_id']!r} "
             f"(per {manifest_path}), but queries are embedded by "
             f"{query_embedder.provider_id!r}")
-    if manifest.get("checksum") != _file_sha256(embeddings_path):
+    if manifest["embed_title"] != embed_title:
         raise CorpusError(
-            f"{embeddings_path} does not match the checksum in {manifest_path}")
-    recorded = manifest.get("corpus_sha256")
-    if recorded is not None and recorded != _file_sha256(corpus_path):
+            f"{embeddings_path} was embedded with embed_title "
+            f"{manifest['embed_title']} (per {manifest_path}), but the run has "
+            f"embed_title {embed_title}: pass --no-embed-title to run exactly "
+            "when it was passed to ingest")
+    if manifest["corpus_sha256"] != _file_sha256(corpus_path):
         raise CorpusError(
             f"{corpus_path} is not the corpus {embeddings_path} was embedded "
             f"from: its sha256 differs from the one in {manifest_path}")
-    documents = query_embedder.provider_id \
-        if recorded is not None and manifest.get("embed_title") is True else None
-    stored = {"matrix_sha256": embedding.MATRIX_FILE, "ids_sha256": embedding.IDS_FILE}
-    if not stored.keys() <= manifest.keys():
-        return False, documents
-    for key, name in stored.items():
+    for key, name in (("matrix_sha256", embedding.MATRIX_FILE),
+                      ("ids_sha256", embedding.IDS_FILE)):
         path = manifest_path.with_name(name)
         if manifest[key] != _file_sha256(path):
             raise CorpusError(f"{path} does not match the checksum in {manifest_path}")
-    return True, documents
+    return query_embedder.provider_id if embed_title else None
 
 
 def _build_embedder(kind: str, dim: int, seed: int,
                     embeddings_path: Optional[str] = None,
-                    corpus_path: Optional[str] = None):
+                    corpus_path: Optional[str] = None, embed_title: bool = True):
     if kind == "remote":
         return embedding.RemoteEmbedder()
     hashed = embedding.HashedEmbedder(dim=dim, seed=seed)
     if kind == "hashed":
         return hashed
-    binary, documents = _check_manifest(embeddings_path, corpus_path, hashed)
+    documents = _check_manifest(embeddings_path, corpus_path, hashed, embed_title)
     return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed,
-                                           binary=binary,
                                            document_provider_id=documents)
 
 
@@ -274,7 +279,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     if config.provider == "scripted" else
                     RemoteChatProvider(pool_size=config.parallel * max(config.tree.widths)))
     embedder = _build_embedder(config.embedder, config.dim, config.seed,
-                               config.embeddings_path, config.corpus_path)
+                               config.embeddings_path, config.corpus_path,
+                               config.embed_title)
     index = build_index(load_paragraphs(config.corpus_path), embedder,
                         embed_title=config.embed_title)
     # made only now, so that a run refused before its first question leaves
@@ -420,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rules", dest="rules_path", help="scripted oracle rule file")
     p_run.add_argument("--embedder", choices=["hashed", "remote", "precomputed"])
     p_run.add_argument("--embeddings", dest="embeddings_path",
-                       help="precomputed embedding file")
+                       help="embeddings.jsonl written by ingest; the vectors "
+                       "load from the matrix.npy and ids.json beside it")
     p_run.add_argument("--dim", type=int)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--no-embed-title", dest="embed_title", action="store_false")

@@ -295,8 +295,8 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
     ``embed_title`` the rows are then the provider's embeddings of
     ``format_documents([p])``, which the index records.  Stored vectors
     (:class:`PrecomputedEmbeddings`) are not embedded: the index adopts
-    their matrix, or the rows of it that the paragraphs' ids select, and
-    their ``document_provider_id``.
+    their matrix, whose ids must be the paragraphs' sorted ids, and their
+    ``document_provider_id``.
     """
     plist = list(paragraphs)
     ordered = sorted(plist, key=lambda p: p.id)

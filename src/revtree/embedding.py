@@ -20,10 +20,9 @@ back the corpus index and query embedding:
   from the rows of an index the embedder built.
 * :class:`RemoteEmbedder` -- thin client for an HTTPS embedding endpoint,
   configured through environment variables; a batch is posted in chunks.
-* :class:`PrecomputedEmbeddings` -- serves stored paragraph vectors, parsed
-  from a line-delimited file or loaded from the binary matrix an ingest
-  writes beside it, delegating free-text (query) embedding to a fallback
-  provider.
+* :class:`PrecomputedEmbeddings` -- serves the stored paragraph vectors an
+  ingest writes as a binary matrix and its ids, delegating free-text
+  (query) embedding to a fallback provider.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CorpusError, ProviderConfigError
-from .jsonl import read_jsonl
 from .llm import new_session, post_json, read_env, with_retries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,7 +68,7 @@ class EmbeddingProvider:
 
         ``text`` is the already-composed string to embed (title and body may
         have been joined by the caller).  The default simply delegates to
-        :meth:`embed_text`; id-keyed providers override this.
+        :meth:`embed_text`.
         """
         return self.embed_text(text)
 
@@ -370,32 +368,38 @@ def _reply_rows(data: list, inputs: int) -> np.ndarray:
 
 
 class PrecomputedEmbeddings(EmbeddingProvider):
-    """Serves stored paragraph vectors: one ``(n, dim)`` float64 matrix and
-    its ids, in the order stored.
+    """Serves the stored paragraph vectors an ingest wrote: the ``(n, dim)``
+    float64 matrix in ``MATRIX_FILE`` and its ids in ``IDS_FILE``, both
+    beside the line-delimited file ``path`` (:func:`write_embeddings_file`).
 
-    By default they are parsed from the line-delimited file ``path``, one
-    JSON record ``{"id": ..., "values": [...]}`` a line.  With ``binary``
-    they are loaded instead from the ``matrix.npy`` and ``ids.json`` that
-    :func:`write_embeddings_file` writes beside ``path``; the caller has
-    checked their checksums, and the stored ids must then be exactly the
-    ids an index asks for (:meth:`matrix_for`).  Free-text embedding (needed
-    at query time) is delegated to ``fallback``, which must embed to the
-    stored dim.  ``document_provider_id`` is the id of the provider whose
+    The caller has checked both files' checksums.  The matrix must be
+    float64 with one row per stored id, and the stored ids must be exactly
+    the ids an index asks for (:meth:`matrix_for`).  Free-text embedding
+    (needed at query time) is delegated to ``fallback``, which must embed to
+    the stored dim.  ``document_provider_id`` is the id of the provider whose
     ``embed_text(format_documents([p]))`` is the stored vector of each
     paragraph ``p``, when the caller knows it; an index built from these
     vectors records it (:class:`~revtree.corpus.CorpusIndex`).
     """
 
     def __init__(self, path: str | Path, fallback: EmbeddingProvider,
-                 binary: bool = False, document_provider_id: Optional[str] = None):
+                 document_provider_id: Optional[str] = None):
         self.path = Path(path)
         self.fallback = fallback
-        self._binary = binary
         self.document_provider_id = document_provider_id
-        if binary:
-            self._load_binary()
-        else:
-            self._parse()
+        ids_path = self.path.with_name(IDS_FILE)
+        matrix_path = self.path.with_name(MATRIX_FILE)
+        self.ids = json.loads(ids_path.read_text(encoding="utf-8"))
+        if not isinstance(self.ids, list) or \
+                not all(isinstance(pid, str) for pid in self.ids):
+            raise CorpusError(f"{ids_path} does not hold a list of paragraph ids")
+        self.matrix = np.load(matrix_path, allow_pickle=False)
+        if self.matrix.dtype != np.float64 or self.matrix.ndim != 2 or \
+                self.matrix.shape[0] != len(self.ids):
+            raise CorpusError(
+                f"{matrix_path} holds a {self.matrix.dtype} array of shape "
+                f"{self.matrix.shape}, not a float64 matrix with one row for each "
+                f"of the {len(self.ids)} ids in {ids_path}")
         self.dim = self.matrix.shape[1] if self.ids else None
         if None not in (fallback.dim, self.dim) and fallback.dim != self.dim:
             raise CorpusError(
@@ -404,76 +408,14 @@ class PrecomputedEmbeddings(EmbeddingProvider):
             )
         self.provider_id = f"precomputed:{self.path.name}"
 
-    def _parse(self) -> None:
-        rows: list[np.ndarray] = []
-        self._row: dict[str, int] = {}
-        for lineno, record in read_jsonl(self.path, CorpusError):
-            try:
-                pid = record["id"]
-                values = record["values"]
-            except KeyError as exc:
-                raise CorpusError(
-                    f"{self.path}: line {lineno}: invalid embedding record: {exc}"
-                ) from exc
-            vec = np.asarray(values, dtype=np.float64)
-            if vec.ndim != 1 or vec.size == 0:
-                raise CorpusError(
-                    f"{self.path}: line {lineno}: embedding values must be a "
-                    "non-empty flat list"
-                )
-            if rows and vec.shape != rows[0].shape:
-                raise CorpusError(
-                    f"{self.path}: line {lineno}: inconsistent embedding dim "
-                    f"{vec.shape[0]} != {rows[0].shape[0]}"
-                )
-            if pid in self._row:
-                raise CorpusError(
-                    f"{self.path}: line {lineno}: duplicate embedding id '{pid}'"
-                )
-            self._row[pid] = len(rows)
-            rows.append(vec)
-        self.ids = list(self._row)
-        self.matrix = np.array(rows) if rows else np.empty((0, 0))
-
-    def _load_binary(self) -> None:
-        ids_path = self.path.with_name(IDS_FILE)
-        matrix_path = self.path.with_name(MATRIX_FILE)
-        self.ids = json.loads(ids_path.read_text(encoding="utf-8"))
-        if not isinstance(self.ids, list) or \
-                not all(isinstance(pid, str) for pid in self.ids):
-            raise CorpusError(f"{ids_path} does not hold a list of paragraph ids")
-        self._row = dict(zip(self.ids, range(len(self.ids))))
-        self.matrix = np.load(matrix_path, allow_pickle=False)
-        if self.matrix.dtype != np.float64 or self.matrix.ndim != 2 or \
-                self.matrix.shape[0] != len(self.ids):
-            raise CorpusError(
-                f"{matrix_path} holds a {self.matrix.dtype} array of shape "
-                f"{self.matrix.shape}, not a float64 matrix with one row for each "
-                f"of the {len(self.ids)} ids in {ids_path}")
-
     def matrix_for(self, ids: Sequence[str]) -> np.ndarray:
-        """Row ``i`` is the stored vector of ``ids[i]``.  That is the stored
-        matrix itself, not a copy, when ``ids`` are the stored ids in order;
-        otherwise it is a gather of the stored rows, which vectors loaded
-        with ``binary`` refuse."""
-        if list(ids) == self.ids:
-            return self.matrix
-        if self._binary:
+        """The stored matrix itself, not a copy, whose row ``i`` is the
+        vector of ``ids[i]``; ``ids`` must be the stored ids in order."""
+        if list(ids) != self.ids:
             raise CorpusError(
                 f"the corpus's sorted paragraph ids differ from the {len(self.ids)} "
                 f"ids stored in {self.path.with_name(IDS_FILE)}")
-        return self.matrix[[self._row_of(pid) for pid in ids]]
-
-    def _row_of(self, pid: str) -> int:
-        try:
-            return self._row[pid]
-        except KeyError:
-            raise CorpusError(
-                f"no precomputed embedding for paragraph id '{pid}'"
-            ) from None
-
-    def embed_paragraph(self, paragraph: "Paragraph", text: str) -> np.ndarray:
-        return self.matrix[self._row_of(paragraph.id)]
+        return self.matrix
 
     def embed_text(self, text: str) -> np.ndarray:
         return self.fallback.embed_text(text)
@@ -490,7 +432,8 @@ IDS_FILE = "ids.json"
 def write_embeddings_file(path: str | Path, index: "CorpusIndex") -> None:
     """Write an index's embeddings as line-delimited JSON, in its ascending-id
     order, and beside ``path`` its matrix as ``MATRIX_FILE`` and its ids as
-    a JSON list in ``IDS_FILE``.
+    a JSON list in ``IDS_FILE``.  :class:`PrecomputedEmbeddings` reads only
+    the last two.
 
     Each line is ``{"id": ..., "values": [...]}`` with every value spelled
     by ``repr``, as ``json.dumps`` spells a float.  An index holds only finite

@@ -71,3 +71,33 @@ def test_checkout_info_counts_the_source_lines(tmp_path):
     (src / "b.py").write_text("three\nfour\nfive")
     (src / "notes.txt").write_text("not\ncounted\n")
     assert bench_record.checkout_info(tmp_path)["src_lines"] == 5
+
+
+def run(qps, correct=True, failed=0):
+    return {"correct": correct, "failed": failed, "attempted": 100,
+            "metrics": {"qps": qps} if qps is not None else {}}
+
+
+QPS = [{"name": "qps", "better": "higher", "bound": 0.25}]
+
+
+def test_comparison_leaves_out_pairs_with_a_failed_or_crashed_run():
+    pairs = [(run(b), run(b + 3.0)) for b in BASELINE]
+    table, excluded = bench_record.compare(pairs, QPS)
+    assert excluded == 0
+    assert table["qps"]["wins"] == 10 and table["qps"]["verdict"] == "gain"
+    # a crashed change run, a change run with a failed question, an
+    # incorrect baseline run: each pair is left out, and what is left unresolved
+    pairs[0] = (pairs[0][0], run(None, correct=False))
+    pairs[1] = (pairs[1][0], run(1e6, failed=1))
+    pairs[2] = (run(1e-6, correct=False), pairs[2][1])
+    table, excluded = bench_record.compare(pairs, QPS)
+    assert excluded == 3
+    assert table["qps"] == {"better": "higher", "wins": 7, "pairs": 7,
+                            "median_ratio": pytest.approx(
+                                sorted((b + 3.0) / b for b in BASELINE[3:])[3]),
+                            "bound": 0.25, "verdict": "unresolved"}
+    # no pair left at all
+    table, excluded = bench_record.compare([(run(None, correct=False), run(1.0))], QPS)
+    assert excluded == 1 and table["qps"]["pairs"] == 0
+    assert table["qps"]["verdict"] == "unresolved"

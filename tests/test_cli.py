@@ -411,26 +411,6 @@ class TestRun:
         assert not out.exists()
         assert "hashed:dim=64,seed=1" in caplog.text
 
-    def test_manifest_checksum_mismatch_fails_before_the_first_question(
-            self, tmp_path, corpus_file, dataset_file, rules_file, caplog):
-        index_dir = tmp_path / "index"
-        assert main(["ingest", "--corpus", str(corpus_file), "--out",
-                     str(index_dir)]) == 0
-        path = index_dir / "embeddings.jsonl"
-        data = bytearray(path.read_bytes())
-        # one digit of the first value changes: still a valid file
-        at = data.index(b'"values": [') + len(b'"values": [') + 1
-        while not chr(data[at]).isdigit():
-            at += 1
-        data[at] = ord("7") if data[at] != ord("7") else ord("3")
-        path.write_bytes(bytes(data))
-        out = tmp_path / "run"
-        assert main(run_args(corpus_file, dataset_file, out, rules_file,
-                             "--embedder", "precomputed", "--embeddings",
-                             str(path))) == 1
-        assert not out.exists()
-        assert "checksum" in caplog.text
-
     def test_a_corpus_edited_since_ingest_fails_before_the_first_question(
             self, tmp_path, dataset_file, rules_file, caplog, monkeypatch):
         corpus = tmp_path / "corpus30.jsonl"
@@ -454,23 +434,6 @@ class TestRun:
                              str(index_dir / "embeddings.jsonl"))) == 1
         assert not out.exists()
         assert f"{corpus} is not the corpus" in caplog.text
-
-    def test_a_manifest_without_the_corpus_checksum_is_still_accepted(
-            self, tmp_path, corpus_file, dataset_file, rules_file):
-        index_dir = tmp_path / "index"
-        assert main(["ingest", "--corpus", str(corpus_file),
-                     "--out", str(index_dir)]) == 0
-        manifest_path = index_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["corpus_sha256"]
-        manifest_path.write_text(json.dumps(manifest))
-        out, baseline = tmp_path / "run", tmp_path / "baseline"
-        assert main(run_args(corpus_file, dataset_file, out, rules_file,
-                             "--embedder", "precomputed", "--embeddings",
-                             str(index_dir / "embeddings.jsonl"))) == 0
-        assert main(run_args(corpus_file, dataset_file, baseline, rules_file)) == 0
-        assert (out / "answers.jsonl").read_bytes() == \
-            (baseline / "answers.jsonl").read_bytes()
 
     @pytest.mark.parametrize("mode", ["tor", "cor", "oner"])
     def test_run_in_which_no_retrieval_succeeded_exits_one(
@@ -536,8 +499,8 @@ class TestRun:
 
 class TestBinaryIndex:
     """``ingest`` writes the index's matrix and ids beside
-    ``embeddings.jsonl``; ``run --embedder precomputed`` loads them instead
-    of parsing the file when the manifest records their checksums."""
+    ``embeddings.jsonl``; ``run --embedder precomputed`` loads them, once
+    the manifest's checksums of both match, and never parses the file."""
 
     @pytest.fixture
     def corpus30(self, tmp_path):
@@ -589,26 +552,17 @@ class TestBinaryIndex:
         parsed = np.array([r["values"] for r in records], dtype=np.float64)
         assert np.array_equal(matrix.view(np.uint64), parsed.view(np.uint64))
 
-    def test_the_matrix_and_the_jsonl_give_the_same_bytes(
-            self, tmp_path, monkeypatch, corpus30, questions, rules_file, index_dir):
-        def refuse(self):
-            raise AssertionError("the wrong vector source was read")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(embedding.PrecomputedEmbeddings, "_parse", refuse)
-            code, binary = self.run_precomputed(tmp_path, corpus30, questions,
-                                                rules_file, index_dir, "binary")
-            assert code == 0
-        # a manifest from before ingest wrote the matrix: the JSONL is parsed
-        self.edit_manifest(index_dir, matrix_sha256=None, ids_sha256=None)
-        (index_dir / "matrix.npy").unlink()
-        monkeypatch.setattr(embedding.PrecomputedEmbeddings, "_load_binary", refuse)
-        code, parsed = self.run_precomputed(tmp_path, corpus30, questions,
-                                            rules_file, index_dir, "parsed")
+    def test_run_reads_no_jsonl(self, tmp_path, corpus30, questions, rules_file,
+                                index_dir):
+        (index_dir / "embeddings.jsonl").write_bytes(b"\x00 not json {\n")
+        code, stored = self.run_precomputed(tmp_path, corpus30, questions,
+                                            rules_file, index_dir, "stored")
         assert code == 0
+        hashed = tmp_path / "hashed"
+        assert main(run_args(corpus30, questions, hashed, rules_file)) == 0
         outputs = [{p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
                     if p.is_file() and p.name != "config.json"}
-                   for out in (binary, parsed)]
+                   for out in (stored, hashed)]
         assert outputs[0] == outputs[1]
         assert len([p for p in outputs[0] if p.parts[0] == "traces"]) == 6
 
@@ -728,23 +682,14 @@ class TestReRankingFromStoredRows:
                                 accept_rules, *extra, reuse=False)
         assert reused == whole
 
-    @pytest.mark.parametrize("case", ["ingest_no_title", "run_no_title",
-                                      "no_corpus_checksum", "no_manifest"])
+    @pytest.mark.parametrize("case", ["ingest_no_title", "run_no_title"])
     def test_rows_that_may_be_other_vectors_are_not_reused(
             self, tmp_path, monkeypatch, corpus30, questions, accept_rules, case):
         if case == "run_no_title":
             extra = ("--embedder", "hashed", "--no-embed-title")
         else:
-            index_dir = self.ingest(tmp_path, corpus30, *(
-                ["--no-embed-title"] if case == "ingest_no_title" else []))
-            manifest_path = index_dir / "manifest.json"
-            if case == "no_corpus_checksum":
-                manifest = json.loads(manifest_path.read_text())
-                del manifest["corpus_sha256"]
-                manifest_path.write_text(json.dumps(manifest))
-            elif case == "no_manifest":
-                manifest_path.unlink()
-            extra = ("--embedder", "precomputed",
+            index_dir = self.ingest(tmp_path, corpus30, "--no-embed-title")
+            extra = ("--embedder", "precomputed", "--no-embed-title",
                      "--embeddings", str(index_dir / "embeddings.jsonl"))
         answers, calls = self.answers(monkeypatch, tmp_path, corpus30, questions,
                                       accept_rules, *extra)
@@ -753,20 +698,32 @@ class TestReRankingFromStoredRows:
                                        accept_rules, *extra, reuse=False)[0]
 
     @pytest.mark.parametrize("manifest, message", [
-        ([], "does not hold a JSON object"),
-        ("text", "does not hold a JSON object"),
+        (None, "is missing: stored vectors are read only from"),
+        (b"{not json", "is not JSON"),
+        (b"[]", "does not hold a JSON object"),
+        (b'"text"', "does not hold a JSON object"),
         ({"provider_id": 5}, "provider_id is not a str: 5"),
         ({"embed_title": "yes"}, "embed_title is not a bool: 'yes'"),
         ({"embed_title": 1}, "embed_title is not a bool: 1"),
+        ({"corpus_sha256": 7}, "corpus_sha256 is not a str: 7"),
+        # a field set to None is removed from the manifest
+        ({"provider_id": None}, "provider_id is missing"),
+        ({"embed_title": None}, "embed_title is missing"),
+        ({"corpus_sha256": None}, "corpus_sha256 is missing"),
+        ({"matrix_sha256": None}, "matrix_sha256 is missing"),
+        ({"ids_sha256": None}, "ids_sha256 is missing"),
     ])
     def test_a_malformed_manifest_fails_before_the_first_question(
             self, tmp_path, caplog, corpus30, questions, accept_rules, manifest,
             message):
         index_dir = self.ingest(tmp_path, corpus30)
         manifest_path = index_dir / "manifest.json"
-        if isinstance(manifest, dict):
-            manifest = {**json.loads(manifest_path.read_text()), **manifest}
-        manifest_path.write_text(json.dumps(manifest))
+        if manifest is None:
+            manifest_path.unlink()
+        elif isinstance(manifest, bytes):
+            manifest_path.write_bytes(manifest)
+        else:
+            TestBinaryIndex.edit_manifest(index_dir, **manifest)
         out = tmp_path / "run"
         assert main(run_args(corpus30, questions, out, accept_rules,
                              "--embedder", "precomputed",
@@ -774,6 +731,22 @@ class TestReRankingFromStoredRows:
         assert not out.exists()
         assert f"{manifest_path}" in caplog.text
         assert message in caplog.text
+
+    @pytest.mark.parametrize("ingest_flags, run_flags, stored, run", [
+        (("--no-embed-title",), (), "False", "True"),
+        ((), ("--no-embed-title",), "True", "False"),
+    ])
+    def test_an_embed_title_other_than_the_ingests_fails_before_the_first_question(
+            self, tmp_path, caplog, corpus30, questions, accept_rules, ingest_flags,
+            run_flags, stored, run):
+        index_dir = self.ingest(tmp_path, corpus30, *ingest_flags)
+        out = tmp_path / "run"
+        assert main(run_args(corpus30, questions, out, accept_rules,
+                             "--embedder", "precomputed", *run_flags,
+                             "--embeddings", str(index_dir / "embeddings.jsonl"))) == 1
+        assert not out.exists()
+        assert f"with embed_title {stored} (per {index_dir / 'manifest.json'}), " \
+            f"but the run has embed_title {run}" in caplog.text
 
 
 class TestStreamedRun:

@@ -317,10 +317,10 @@ class TestScoring:
             retrieve(index, "q", 1, FixedQuery([np.nan, 1.0]))
 
     def test_nan_from_a_precomputed_file_is_refused(self, tmp_path):
-        # json accepts NaN, so a file can carry one
+        # a stored matrix can carry one
         path = tmp_path / "embeddings.jsonl"
-        path.write_text('{"id": "a", "values": [1.0, NaN]}\n'
-                        '{"id": "b", "values": [0.0, 1.0]}\n')
+        np.save(tmp_path / embedding.MATRIX_FILE, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        (tmp_path / embedding.IDS_FILE).write_text('["a", "b"]')
         paragraphs = [Paragraph("a", "", "alpha"), Paragraph("b", "", "beta")]
         with pytest.raises(CorpusError, match="'a'"):
             build_index(paragraphs,
@@ -728,7 +728,7 @@ class TestIndexConstruction:
     def test_precomputed_file_without_a_paragraph(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
         write_embeddings_file(path, vector_index({"a": np.ones(4), "c": np.ones(4)}))
-        with pytest.raises(CorpusError, match="'b'"):
+        with pytest.raises(CorpusError, match="ids differ"):
             build_index(self.PARAGRAPHS,
                         PrecomputedEmbeddings(path, fallback=HashedEmbedder(dim=4)))
 
@@ -865,28 +865,15 @@ class TestProviders:
         got = [p.id for p, _ in retrieve(rebuilt, "alpha", 1, provider)]
         assert got == ["a"]
 
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_stored_vectors_in_id_order_are_adopted_not_copied(
-            self, tmp_path, embedder, binary):
+    def test_stored_vectors_in_id_order_are_adopted_not_copied(self, tmp_path, embedder):
         paragraphs = [Paragraph(pid, "", f"text {pid}") for pid in ("c", "a", "b")]
         path = tmp_path / "embeddings.jsonl"
         write_embeddings_file(path, build_index(paragraphs, embedder))
-        provider = PrecomputedEmbeddings(path, fallback=embedder, binary=binary)
+        provider = PrecomputedEmbeddings(path, fallback=embedder)
         assert build_index(paragraphs, provider).matrix is provider.matrix
-        # other ids: gathered from the parsed file, refused from the matrix
-        if binary:
-            with pytest.raises(CorpusError, match="ids differ"):
-                build_index(paragraphs[:2], provider)
-        else:
-            index = build_index(paragraphs[:2], provider)
-            assert np.array_equal(index.matrix, provider.matrix[[0, 2]])
-
-    def test_precomputed_missing_id(self, tmp_path, embedder):
-        path = tmp_path / "embeddings.jsonl"
-        write_embeddings_file(path, vector_index({"a": np.ones(4)}))
-        provider = PrecomputedEmbeddings(path, fallback=HashedEmbedder(dim=4))
-        with pytest.raises(CorpusError, match="'b'"):
-            provider.embed_paragraph(Paragraph("b", "", "beta"), "beta")
+        # other ids are refused, not gathered
+        with pytest.raises(CorpusError, match="ids differ"):
+            build_index(paragraphs[:2], provider)
 
     def test_precomputed_refuses_a_fallback_of_another_dim(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"

@@ -10,6 +10,7 @@ import json
 import logging
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -18,7 +19,7 @@ from .corpus import CorpusIndex, build_index, load_paragraphs
 from .errors import CorpusError, RevtreeError
 from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
     select_scored_paragraphs
-from .jsonl import read_jsonl
+from .jsonl import field, read_json, read_jsonl
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
 from .metrics import ExampleResult, QAExample, evaluate_run, load_dataset
@@ -32,7 +33,8 @@ logger = logging.getLogger(__name__)
 class RunConfig:
     """Every setting of one batch run, checked once when it is built, and
     serialized next to the run's outputs.  Each ``run`` flag sets the field
-    its argparse ``dest`` names."""
+    its argparse ``dest`` names; argparse types the flags, and
+    :func:`_resolve_run_config` the ``--config`` file."""
 
     mode: str = "tor"
     corpus_path: str = ""
@@ -61,14 +63,6 @@ class RunConfig:
     demos_dir: Optional[str] = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # exact types, since a bool is also an int; a None default
-            # admits a string
-            if type(value) is not type(f.default) and not (
-                    f.default is None and isinstance(value, str)):
-                raise ValueError(f"config field '{f.name}' has the wrong type: "
-                                 f"{value!r}")
         if self.mode not in ("tor", "cor", "oner"):
             raise ValueError(f"unknown mode '{self.mode}'")
         if not self.corpus_path or not self.dataset_path or not self.output_dir:
@@ -100,15 +94,6 @@ class RunConfig:
         object.__setattr__(self, "token_estimator",
                            make_token_estimator(self.estimator))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if isinstance(data.get("widths"), list):
-            data = dict(data, widths=tuple(data["widths"]))
-        return cls(**data)
-
 
 def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(
@@ -125,18 +110,13 @@ def _file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-# the fields of the manifest.json ingest writes that run reads
-_MANIFEST_FIELDS = (("provider_id", str), ("embed_title", bool), ("corpus_sha256", str),
-                    ("matrix_sha256", str), ("ids_sha256", str))
-
-
 def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder,
                     embed_title: bool) -> Optional[str]:
     """Refuse stored vectors unless the ``manifest.json`` their ingest wrote
-    beside ``embeddings_path`` is a JSON object with each of
-    ``_MANIFEST_FIELDS`` of its type, names the embedder queries use and the
-    run's ``embed_title``, and records the sha256 of ``corpus_path`` and of
-    the matrix and ids files the vectors are loaded from.
+    beside ``embeddings_path`` is a JSON object that names the embedder
+    queries use (``provider_id``) and the run's ``embed_title``, and records
+    the sha256 of ``corpus_path`` and of the matrix and ids files the vectors
+    are loaded from (``corpus_sha256``, ``matrix_sha256``, ``ids_sha256``).
 
     Return the query embedder's id if the stored vectors are its embeddings
     of ``format_documents([p])`` (the manifest says ``embed_title``), else
@@ -145,37 +125,27 @@ def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder,
     if not manifest_path.exists():
         raise CorpusError(f"{manifest_path} is missing: stored vectors are read "
                           "only from the output of revtree ingest")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{manifest_path} is not JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise CorpusError(f"{manifest_path} does not hold a JSON object")
-    for key, kind in _MANIFEST_FIELDS:
-        if key not in manifest:
-            raise CorpusError(f"{manifest_path}: {key} is missing")
-        if not isinstance(manifest[key], kind):
-            raise CorpusError(f"{manifest_path}: {key} is not a {kind.__name__}: "
-                              f"{manifest[key]!r}")
-    if manifest["provider_id"] != query_embedder.provider_id:
+    manifest = read_json(manifest_path, CorpusError)
+    read = partial(field, manifest, where=str(manifest_path), error_cls=CorpusError)
+    if read("provider_id", str) != query_embedder.provider_id:
         raise CorpusError(
             f"{embeddings_path} was embedded by {manifest['provider_id']!r} "
             f"(per {manifest_path}), but queries are embedded by "
             f"{query_embedder.provider_id!r}")
-    if manifest["embed_title"] != embed_title:
+    if read("embed_title", bool) != embed_title:
         raise CorpusError(
             f"{embeddings_path} was embedded with embed_title "
             f"{manifest['embed_title']} (per {manifest_path}), but the run has "
             f"embed_title {embed_title}: pass --no-embed-title to run exactly "
             "when it was passed to ingest")
-    if manifest["corpus_sha256"] != _file_sha256(corpus_path):
+    if read("corpus_sha256", str) != _file_sha256(corpus_path):
         raise CorpusError(
             f"{corpus_path} is not the corpus {embeddings_path} was embedded "
             f"from: its sha256 differs from the one in {manifest_path}")
     for key, name in (("matrix_sha256", embedding.MATRIX_FILE),
                       ("ids_sha256", embedding.IDS_FILE)):
         path = manifest_path.with_name(name)
-        if manifest[key] != _file_sha256(path):
+        if read(key, str) != _file_sha256(path):
             raise CorpusError(f"{path} does not match the checksum in {manifest_path}")
     return query_embedder.provider_id if embed_title else None
 
@@ -363,16 +333,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results: dict[str, ExampleResult] = {}
     answers_path = run_dir / "answers.jsonl"
     for lineno, record in read_jsonl(answers_path, RevtreeError):
-        try:
-            stats = RunStats(**{k: v for k, v in record.get("stats", {}).items()
-                                if k in RunStats.__dataclass_fields__})
-            results[record["id"]] = ExampleResult(
-                example_id=record["id"], answer=record.get("answer", ""),
-                scored_ids=tuple(record.get("scored_ids", ())), stats=stats,
-                failed="error" in record)
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise RevtreeError(
-                f"{answers_path}: line {lineno}: invalid answer record: {exc!r}") from exc
+        where = f"{answers_path}: line {lineno}"
+        read = partial(field, record, where=where, error_cls=RevtreeError)
+        stats = read("stats", dict, default={})
+        # the counts a report reads; rate is taken from their means
+        counts = {f.name: field(stats, f.name, int, f"{where}: stats", RevtreeError,
+                                default=0)
+                  for f in fields(RunStats) if f.name != "rate"}
+        example_id = read("id", str)
+        results[example_id] = ExampleResult(
+            example_id=example_id, answer=read("answer", str, default=""),
+            scored_ids=tuple(read("scored_ids", list[str], default=[])),
+            stats=RunStats(**counts), failed="error" in record)
     report = evaluate_run(dataset, results)
     out_path = Path(args.out) if args.out else run_dir / "report.json"
     _dump_json(out_path, report.to_dict())
@@ -384,12 +356,24 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     """The file ``--config`` names, if any, with every given flag over it."""
     given = {k: v for k, v in vars(args).items()
              if k in RunConfig.__dataclass_fields__}
-    data = {}
-    if "config" in args:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"{args.config}: a config file holds one JSON object")
-    return RunConfig.from_dict({**data, **given})
+    if "config" not in args:
+        return RunConfig(**given)
+    data = read_json(args.config, ValueError)
+    unknown = set(data) - set(RunConfig.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config fields: {sorted(unknown)}")
+    for f in fields(RunConfig):
+        kind = type(f.default)
+        if f.default is None:  # a path or choice, which a null leaves unset
+            kind = str
+        elif kind is tuple:  # the widths, a JSON list
+            kind = list[int]
+        data[f.name] = field(data, f.name, kind, args.config, ValueError, f.default)
+    data["widths"] = tuple(data["widths"])
+    try:
+        return RunConfig(**{**data, **given})
+    except ValueError as exc:
+        raise ValueError(f"{args.config}, with the flags given over it: {exc}") from None
 
 
 def _widths(text: str) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .embedding import EmbeddingProvider, PrecomputedEmbeddings
 from .errors import CorpusError
-from .jsonl import read_jsonl
+from .jsonl import field, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -340,26 +340,17 @@ def load_paragraphs(source_path: str | Path) -> list[Paragraph]:
     paragraphs: list[Paragraph] = []
     seen: dict[str, int] = {}
     for lineno, record in read_jsonl(path, CorpusError):
-        try:
-            pid = record["id"]
-            title = record.get("title", "")
-            text = record["text"]
-        except KeyError as exc:
-            raise CorpusError(f"{path}: line {lineno}: missing field {exc}") from exc
-        if not isinstance(pid, str) or not isinstance(title, str) \
-                or not isinstance(text, str):
-            raise CorpusError(
-                f"{path}: line {lineno}: id, title and text must be strings"
-            )
+        where = f"{path}: line {lineno}"
+        pid = field(record, "id", str, where, CorpusError)
+        title = field(record, "title", str, where, CorpusError, default="")
+        text = field(record, "text", str, where, CorpusError)
         if pid in seen:
-            raise CorpusError(
-                f"{path}: line {lineno}: duplicate id '{pid}' "
-                f"(first seen on line {seen[pid]})"
-            )
+            raise CorpusError(f"{where}: duplicate id '{pid}' "
+                              f"(first seen on line {seen[pid]})")
         try:
             paragraph = Paragraph(id=pid, title=title, text=text)
         except ValueError as exc:
-            raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+            raise CorpusError(f"{where}: {exc}") from exc
         seen[pid] = lineno
         paragraphs.append(paragraph)
     return paragraphs

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CorpusError, ProviderConfigError
+from .jsonl import read_json
 from .llm import new_session, post_json, read_env, with_retries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -389,10 +390,7 @@ class PrecomputedEmbeddings(EmbeddingProvider):
         self.document_provider_id = document_provider_id
         ids_path = self.path.with_name(IDS_FILE)
         matrix_path = self.path.with_name(MATRIX_FILE)
-        self.ids = json.loads(ids_path.read_text(encoding="utf-8"))
-        if not isinstance(self.ids, list) or \
-                not all(isinstance(pid, str) for pid in self.ids):
-            raise CorpusError(f"{ids_path} does not hold a list of paragraph ids")
+        self.ids = read_json(ids_path, CorpusError, list[str])
         self.matrix = np.load(matrix_path, allow_pickle=False)
         if self.matrix.dtype != np.float64 or self.matrix.ndim != 2 or \
                 self.matrix.shape[0] != len(self.ids):

@@ -16,7 +16,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, TypeVar
@@ -27,7 +27,7 @@ from .errors import (
     ProviderError,
     TransportError,
 )
-from .jsonl import is_str_list, read_jsonl
+from . import jsonl
 
 LLM_BASE_URL_VAR = "REVTREE_LLM_BASE_URL"
 LLM_API_KEY_VAR = "REVTREE_LLM_API_KEY"
@@ -188,30 +188,21 @@ class ScriptedOracle:
         """
         rules: list[ScriptedRule] = []
         default: Optional[str] = None
-        for lineno, record in read_jsonl(path, ProviderConfigError):
+        for lineno, record in jsonl.read_jsonl(path, ProviderConfigError):
             where = f"{path}: line {lineno}"
+            read = partial(jsonl.field, record, where=where, error_cls=ProviderConfigError)
             if "default" in record:
-                default = record["default"]
-                if not isinstance(default, str):
-                    raise ProviderConfigError(f"{where}: default must be a string")
+                default = read("default", str)
                 continue
-            if "response" not in record:
-                raise ProviderConfigError(f"{where}: rule needs a 'response' field")
-            if not isinstance(record["response"], str):
-                raise ProviderConfigError(f"{where}: response must be a string")
-            question, template = record.get("question"), record.get("template")
-            if question is not None and not isinstance(question, str):
-                raise ProviderConfigError(f"{where}: question must be a string")
+            template = read("template", str, default=None)
             if template is not None and template not in TEMPLATE_NAMES:
                 raise ProviderConfigError(
                     f"{where}: template must be one of {TEMPLATE_NAMES}")
-            path_ids = record.get("path_ids")
-            if path_ids is not None and not is_str_list(path_ids):
-                raise ProviderConfigError(f"{where}: path_ids must be a list of strings")
+            path_ids = read("path_ids", list[str], default=None)
             rules.append(
                 ScriptedRule(
-                    response=record["response"],
-                    question=question,
+                    response=read("response", str),
+                    question=read("question", str, default=None),
                     path_ids=tuple(path_ids) if path_ids is not None else None,
                     template=template,
                 )
@@ -356,10 +347,7 @@ class RemoteChatProvider:
 def _completion_text(body) -> str:
     """The reply text of a chat-completion payload.  OpenAI-compatible
     servers may send a null ``content``; any non-string is refused."""
-    content = body["choices"][0]["message"]["content"]
-    if not isinstance(content, str):
-        raise ValueError(f"content is {type(content).__name__}, not a string")
-    return content
+    return jsonl.field(body["choices"][0]["message"], "content", str, "reply", ValueError)
 
 
 class LlmClient:

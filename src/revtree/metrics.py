@@ -12,11 +12,12 @@ import re
 import string
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import RevtreeError
-from .jsonl import is_str_list, read_jsonl
+from . import jsonl
 from .search import RunStats
 
 # the retrieval cut: recall@15 scores the first 15 submitted paragraph ids
@@ -34,8 +35,12 @@ class QAExample:
     gold_paragraph_ids: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("example id must be non-empty")
+        # the id names the question's trace file
+        if not self.id.strip() or self.id in (".", "..") or \
+                any(c in self.id for c in "/\\\0"):
+            raise ValueError(f"example id {self.id!r} is not a single safe file name")
+        if not self.question.strip():
+            raise ValueError(f"example '{self.id}' has a blank question")
         if not self.gold_answers:
             raise ValueError(f"example '{self.id}' needs at least one gold answer")
 
@@ -197,26 +202,24 @@ def load_dataset(path: str | Path) -> list[QAExample]:
     """Parse a line-delimited QA dataset.
 
     Each line carries ``id``, ``question``, ``gold_answers`` and an optional
-    ``gold_paragraph_ids`` list.
+    ``gold_paragraph_ids`` list.  An id names its trace file, so it is one
+    safe file name, and a question is not blank.
     """
     examples: list[QAExample] = []
     seen: set[str] = set()
-    for lineno, record in read_jsonl(path, RevtreeError):
+    for lineno, record in jsonl.read_jsonl(path, RevtreeError):
+        where = f"{path}: line {lineno}"
+        read = partial(jsonl.field, record, where=where, error_cls=RevtreeError)
         try:
-            answers = record["gold_answers"]
-            gold_ids = record.get("gold_paragraph_ids", [])
-            if not (is_str_list(answers) and is_str_list(gold_ids)):
-                raise TypeError("gold_answers and gold_paragraph_ids must be "
-                                "lists of strings")
-            example = QAExample(id=record["id"], question=record["question"],
-                                gold_answers=tuple(answers),
-                                gold_paragraph_ids=frozenset(gold_ids))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RevtreeError(f"{path}: line {lineno}: {exc}") from exc
+            example = QAExample(
+                id=read("id", str), question=read("question", str),
+                gold_answers=tuple(read("gold_answers", list[str])),
+                gold_paragraph_ids=frozenset(read("gold_paragraph_ids", list[str],
+                                                  default=[])))
+        except ValueError as exc:
+            raise RevtreeError(f"{where}: {exc}") from exc
         if example.id in seen:
-            raise RevtreeError(
-                f"{path}: line {lineno}: duplicate example id '{example.id}'"
-            )
+            raise RevtreeError(f"{where}: duplicate example id '{example.id}'")
         seen.add(example.id)
         examples.append(example)
     return examples

@@ -51,8 +51,8 @@ class TreeConfig:
     within_path_dedup: bool = True
 
     def __post_init__(self):
-        if not self.widths or any(not isinstance(w, int) or w <= 0
-                                  for w in self.widths):
+        # exact, since a bool is also an int
+        if not self.widths or any(type(w) is not int or w <= 0 for w in self.widths):
             raise ValueError(
                 f"widths must be one or more positive integers, got {self.widths!r}")
 

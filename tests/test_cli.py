@@ -159,6 +159,13 @@ class PromptResponse:
         return self._payload
 
 
+def questions(**second) -> list[str]:
+    """Three dataset lines; the second is ``q1`` with ``second`` over it."""
+    good = {"id": "q0", "question": "boston city", "gold_answers": ["Boston"]}
+    return [json.dumps(good), json.dumps({**good, "id": "q1", **second}),
+            json.dumps({**good, "id": "q2"})]
+
+
 def run_args(corpus, dataset, out, rules, *extra):
     return ["run", "--corpus", str(corpus), "--dataset", str(dataset),
             "--out", str(out), "--rules", str(rules), *extra]
@@ -702,10 +709,10 @@ class TestReRankingFromStoredRows:
         (b"{not json", "is not JSON"),
         (b"[]", "does not hold a JSON object"),
         (b'"text"', "does not hold a JSON object"),
-        ({"provider_id": 5}, "provider_id is not a str: 5"),
-        ({"embed_title": "yes"}, "embed_title is not a bool: 'yes'"),
-        ({"embed_title": 1}, "embed_title is not a bool: 1"),
-        ({"corpus_sha256": 7}, "corpus_sha256 is not a str: 7"),
+        ({"provider_id": 5}, "provider_id must be a string, got 5"),
+        ({"embed_title": "yes"}, "embed_title must be true or false, got 'yes'"),
+        ({"embed_title": 1}, "embed_title must be true or false, got 1"),
+        ({"corpus_sha256": 7}, "corpus_sha256 must be a string, got 7"),
         # a field set to None is removed from the manifest
         ({"provider_id": None}, "provider_id is missing"),
         ({"embed_title": None}, "embed_title is missing"),
@@ -848,6 +855,15 @@ class TestRunConfig:
         ("widths", "5,3,3", "widths"),
         ("parallel", "2", "parallel"),
         ("max_depth", 3, "max_depth"),
+        # it used to run with widths (1, 2) and record [true, 2]
+        ("widths", [True, 2], "widths must be a list of integers, got [True, 2]"),
+        ("widths", [2, 2.0], "widths must be a list of integers, got [2, 2.0]"),
+        ("widths", [0], "with the flags given over it: widths must be one or more"),
+        ("dim", True, "dim must be an integer, got True"),
+        ("embed_title", 1, "embed_title must be true or false, got 1"),
+        ("demos_dir", 5, "demos_dir must be a string, got 5"),
+        ("mode", None, "mode must be a string, got None"),
+        ("mode", "", "with the flags given over it: unknown mode ''"),
     ])
     def test_bad_config_file_fails_before_the_index(self, tmp_path, corpus_file,
                                                     dataset_file, rules_file,
@@ -861,6 +877,7 @@ class TestRunConfig:
         assert main(["run", "--config", str(config)]) == 1
         assert not out.exists()
         assert message in caplog.text
+        assert str(config) in caplog.text
 
     # the fixed evidence prompt takes 79 whitespace tokens with the short
     # question and 118 with the long one; the analysis prompt 90 and 138
@@ -928,7 +945,28 @@ class TestRunConfig:
                    '{"default": "the answer is x"}'],
          "line 1: response must be a string"),
         ("dataset", ['{"id": "q1", "question": "boston", "gold_answers": "Boston"}'],
-         "line 1: gold_answers and gold_paragraph_ids must be lists of strings"),
+         "line 1: gold_answers must be a list of strings, got 'Boston'"),
+        # each used to run: a/b died mid-batch on its trace file, ../escaped
+        # wrote its trace outside traces/, and 7 ran and evaluated
+        ("dataset", questions(id="a/b"),
+         "line 2: example id 'a/b' is not a single safe file name"),
+        ("dataset", questions(id="../escaped"),
+         "line 2: example id '../escaped' is not a single safe file name"),
+        ("dataset", questions(id="a\\b"),
+         "line 2: example id 'a\\\\b' is not a single safe file name"),
+        ("dataset", questions(id="a\x00b"),
+         "line 2: example id 'a\\x00b' is not a single safe file name"),
+        ("dataset", questions(id="."), "line 2: example id '.' is not a single safe"),
+        ("dataset", questions(id=".."), "line 2: example id '..' is not a single safe"),
+        ("dataset", questions(id=""), "line 2: example id '' is not a single safe"),
+        ("dataset", questions(id="  "), "line 2: example id '  ' is not a single safe"),
+        ("dataset", questions(id=7), "line 2: id must be a string, got 7"),
+        # 5 escaped main as a TypeError; a blank one was answered, and the
+        # run exited 1 after writing its outputs
+        ("dataset", questions(question=5), "line 2: question must be a string, got 5"),
+        ("dataset", questions(question="   "), "line 2: example 'q1' has a blank question"),
+        ("dataset", questions(question=None),
+         "line 2: question must be a string, got None"),
     ])
     def test_bad_input_line_fails_before_the_index(self, tmp_path, corpus_file,
                                                    dataset_file, rules_file,
@@ -952,6 +990,33 @@ class TestRunConfig:
         assert main(run_args(corpus_file, empty, out, rules_file)) == 1
         assert f"{empty}: the dataset holds no questions" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # it used to log only "Expecting value: line 1 column 1 (char 0)"
+        ("", "is not JSON: Expecting value"),
+        ("[1, 2]", "does not hold a JSON object"),
+    ])
+    def test_a_config_file_that_is_not_a_json_object_is_refused_naming_it(
+            self, tmp_path, corpus_file, dataset_file, rules_file, no_index,
+            caplog, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--config", str(path))) == 1
+        assert f"{path} {message}" in caplog.text
+        assert not out.exists()
+
+    def test_a_null_config_field_with_no_default_value_is_unset(
+            self, tmp_path, corpus_file, dataset_file, rules_file):
+        # config.json records unset paths as null, and reruns from it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"demos_dir": None, "fusion": None}))
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--config", str(path))) == 0
+        config = read_run_dir(out)["config"]
+        assert (config["demos_dir"], config["fusion"]) == (None, "evidence")
 
 
 class TestEval:
@@ -977,13 +1042,27 @@ class TestEval:
         ])
         assert main(["eval", "--dataset", str(bigger), "--run", str(out)]) == 1
 
-    @pytest.mark.parametrize("line", ["{oops", '["q1"]', '{"answer": "x"}'])
+    @pytest.mark.parametrize("line, message", [
+        ("{oops", "invalid JSON"),
+        ('["q1"]', "record must be an object"),
+        ('{"answer": "x"}', "id is missing"),
+        # an int answer used to escape main as an AttributeError
+        ('{"id": "q1", "answer": 5}', "answer must be a string, got 5"),
+        ('{"id": 1}', "id must be a string, got 1"),
+        ('{"id": "q1", "scored_ids": "p1"}',
+         "scored_ids must be a list of strings, got 'p1'"),
+        ('{"id": "q1", "stats": [1]}', "stats must be a JSON object, got [1]"),
+        # a string count used to escape main as a TypeError from the means
+        ('{"id": "q1", "stats": {"api_calls": "3"}}',
+         "stats: api_calls must be an integer, got '3'"),
+    ])
     def test_corrupt_answers_line_names_the_line(self, tmp_path, corpus_file,
                                                  dataset_file, rules_file, caplog,
-                                                 line):
+                                                 line, message):
         out = tmp_path / "run"
         main(run_args(corpus_file, dataset_file, out, rules_file))
         with open(out / "answers.jsonl", "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
         assert main(["eval", "--dataset", str(dataset_file), "--run", str(out)]) == 1
-        assert "answers.jsonl: line 2:" in caplog.text
+        assert f"{out / 'answers.jsonl'}: line 2: {message}" in caplog.text
+        assert not (out / "report.json").exists()

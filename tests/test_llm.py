@@ -169,7 +169,7 @@ class TestScriptedOracle:
         ({"template": "review_cot", "response": 42}, "line 2: response must be a string"),
         ({"default": 7}, "line 2: default must be a string"),
         ({"question": ["q"], "response": "r"}, "line 2: question must be a string"),
-        ({"template": 3, "response": "r"}, "line 2: template must be one of"),
+        ({"template": 3, "response": "r"}, "line 2: template must be a string, got 3"),
         # a misspelt template used to never match
         ({"template": "review-cot", "response": "r"}, "line 2: template must be one of"),
     ])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -269,8 +270,15 @@ class TestLoadDataset:
         good = {"id": "q1", "question": "?", "gold_answers": ["x"]}
         path.write_text(json.dumps(good) + "\n"
                         + json.dumps(dict(good, id="q2", **{field: value})) + "\n")
-        with pytest.raises(RevtreeError, match="line 2: .*lists of strings"):
+        with pytest.raises(RevtreeError, match=re.escape(
+                f"{path}: line 2: {field} must be a list of strings, got {value!r}")):
             load_dataset(path)
+
+    def test_an_id_that_is_a_safe_file_name_is_kept(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(json.dumps({"id": "q.1 (b)", "question": "?",
+                                    "gold_answers": ["x"]}) + "\n")
+        assert [e.id for e in load_dataset(path)] == ["q.1 (b)"]
 
     def test_non_object_line_names_the_line(self, tmp_path):
         path = tmp_path / "dataset.jsonl"

@@ -133,6 +133,13 @@ class TestRunTree:
         assert repeated
 
 
+@pytest.mark.parametrize("widths", [(True, 2), (2, 2.0), (), (2, 0)])
+def test_widths_are_positive_ints_by_exact_type(widths):
+    # a bool is an int to isinstance, so (True, 2) used to make widths (1, 2)
+    with pytest.raises(ValueError, match="widths must be one or more positive integers"):
+        TreeConfig(widths=widths)
+
+
 class TestRepetitivePruningFixture:
     """Hand-traced scenario: p3 accepted on layer one, then recalled by every
     later retrieval.

@@ -331,6 +331,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     run_dir = Path(args.run)
     results: dict[str, ExampleResult] = {}
+    # the line of each id's record, to refuse a repeated or unknown id
+    lines = dict.fromkeys((example.id for example in dataset), 0)
     answers_path = run_dir / "answers.jsonl"
     for lineno, record in read_jsonl(answers_path, RevtreeError):
         where = f"{answers_path}: line {lineno}"
@@ -345,6 +347,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             example_id=example_id, answer=read("answer", str, default=""),
             scored_ids=tuple(read("scored_ids", list[str], default=[])),
             stats=RunStats(**counts), failed="error" in record)
+        if example_id not in lines:
+            raise RevtreeError(f"{where}: id '{example_id}' is not in the "
+                               f"dataset {args.dataset}")
+        if lines[example_id]:
+            raise RevtreeError(f"{where}: duplicate id '{example_id}' (first "
+                               f"seen on line {lines[example_id]})")
+        lines[example_id] = lineno
     report = evaluate_run(dataset, results)
     out_path = Path(args.out) if args.out else run_dir / "report.json"
     _dump_json(out_path, report.to_dict())
@@ -454,6 +463,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (RevtreeError, ValueError, OSError) as exc:
         logger.error("%s", exc)
+        return 1
+    except MemoryError as exc:
+        logger.error("out of memory: %s", exc)
         return 1
 
 

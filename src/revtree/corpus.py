@@ -6,7 +6,8 @@ paragraphs) an exact scan beats maintaining an ANN structure.  Scores are raw
 cosine values; downstream code only consumes the ranking.
 
 Raw embeddings live in one float64 ``(n, dim)`` matrix in ascending-id order,
-which ``build_index`` fills row by row as it embeds, or adopts from stored
+which ``build_index`` fills a batch of contiguous rows at a time as it embeds
+the paragraphs in that order through ``embed_texts``, or adopts from stored
 vectors, beside their norms and float32 unit rows.  A score is
 ``(unit * query).sum(axis=1)`` with ``unit = matrix / norms[:, None]``, so
 identical embeddings tie exactly.  Top-k has two stages: one single-threaded
@@ -289,42 +290,37 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
                 embed_title: bool = True) -> CorpusIndex:
     """Embed paragraphs with ``provider`` and assemble an index.
 
-    Paragraphs are embedded in the order given, ``_EMBED_CHUNK`` at a time
-    through :meth:`EmbeddingProvider.embed_paragraphs`, and each vector is
-    written straight into its row of the index's matrix; with
-    ``embed_title`` the rows are then the provider's embeddings of
-    ``format_documents([p])``, which the index records.  Stored vectors
-    (:class:`PrecomputedEmbeddings`) are not embedded: the index adopts
-    their matrix, whose ids must be the paragraphs' sorted ids, and their
-    ``document_provider_id``.
+    Paragraphs are sorted by id once and embedded in that order,
+    ``_EMBED_CHUNK`` at a time, through
+    :meth:`EmbeddingProvider.embed_texts` alone.  Each batch must be one
+    ``(len(chunk), dim)`` array, which is written into its contiguous rows of
+    the index's matrix; with ``embed_title`` the rows are then the
+    provider's embeddings of ``format_documents([p])``, which the index
+    records.  Stored vectors (:class:`PrecomputedEmbeddings`) are not
+    embedded: the index adopts their matrix, whose ids must be the
+    paragraphs' sorted ids, and their ``document_provider_id``.
     """
-    plist = list(paragraphs)
-    ordered = sorted(plist, key=lambda p: p.id)
+    ordered = sorted(paragraphs, key=lambda p: p.id)
     if isinstance(provider, PrecomputedEmbeddings):
         return CorpusIndex(ordered, provider.matrix_for([p.id for p in ordered]),
                            provider.provider_id, provider.document_provider_id)
-    row = {p.id: i for i, p in enumerate(ordered)}
     matrix = np.zeros((0, 0))
-    for start in range(0, len(plist), _EMBED_CHUNK):
-        chunk = plist[start:start + _EMBED_CHUNK]
-        vectors = provider.embed_paragraphs(
-            chunk, [format_documents([p]) if embed_title else p.text for p in chunk])
+    for start in range(0, len(ordered), _EMBED_CHUNK):
+        chunk = ordered[start:start + _EMBED_CHUNK]
+        vectors = np.asarray(provider.embed_texts(
+            [format_documents([p]) if embed_title else p.text for p in chunk]),
+            dtype=np.float64)
         if len(vectors) != len(chunk):
             raise CorpusError(
                 f"{len(vectors)} embeddings for {len(chunk)} paragraphs")
-        for p, vec in zip(chunk, vectors):
-            vec = np.asarray(vec, dtype=np.float64)
-            if not matrix.size:
-                if vec.ndim != 1 or not vec.size:
-                    raise CorpusError(
-                        f"embedding of '{p.id}' has shape {vec.shape}, not a "
-                        "non-empty vector")
-                matrix = np.empty((len(plist), vec.size))
-            elif vec.shape != matrix.shape[1:]:
-                raise CorpusError(
-                    f"embedding of '{p.id}' has shape {vec.shape}, the others "
-                    f"{matrix.shape[1:]}")
-            matrix[row[p.id]] = vec
+        if not matrix.size and vectors.ndim == 2:
+            matrix = np.empty((len(ordered), vectors.shape[1]))
+        if not matrix.size or vectors.shape[1:] != matrix.shape[1:]:
+            raise CorpusError(
+                f"embeddings of '{chunk[0].id}' to '{chunk[-1].id}' have shape "
+                f"{vectors.shape}, not ({len(chunk)}, dim) with the first batch's "
+                "dim, which is above 0")
+        matrix[start:start + len(chunk)] = vectors
     return CorpusIndex(ordered, matrix, provider.provider_id,
                        provider.provider_id if embed_title else None)
 

@@ -2,10 +2,12 @@
 
 Every provider embeds one text with :meth:`EmbeddingProvider.embed_text`
 and a batch with :meth:`EmbeddingProvider.embed_texts`, which returns one
-row per text in a ``(m, dim)`` float64 array.  The index build and the
-re-ranking of fusion evidence embed in batches; a batch's rows equal the
-texts' single embeddings bit for bit.  Three interchangeable implementations
-back the corpus index and query embedding:
+row per text in a ``(m, dim)`` float64 array; a custom provider implements
+the first, and the second too if it batches.  The index build embeds the
+paragraphs through ``embed_texts`` alone, in ascending-id order, and the
+re-ranking of fusion evidence embeds in batches too; a batch's rows equal
+the texts' single embeddings bit for bit.  Three interchangeable
+implementations back the corpus index and query embedding:
 
 * :class:`HashedEmbedder` -- fully offline and deterministic; every token maps
   to a seeded pseudo-random direction and a text embeds to the count-weighted
@@ -49,7 +51,10 @@ EMBED_MODEL_VAR = "REVTREE_EMBED_MODEL"
 
 
 class EmbeddingProvider:
-    """Base contract: deterministic text -> 1-D float vector of fixed dim."""
+    """Base contract: deterministic text -> 1-D float vector of fixed dim.
+
+    Implement :meth:`embed_text`, and :meth:`embed_texts` to batch; an
+    index embeds in ascending-id order through :meth:`embed_texts` alone."""
 
     provider_id: str = "abstract"
     dim: Optional[int] = None
@@ -59,29 +64,18 @@ class EmbeddingProvider:
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         """Row ``i`` is the embedding of ``texts[i]``.  The default embeds
-        each text with :meth:`embed_text`, in order."""
-        vectors = [self.embed_text(text) for text in texts]
-        return np.array(vectors, dtype=np.float64) if vectors \
-            else np.empty((0, self.dim or 0))
+        each text with :meth:`embed_text`, in order, and refuses vectors of
+        unequal shape."""
+        vectors = [np.asarray(self.embed_text(text), dtype=np.float64) for text in texts]
+        shapes = sorted({vector.shape for vector in vectors})
+        if len(shapes) > 1:
+            raise CorpusError(f"embeddings of unequal shapes {shapes} in one batch")
+        return np.array(vectors) if vectors else np.empty((0, self.dim or 0))
 
     def embed_paragraph(self, paragraph: "Paragraph", text: str) -> np.ndarray:
-        """Embed one corpus paragraph.
-
-        ``text`` is the already-composed string to embed (title and body may
-        have been joined by the caller).  The default simply delegates to
-        :meth:`embed_text`.
-        """
+        # no program path calls this: benchmark/tracer.py patches it until
+        # the benchmark times revtree run's own stages (ROADMAP)
         return self.embed_text(text)
-
-    def embed_paragraphs(self, paragraphs: Sequence["Paragraph"],
-                         texts: Sequence[str]) -> Sequence[np.ndarray]:
-        """One vector per paragraph, in order, for the composed ``texts``.
-
-        The default embeds each with :meth:`embed_paragraph`; providers whose
-        paragraph vectors are their text vectors embed the batch with
-        :meth:`embed_texts`.
-        """
-        return [self.embed_paragraph(p, text) for p, text in zip(paragraphs, texts)]
 
 
 # numpy's SeedSequence (pool size 4) and PCG64 seeding, for the seeds of
@@ -286,10 +280,6 @@ class HashedEmbedder(EmbeddingProvider):
             row[:] = np.add.reduce(rows, axis=0, initial=0.0)[:self.dim]
         return out
 
-    def embed_paragraphs(self, paragraphs: Sequence["Paragraph"],
-                         texts: Sequence[str]) -> np.ndarray:
-        return self.embed_texts(texts)
-
 
 class RemoteEmbedder(EmbeddingProvider):
     """Client for a remote embedding service speaking the common
@@ -344,10 +334,6 @@ class RemoteEmbedder(EmbeddingProvider):
                 )
             chunks.append(vectors)
         return np.concatenate(chunks) if chunks else np.empty((0, self.dim or 0))
-
-    def embed_paragraphs(self, paragraphs: Sequence["Paragraph"],
-                         texts: Sequence[str]) -> np.ndarray:
-        return self.embed_texts(texts)
 
 
 def _reply_rows(data: list, inputs: int) -> np.ndarray:

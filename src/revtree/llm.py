@@ -94,8 +94,10 @@ def load_demos(demos_dir: str | Path, name: str) -> tuple[str, ...]:
     """Read demonstrations for a template from ``<demos_dir>/<name>.txt``.
 
     Demos are separated by lines containing only ``---``.  Missing file means
-    zero-shot.
+    zero-shot; a ``demos_dir`` that is not a directory is refused.
     """
+    if not Path(demos_dir).is_dir():
+        raise NotADirectoryError(f"demos dir {demos_dir} is not a directory")
     path = Path(demos_dir) / f"{name}.txt"
     if not path.exists():
         return ()

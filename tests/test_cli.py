@@ -469,6 +469,25 @@ class TestRun:
         assert data["answers"][0]["answer"] == "Boston"
         assert data["config"]["demos_dir"] == str(demos_dir)
 
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_a_failed_allocation_exits_one_without_a_traceback(
+            self, tmp_path, corpus_file, dataset_file, rules_file, caplog,
+            monkeypatch, command):
+        # what a huge --dim raised from the first batch, made without the
+        # allocation
+        def embed_texts(self, texts):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array with "
+                              "shape (20, 100000000) and data type float64")
+
+        monkeypatch.setattr(embedding.HashedEmbedder, "embed_texts", embed_texts)
+        out = tmp_path / "out"
+        args = (["ingest", "--corpus", str(corpus_file), "--out", str(out)]
+                if command == "ingest" else
+                run_args(corpus_file, dataset_file, out, rules_file))
+        assert main(args) == 1
+        assert "out of memory: Unable to allocate 14.9 GiB" in caplog.text
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("widths,distinct,scored,failures", [
         # under the limit nothing is re-ranked, so the blank response is moot
@@ -826,6 +845,20 @@ class TestRunConfig:
 
         monkeypatch.setattr("revtree.cli.build_index", build_index)
 
+    @pytest.mark.parametrize("is_file", [False, True])
+    def test_a_demos_dir_that_is_not_a_directory_fails_before_the_index(
+            self, tmp_path, corpus_file, dataset_file, rules_file, no_index,
+            caplog, is_file):
+        # a typo used to run zero-shot and be recorded in config.json
+        demos = tmp_path / "demos"
+        if is_file:
+            demos.write_text("a worked example\n")
+        out = tmp_path / "run"
+        assert main(run_args(corpus_file, dataset_file, out, rules_file,
+                             "--demos-dir", str(demos))) == 1
+        assert not out.exists()
+        assert f"demos dir {demos} is not a directory" in caplog.text
+
     def test_every_run_flag_sets_a_field_and_every_field_has_a_flag(self):
         subparsers, = (action for action in cli.build_parser()._actions
                        if action.dest == "command")
@@ -1055,6 +1088,9 @@ class TestEval:
         # a string count used to escape main as a TypeError from the means
         ('{"id": "q1", "stats": {"api_calls": "3"}}',
          "stats: api_calls must be an integer, got '3'"),
+        # each used to be scored, a repeat over the first record
+        ('{"id": "q1", "answer": "wrong"}', "duplicate id 'q1' (first seen on line 1)"),
+        ('{"id": "q9", "answer": "x"}', "id 'q9' is not in the dataset"),
     ])
     def test_corrupt_answers_line_names_the_line(self, tmp_path, corpus_file,
                                                  dataset_file, rules_file, caplog,

@@ -691,16 +691,17 @@ class TestHashedTable:
 
 
 class ShapedEmbedder(EmbeddingProvider):
-    """Embeds every paragraph to ones of ``dim``, and paragraph ``bad`` to
-    ``shape``."""
+    """Embeds every text to ones of ``dim``, and the text of paragraph
+    ``bad`` (``text <bad>``) to ones of ``shape``; a batch goes through the
+    base ``embed_texts``."""
 
     provider_id = "shaped"
 
     def __init__(self, dim, bad, shape):
         self.dim, self.bad, self.shape = dim, bad, shape
 
-    def embed_paragraph(self, paragraph, text):
-        return np.ones(self.shape if paragraph.id == self.bad else self.dim)
+    def embed_text(self, text):
+        return np.ones(self.shape if text == f"text {self.bad}" else self.dim)
 
 
 class TestIndexConstruction:
@@ -719,11 +720,47 @@ class TestIndexConstruction:
 
     def test_a_batch_of_another_length_is_refused(self):
         class DropsOne(ShapedEmbedder):
-            def embed_paragraphs(self, paragraphs, texts):
-                return super().embed_paragraphs(paragraphs, texts)[1:]
+            def embed_texts(self, texts):
+                return super().embed_texts(texts)[1:]
 
         with pytest.raises(CorpusError, match="2 embeddings for 3 paragraphs"):
             build_index(self.PARAGRAPHS, DropsOne(4, None, 4))
+
+    def test_paragraphs_are_embedded_through_embed_texts_in_id_order(self, monkeypatch):
+        class BatchesOnly(EmbeddingProvider):
+            provider_id = "batches"
+
+            def __init__(self):
+                self.batches = []
+
+            def embed_text(self, text):
+                raise AssertionError("the index embeds through embed_texts alone")
+
+            def embed_texts(self, texts):
+                self.batches.append(list(texts))
+                return np.array([[1.0, float(text[-1] == "e")] for text in texts])
+
+        monkeypatch.setattr(corpus, "_EMBED_CHUNK", 2)
+        provider = BatchesOnly()
+        index = build_index([Paragraph(pid, "", f"text {pid}") for pid in "dbeac"],
+                            provider)
+        assert provider.batches == [["text a", "text b"], ["text c", "text d"],
+                                    ["text e"]]
+        assert index.ids == tuple("abcde")
+        assert index.matrix.tolist() == [[1.0, 0.0]] * 4 + [[1.0, 1.0]]
+
+    @pytest.mark.parametrize("shapes", [[(2,)], [(2, 0)], [(2, 4, 1)], [(2, 4), (1, 3)]])
+    def test_a_batch_that_is_not_one_vector_per_paragraph_is_refused(
+            self, monkeypatch, shapes):
+        class BatchShapes(EmbeddingProvider):
+            provider_id = "batch-shapes"
+
+            def embed_texts(self, texts):
+                return np.ones(shapes.pop(0))
+
+        monkeypatch.setattr(corpus, "_EMBED_CHUNK", 2)
+        with pytest.raises(CorpusError, match="shape"):
+            build_index(self.PARAGRAPHS, BatchShapes())
 
     def test_precomputed_file_without_a_paragraph(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"

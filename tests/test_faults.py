@@ -63,9 +63,10 @@ class FaultInjector:
 
 class FailingQueryEmbedder(EmbeddingProvider):
     """Wraps an embedder.  Each ``embed_text`` call, counted over the
-    wrapper's life, raises with seeded odds; paragraph embeddings pass
-    through.  ``failed`` counts the raised calls.  A batch goes through the
-    base ``embed_texts``, one ``embed_text`` call per text in order."""
+    wrapper's life, raises with seeded odds.  ``failed`` counts the raised
+    calls.  A batch goes through the base ``embed_texts``, one
+    ``embed_text`` call per text in order, so an index built through the
+    wrapper would draw from the same odds: build it with ``inner``."""
 
     def __init__(self, inner, seed: int, p_fail: float = 0.3):
         self.inner = inner
@@ -83,9 +84,6 @@ class FailingQueryEmbedder(EmbeddingProvider):
             raise RuntimeError(f"injected at query embedding {self.calls}")
         return self.inner.embed_text(text)
 
-    def embed_paragraph(self, paragraph, text):
-        return self.inner.embed_paragraph(paragraph, text)
-
 
 class SeededReviewer(SeededDecisionProvider):
     """Seeded review verdicts, and a query for every MPC call."""
@@ -94,6 +92,34 @@ class SeededReviewer(SeededDecisionProvider):
         if request.tags.get("template") == "mpc":
             return render_mpc_output(f"q{self.seed}m{call_index}")
         return super().generate(request, call_index)
+
+
+def fail_run_queries(monkeypatch, seed: int, p_fail: float = 0.3) -> tuple[list, list]:
+    """Make ``revtree run`` embed through a :class:`FailingQueryEmbedder`
+    around the embedder it builds, and build its index with the wrapped
+    embedder, so that every seeded draw falls on a question's embedding.
+
+    Returns the list the run's wrapper is put in and the list of the
+    wrapper's call counts as each question starts."""
+    embedders, calls_at_start = [], []
+    build_embedder, build_index, run_one = \
+        cli._build_embedder, cli.build_index, cli._run_one
+
+    def faulty_embedder(*args):
+        embedders.append(FailingQueryEmbedder(build_embedder(*args), seed, p_fail))
+        return embedders[-1]
+
+    def index_from_inner(paragraphs, provider, **kwargs):
+        return build_index(paragraphs, provider.inner, **kwargs)
+
+    def counted_run_one(example, config, index, embedder, *rest):
+        calls_at_start.append(embedder.calls)
+        return run_one(example, config, index, embedder, *rest)
+
+    monkeypatch.setattr(cli, "_build_embedder", faulty_embedder)
+    monkeypatch.setattr(cli, "build_index", index_from_inner)
+    monkeypatch.setattr(cli, "_run_one", counted_run_one)
+    return embedders, calls_at_start
 
 
 def no_sleep_client(provider) -> LlmClient:
@@ -264,19 +290,13 @@ def test_cli_run_counts_every_query_embedding_failure(tmp_path, monkeypatch, mod
          "response": render_review_output(ReviewDecision.accept("it is x"))},
         {"default": render_review_output(ReviewDecision.search("word2 shared"))},
     ])
-    embedders = []
-    build_embedder = cli._build_embedder
-
-    def faulty_embedder(*args):
-        embedders.append(FailingQueryEmbedder(build_embedder(*args), seed=6))
-        return embedders[-1]
-
-    monkeypatch.setattr(cli, "_build_embedder", faulty_embedder)
+    embedders, calls_at_start = fail_run_queries(monkeypatch, seed=6)
     out = tmp_path / "run"
     assert main(run_args(corpus, dataset, out, rules, "--mode", mode,
                          "--widths", "3,2,2")) == 0
 
     faulty, = embedders
+    assert calls_at_start[0] == 0
     records = [json.loads(line) for line in
                (out / "answers.jsonl").read_text().splitlines()]
     assert not any("error" in r for r in records)
@@ -302,19 +322,12 @@ def test_cli_run_keeps_acceptance_order_when_re_ranking_fails(tmp_path, monkeypa
         {"template": "fusion_evidence", "response": "The answer is x."},
         {"default": render_review_output(ReviewDecision.accept("it is x"))},
     ])
-    embedders = []
-    build_embedder = cli._build_embedder
-
-    def faulty_embedder(*args):
-        embedders.append(FailingQueryEmbedder(build_embedder(*args), seed=2,
-                                              p_fail=0.05))
-        return embedders[-1]
-
-    monkeypatch.setattr(cli, "_build_embedder", faulty_embedder)
+    embedders, calls_at_start = fail_run_queries(monkeypatch, seed=2, p_fail=0.05)
     out = tmp_path / "run"
     assert main(run_args(corpus, dataset, out, rules, "--widths", "20")) == 0
 
     faulty, = embedders
+    assert calls_at_start[0] == 0
     records = [json.loads(line) for line in
                (out / "answers.jsonl").read_text().splitlines()]
     assert not any("error" in r for r in records)

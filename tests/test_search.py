@@ -292,9 +292,6 @@ class TestDegradation:
                     raise RuntimeError("embedding backend down")
                 return self.inner.embed_text(text)
 
-            def embed_paragraph(self, paragraph, text):
-                return self.inner.embed_paragraph(paragraph, text)
-
         index = fresh_corpus(groups=70, group_size=3, embedder=embedder)
         # query "probe1" is the first layer-one node's expansion query
         flaky = EmbedderFailingOn(embedder, "probe1")

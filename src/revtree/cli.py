@@ -8,14 +8,18 @@ import concurrent.futures
 import hashlib
 import json
 import logging
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from . import embedding
-from .corpus import CorpusIndex, build_index, load_paragraphs
+from .corpus import CorpusIndex, build_index, embed_batches, load_paragraphs
 from .errors import CorpusError, RevtreeError
 from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
     select_scored_paragraphs
@@ -163,28 +167,50 @@ def _build_embedder(kind: str, dim: int, seed: int,
                                            document_provider_id=documents)
 
 
+@contextmanager
+def _staged(out_dir: Path):
+    """A new directory inside ``out_dir``, made with it if need be, to
+    write an index into.  If the block raises, the directory is deleted with
+    every directory made for it; otherwise each of its files is renamed into
+    ``out_dir``, ``manifest.json`` last, and replaces a file of its name."""
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".ingest-", dir=out_dir))
+    try:
+        yield stage
+    except BaseException:
+        shutil.rmtree(made[-1] if made else stage, ignore_errors=True)
+        raise
+    for name in sorted(os.listdir(stage), key=lambda name: name == "manifest.json"):
+        os.replace(stage / name, out_dir / name)
+    stage.rmdir()
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     provider = _build_embedder(args.embedder, args.dim, args.seed)
-    index = build_index(load_paragraphs(args.corpus), provider,
-                        embed_title=not args.no_embed_title)
-
+    embed_title = not args.no_embed_title
+    ordered = sorted(load_paragraphs(args.corpus), key=lambda p: p.id)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    embeddings_path = out_dir / "embeddings.jsonl"
-    embedding.write_embeddings_file(embeddings_path, index)
-    _dump_json(out_dir / "manifest.json", {
-        "corpus": str(args.corpus),
-        "corpus_sha256": _file_sha256(args.corpus),
-        "count": len(index),
-        "dim": index.dim,
-        "provider_id": index.provider_id,
-        "embed_title": not args.no_embed_title,
-        "checksum": _file_sha256(embeddings_path),
-        "matrix_sha256": _file_sha256(out_dir / embedding.MATRIX_FILE),
-        "ids_sha256": _file_sha256(out_dir / embedding.IDS_FILE),
-    })
-    print(f"ingested {len(index)} paragraphs -> {out_dir}")
+    # each batch is written as it is embedded, and the files are published
+    # only once all of them are written and every row is accepted
+    with _staged(out_dir) as stage:
+        written = embedding.write_embeddings_file(
+            stage / "embeddings.jsonl", [p.id for p in ordered],
+            embed_batches(ordered, provider, embed_title))
+        _dump_json(stage / "manifest.json", {
+            "corpus": str(args.corpus),
+            "corpus_sha256": _file_sha256(args.corpus),
+            "provider_id": provider.provider_id,
+            "embed_title": embed_title,
+            **written,
+        })
+    print(f"ingested {written['count']} paragraphs -> {out_dir}")
     return 0
+
+
+# the per-question counts stats_summary.json sums over answered questions
+_SUMMED_STATS = ("api_calls", "distinct_docs", "evidence_count", "parse_failures",
+                 "provider_failures")
 
 
 def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
@@ -259,47 +285,64 @@ def cmd_run(args: argparse.Namespace) -> int:
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
 
-    records: dict[str, dict] = {}
+    # questions are written in dataset order, each trace before its record,
+    # so that a run cut short keeps every answer before the cut; only running
+    # totals and the questions waiting on an earlier one are kept
+    finished: dict[int, tuple[dict, Optional[RunTrace]]] = {}
+    written = 0
+    totals = dict.fromkeys(_SUMMED_STATS + ("completed", "failed", "fusion_calls"), 0)
     # at most two questions per worker are submitted and not yet written,
     # so that memory stays flat however many questions a run answers
     window = 2 * config.parallel
-    pending: dict[concurrent.futures.Future, QAExample] = {}
+    pending: dict[concurrent.futures.Future, int] = {}
 
-    def take_finished() -> None:
-        """Write the trace and keep the record of each finished question."""
+    def keep_finished() -> None:
+        """Keep the record and trace of each finished question; its future,
+        which holds them too, is dropped on return."""
         done, _ = concurrent.futures.wait(
             pending, return_when=concurrent.futures.FIRST_COMPLETED)
         for future in done:
-            example = pending.pop(future)
+            i = pending.pop(future)
             # taken, not raised, so that its traceback does not hold this
             # frame and, through it, the batch's traces
             exc = future.exception()
             if isinstance(exc, Exception):
-                logger.error("question %s failed: %s", example.id, exc)
-                records[example.id] = {"id": example.id, "error": str(exc)}
+                logger.error("question %s failed: %s", dataset[i].id, exc)
+                finished[i] = {"id": dataset[i].id, "error": str(exc)}, None
+            else:
+                finished[i] = future.result()
+
+    def take_finished(answers) -> None:
+        """Keep each finished question, then write every kept one whose
+        earlier questions are written."""
+        nonlocal written
+        keep_finished()
+        while written in finished:
+            record, trace = finished.pop(written)
+            written += 1
+            if trace is not None:
+                (traces_dir / f"{record['id']}.json").write_text(
+                    trace.to_json(), encoding="utf-8")
+            answers.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            if "error" in record:
+                totals["failed"] += 1
                 continue
-            record, trace = future.result()
-            records[example.id] = record
-            (traces_dir / f"{example.id}.json").write_text(
-                trace.to_json(), encoding="utf-8")
+            totals["completed"] += 1
+            totals["fusion_calls"] += record["fusion_calls"]
+            for key in _SUMMED_STATS:
+                totals[key] += record["stats"][key]
 
-    with concurrent.futures.ThreadPoolExecutor(config.parallel) as executor:
-        for example in dataset:
-            if len(pending) == window:
-                take_finished()
+    with open(out_dir / "answers.jsonl", "w", encoding="utf-8") as answers, \
+            concurrent.futures.ThreadPoolExecutor(config.parallel) as executor:
+        for i, example in enumerate(dataset):
+            while len(pending) + len(finished) == window:
+                take_finished(answers)
             pending[executor.submit(_run_one, example, config, index, embedder,
-                                    llm_provider, demos)] = example
+                                    llm_provider, demos)] = i
         while pending:
-            take_finished()
+            take_finished(answers)
 
-    with open(out_dir / "answers.jsonl", "w", encoding="utf-8") as handle:
-        for example in dataset:
-            handle.write(json.dumps(records[example.id], sort_keys=True,
-                                    ensure_ascii=False) + "\n")
-
-    ok_records = [r for r in records.values() if "error" not in r]
-    n = len(ok_records)
-    failures = len(records) - n
+    n, failures = totals["completed"], totals["failed"]
     summary = {
         "n": len(dataset),
         "completed": n,
@@ -307,20 +350,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         "provider": config.provider,
         # remote-provider runs are only best-effort reproducible
         "reproducible": config.provider == "scripted",
-        "mean_api_calls": sum(r["stats"]["api_calls"] for r in ok_records) / n if n else 0.0,
-        "mean_distinct_docs": sum(r["stats"]["distinct_docs"] for r in ok_records) / n if n else 0.0,
-        "mean_evidence": sum(r["stats"]["evidence_count"] for r in ok_records) / n if n else 0.0,
-        "total_parse_failures": sum(r["stats"]["parse_failures"] for r in ok_records),
-        "total_provider_failures": sum(r["stats"]["provider_failures"]
-                                       for r in ok_records),
-        "total_fusion_calls": sum(r.get("fusion_calls", 0) for r in ok_records),
+        "mean_api_calls": totals["api_calls"] / n if n else 0.0,
+        "mean_distinct_docs": totals["distinct_docs"] / n if n else 0.0,
+        "mean_evidence": totals["evidence_count"] / n if n else 0.0,
+        "total_parse_failures": totals["parse_failures"],
+        "total_provider_failures": totals["provider_failures"],
+        "total_fusion_calls": totals["fusion_calls"],
     }
     _dump_json(out_dir / "stats_summary.json", summary)
     _dump_json(out_dir / "config.json", asdict(config))
     print(f"ran {len(dataset)} questions ({failures} failed) -> {out_dir}")
     # a run that answered nothing, or whose every retrieval came back empty,
     # is not a success, though its files stand
-    if any(r["stats"]["distinct_docs"] for r in ok_records):
+    if totals["distinct_docs"]:
         return 0
     if n:
         logger.error("no question retrieved a paragraph")

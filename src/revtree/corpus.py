@@ -7,8 +7,9 @@ cosine values; downstream code only consumes the ranking.
 
 Raw embeddings live in one float64 ``(n, dim)`` matrix in ascending-id order,
 which ``build_index`` fills a batch of contiguous rows at a time as it embeds
-the paragraphs in that order through ``embed_texts``, or adopts from stored
-vectors, beside their norms and float32 unit rows.  A score is
+the paragraphs in that order (``embed_batches``, which ingest streams to its
+files instead), or adopts from stored vectors, beside their norms and float32
+unit rows.  A score is
 ``(unit * query).sum(axis=1)`` with ``unit = matrix / norms[:, None]``, so
 identical embeddings tie exactly.  Top-k has two stages: one single-threaded
 float32 pass scores every row to within ``_approx_error``, then only
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +58,44 @@ def format_documents(paragraphs: Iterable[Paragraph]) -> str:
 # the norms and unit rows of an index are taken this many bytes of its
 # matrix at a time
 _BLOCK_BYTES = 1 << 20
+
+
+def _row_norms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(norms, shifts, scaled)`` of a block of rows.  A row whose norm
+    overflows is scaled by the power of two of its largest value first, as
+    :func:`cosine_similarity` does, and its norm taken from the scaled row:
+    ``shifts`` holds that exponent, 0 for every other row, and ``scaled`` is
+    the block with those rows scaled.  A row with a non-finite value gets a
+    non-finite norm even so."""
+    shifts = np.zeros(len(block), dtype=np.int32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(block, axis=1)
+        huge = np.flatnonzero(np.isinf(norms))
+        if huge.size:
+            shifts[huge] = -np.frexp(np.abs(block[huge]).max(axis=1))[1]
+            block = np.ldexp(block, shifts[:, None])
+            norms[huge] = np.linalg.norm(block[huge], axis=1)
+    return norms, shifts, block
+
+
+class _BadRows:
+    """The first five ids of the rows with a non-finite norm and of those
+    with a zero norm, gathered a block of rows at a time; an index refuses
+    either kind, naming the non-finite ones first."""
+
+    def __init__(self):
+        self.non_finite: list[str] = []
+        self.all_zero: list[str] = []
+
+    def add(self, ids: Sequence[str], norms: np.ndarray) -> None:
+        for found, rows in ((self.non_finite, ~np.isfinite(norms)),
+                            (self.all_zero, norms == 0.0)):
+            found += [ids[i] for i in np.flatnonzero(rows)[:5 - len(found)]]
+
+    def refuse(self) -> None:
+        for kind, found in (("non-finite", self.non_finite), ("all-zero", self.all_zero)):
+            if found:
+                raise CorpusError(f"{kind} embeddings for ids: {found}")
 
 
 class CorpusIndex:
@@ -100,38 +139,25 @@ class CorpusIndex:
         self._matrix.flags.writeable = False
 
         # taken a block of rows at a time, so that no (n, dim) float64
-        # temporary is made; a row's norm has the same bits either way.  A
-        # row whose norm overflows is scaled by the power of two of its
-        # largest value first, as cosine_similarity does, and its unit row
-        # and scores are taken from that scaled row: _shifts holds the
-        # exponent, 0 for every other row, and is None when no row needs
-        # one.  A row with a non-finite value gets a non-finite norm even so.
+        # temporary is made; a row's norm has the same bits either way.  The
+        # unit row and scores of a row whose norm overflows are taken from
+        # its scaled row (_row_norms); _shifts is None when no row needs one
         n = len(self._ids)
         self._norms = np.empty(n)
         self._shifts = np.zeros(n, dtype=np.int32)
         self._unit32 = np.empty(self._matrix.shape, dtype=np.float32)
+        bad = _BadRows()
         step = max(1, _BLOCK_BYTES // (8 * max(self.dim or 1, 1)))
         for start in range(0, n, step):
             rows = slice(start, start + step)
-            block, norms, shifts = self._matrix[rows], self._norms[rows], self._shifts[rows]
-            with np.errstate(over="ignore", invalid="ignore"):
-                norms[:] = np.linalg.norm(block, axis=1)
-                huge = np.flatnonzero(np.isinf(norms))
-                if huge.size:
-                    shifts[huge] = -np.frexp(np.abs(block[huge]).max(axis=1))[1]
-                    block = np.ldexp(block, shifts[:, None])
-                    norms[huge] = np.linalg.norm(block[huge], axis=1)
-                # divided in float64 and rounded straight into place, so no
-                # float64 unit block is made
-                np.divide(block, norms[:, None], out=self._unit32[rows],
+            self._norms[rows], self._shifts[rows], block = _row_norms(self._matrix[rows])
+            bad.add(self._ids[rows], self._norms[rows])
+            # divided in float64 and rounded straight into place, so no
+            # float64 unit block is made
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(block, self._norms[rows, None], out=self._unit32[rows],
                           casting="same_kind")
-        bad = ~np.isfinite(self._norms)
-        if bad.any():
-            raise CorpusError(f"non-finite embeddings for ids: "
-                              f"{[self._ids[i] for i in np.flatnonzero(bad)[:5]]}")
-        if np.any(self._norms == 0.0):
-            zero = [self._ids[i] for i in np.flatnonzero(self._norms == 0.0)[:5]]
-            raise CorpusError(f"all-zero embeddings for ids: {zero}")
+        bad.refuse()
         for array in (self._norms, self._shifts, self._unit32):
             array.flags.writeable = False
         if not self._shifts.any():
@@ -286,15 +312,46 @@ def _approx_error(index: CorpusIndex, q: np.ndarray) -> float:
 _EMBED_CHUNK = 128
 
 
+def embed_batches(ordered: Sequence[Paragraph], provider: EmbeddingProvider,
+                  embed_title: bool = True) -> Iterator[np.ndarray]:
+    """The embeddings of ``ordered``, ``_EMBED_CHUNK`` paragraphs a batch,
+    each through one :meth:`EmbeddingProvider.embed_texts` call; with
+    ``embed_title`` a paragraph ``p`` is embedded as
+    ``format_documents([p])``, else as its text.
+
+    Each batch must be one ``(len(chunk), dim)`` array with the first
+    batch's dim, which is above 0.  After the last batch, rows an index
+    refuses (:class:`CorpusIndex`) are refused with its message, so that a
+    caller that writes each batch as it comes can still discard them all.
+    """
+    dim, bad = None, _BadRows()
+    for start in range(0, len(ordered), _EMBED_CHUNK):
+        chunk = ordered[start:start + _EMBED_CHUNK]
+        vectors = np.asarray(provider.embed_texts(
+            [format_documents([p]) if embed_title else p.text for p in chunk]),
+            dtype=np.float64)
+        if len(vectors) != len(chunk):
+            raise CorpusError(
+                f"{len(vectors)} embeddings for {len(chunk)} paragraphs")
+        if dim is None and vectors.ndim == 2:
+            dim = vectors.shape[1]
+        if not dim or vectors.shape[1:] != (dim,):
+            raise CorpusError(
+                f"embeddings of '{chunk[0].id}' to '{chunk[-1].id}' have shape "
+                f"{vectors.shape}, not ({len(chunk)}, dim) with the first batch's "
+                "dim, which is above 0")
+        bad.add([p.id for p in chunk], _row_norms(vectors)[0])
+        yield vectors
+    bad.refuse()
+
+
 def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
                 embed_title: bool = True) -> CorpusIndex:
     """Embed paragraphs with ``provider`` and assemble an index.
 
-    Paragraphs are sorted by id once and embedded in that order,
-    ``_EMBED_CHUNK`` at a time, through
-    :meth:`EmbeddingProvider.embed_texts` alone.  Each batch must be one
-    ``(len(chunk), dim)`` array, which is written into its contiguous rows of
-    the index's matrix; with ``embed_title`` the rows are then the
+    Paragraphs are sorted by id once and embedded in that order
+    (:func:`embed_batches`); each batch is written into its contiguous rows
+    of the index's matrix.  With ``embed_title`` the rows are the
     provider's embeddings of ``format_documents([p])``, which the index
     records.  Stored vectors (:class:`PrecomputedEmbeddings`) are not
     embedded: the index adopts their matrix, whose ids must be the
@@ -304,23 +361,12 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
     if isinstance(provider, PrecomputedEmbeddings):
         return CorpusIndex(ordered, provider.matrix_for([p.id for p in ordered]),
                            provider.provider_id, provider.document_provider_id)
-    matrix = np.zeros((0, 0))
-    for start in range(0, len(ordered), _EMBED_CHUNK):
-        chunk = ordered[start:start + _EMBED_CHUNK]
-        vectors = np.asarray(provider.embed_texts(
-            [format_documents([p]) if embed_title else p.text for p in chunk]),
-            dtype=np.float64)
-        if len(vectors) != len(chunk):
-            raise CorpusError(
-                f"{len(vectors)} embeddings for {len(chunk)} paragraphs")
-        if not matrix.size and vectors.ndim == 2:
+    matrix, start = np.zeros((0, 0)), 0
+    for vectors in embed_batches(ordered, provider, embed_title):
+        if not start:
             matrix = np.empty((len(ordered), vectors.shape[1]))
-        if not matrix.size or vectors.shape[1:] != matrix.shape[1:]:
-            raise CorpusError(
-                f"embeddings of '{chunk[0].id}' to '{chunk[-1].id}' have shape "
-                f"{vectors.shape}, not ({len(chunk)}, dim) with the first batch's "
-                "dim, which is above 0")
-        matrix[start:start + len(chunk)] = vectors
+        matrix[start:start + len(vectors)] = vectors
+        start += len(vectors)
     return CorpusIndex(ordered, matrix, provider.provider_id,
                        provider.provider_id if embed_title else None)
 

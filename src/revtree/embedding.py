@@ -23,13 +23,14 @@ implementations back the corpus index and query embedding:
 * :class:`RemoteEmbedder` -- thin client for an HTTPS embedding endpoint,
   configured through environment variables; a batch is posted in chunks.
 * :class:`PrecomputedEmbeddings` -- serves the stored paragraph vectors an
-  ingest writes as a binary matrix and its ids, delegating free-text
-  (query) embedding to a fallback provider.
+  ingest writes as a binary matrix, mapped read-only, and its ids,
+  delegating free-text (query) embedding to a fallback provider.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import threading
 from itertools import chain, filterfalse
@@ -43,7 +44,7 @@ from .jsonl import read_json
 from .llm import new_session, post_json, read_env, with_retries
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .corpus import CorpusIndex, Paragraph
+    from .corpus import Paragraph
 
 EMBED_BASE_URL_VAR = "REVTREE_EMBED_BASE_URL"
 EMBED_API_KEY_VAR = "REVTREE_EMBED_API_KEY"
@@ -359,9 +360,10 @@ class PrecomputedEmbeddings(EmbeddingProvider):
     float64 matrix in ``MATRIX_FILE`` and its ids in ``IDS_FILE``, both
     beside the line-delimited file ``path`` (:func:`write_embeddings_file`).
 
-    The caller has checked both files' checksums.  The matrix must be
-    float64 with one row per stored id, and the stored ids must be exactly
-    the ids an index asks for (:meth:`matrix_for`).  Free-text embedding
+    The caller has checked both files' checksums.  The matrix is mapped
+    read-only, not copied onto the heap; it must be float64 with one row per
+    stored id, and the stored ids must be exactly the ids an index asks for
+    (:meth:`matrix_for`).  Free-text embedding
     (needed at query time) is delegated to ``fallback``, which must embed to
     the stored dim.  ``document_provider_id`` is the id of the provider whose
     ``embed_text(format_documents([p]))`` is the stored vector of each
@@ -377,7 +379,11 @@ class PrecomputedEmbeddings(EmbeddingProvider):
         ids_path = self.path.with_name(IDS_FILE)
         matrix_path = self.path.with_name(MATRIX_FILE)
         self.ids = read_json(ids_path, CorpusError, list[str])
-        self.matrix = np.load(matrix_path, allow_pickle=False)
+        # mapped read-only, not read: its pages are the file's, and a file
+        # renamed over it by a later ingest leaves them as they were.
+        # numpy 1.24 may refuse to map an array without rows
+        self.matrix = np.load(matrix_path, mmap_mode="r" if self.ids else None,
+                              allow_pickle=False)
         if self.matrix.dtype != np.float64 or self.matrix.ndim != 2 or \
                 self.matrix.shape[0] != len(self.ids):
             raise CorpusError(
@@ -413,20 +419,61 @@ MATRIX_FILE = "matrix.npy"
 IDS_FILE = "ids.json"
 
 
-def write_embeddings_file(path: str | Path, index: "CorpusIndex") -> None:
-    """Write an index's embeddings as line-delimited JSON, in its ascending-id
-    order, and beside ``path`` its matrix as ``MATRIX_FILE`` and its ids as
-    a JSON list in ``IDS_FILE``.  :class:`PrecomputedEmbeddings` reads only
-    the last two.
+def _npy_header(shape: tuple[int, int]) -> bytes:
+    """The ``np.lib.format`` header ``np.save`` writes for a C-ordered
+    float64 array of ``shape``."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buffer, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+        "fortran_order": False, "shape": shape})
+    return buffer.getvalue()
 
-    Each line is ``{"id": ..., "values": [...]}`` with every value spelled
-    by ``repr``, as ``json.dumps`` spells a float.  An index holds only finite
-    values, so no line spells ``NaN`` or ``Infinity``.
+
+def write_embeddings_file(path: str | Path, ids: Sequence[str],
+                          batches: Iterable[np.ndarray]) -> dict:
+    """Write the embeddings of ``ids``, given as consecutive ``(m, dim)``
+    batches of rows in that order, as line-delimited JSON at ``path`` and,
+    beside it, as one float64 matrix in ``MATRIX_FILE`` with the ids as a
+    JSON list in ``IDS_FILE``.  :class:`PrecomputedEmbeddings` reads only the
+    last two.
+
+    Each batch is written as it comes, so no ``(len(ids), dim)`` array is
+    made: the matrix's header, that of ``np.save`` for ``(len(ids), dim)``
+    with the first batch's dim, goes first, and without rows the matrix is
+    ``(0, 0)``.  Each line is ``{"id": ..., "values": [...]}`` with every
+    value spelled by ``repr``, as ``json.dumps`` spells a float; the caller
+    passes only finite rows, so no line spells ``NaN`` or ``Infinity``.
+
+    Return the files' manifest fields, their sha256 taken from the bytes as
+    they are written: ``count``, ``dim`` (``None`` without rows),
+    ``checksum`` (of ``path``), ``matrix_sha256`` and ``ids_sha256``.
     """
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        for pid, row in zip(index.ids, index.matrix):
-            values = ", ".join(map(repr, row.tolist()))
-            handle.write('{"id": ' + json.dumps(pid) + ', "values": [' + values + "]}\n")
-    np.save(path.with_name(MATRIX_FILE), index.matrix, allow_pickle=False)
-    path.with_name(IDS_FILE).write_text(json.dumps(list(index.ids)), encoding="utf-8")
+    digests = {key: hashlib.sha256() for key in ("checksum", "matrix_sha256", "ids_sha256")}
+
+    def put(handle, key: str, data: bytes) -> None:
+        digests[key].update(data)
+        handle.write(data)
+
+    dim, done = None, 0
+    with open(path, "wb") as lines, open(path.with_name(MATRIX_FILE), "wb") as matrix:
+        for batch in batches:
+            batch = np.ascontiguousarray(batch, dtype=np.float64)
+            if dim is None:
+                dim = batch.shape[1]
+                put(matrix, "matrix_sha256", _npy_header((len(ids), dim)))
+            put(lines, "checksum", "".join(
+                '{"id": ' + json.dumps(pid) + ', "values": ['
+                + ", ".join(map(repr, row)) + "]}\n"
+                for pid, row in zip(ids[done:done + len(batch)], batch.tolist())
+            ).encode("utf-8"))
+            put(matrix, "matrix_sha256", batch.tobytes())
+            done += len(batch)
+        if done != len(ids):
+            raise CorpusError(f"{done} embedding rows for {len(ids)} ids")
+        if dim is None:
+            put(matrix, "matrix_sha256", _npy_header((0, 0)))
+    with open(path.with_name(IDS_FILE), "wb") as handle:
+        put(handle, "ids_sha256", json.dumps(list(ids)).encode("utf-8"))
+    return {"count": len(ids), "dim": dim,
+            **{key: digest.hexdigest() for key, digest in digests.items()}}

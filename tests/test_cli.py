@@ -7,6 +7,7 @@ import hashlib
 import json
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -16,7 +17,10 @@ import pytest
 
 from revtree import ReviewDecision, render_mpc_output, render_review_output
 from revtree import cli, embedding, fusion, llm, search
+from revtree import corpus as corpus_module
 from revtree.cli import main
+from revtree.corpus import build_index, load_paragraphs
+from revtree.errors import ProviderError
 
 
 def write_jsonl(path: Path, rows) -> None:
@@ -115,6 +119,138 @@ class TestIngest:
                      *extra]) == 1
         assert message in caplog.text
         assert not out.exists()
+
+
+class Lengths(embedding.EmbeddingProvider):
+    """A deterministic embedder with no token table: ``text``'s vector is
+    ``len(text) * [1, 2, ..., dim]``; it raises on batch ``fail_at`` (from
+    1) if given, and gives ``bad[text]`` for the texts in ``bad``."""
+
+    provider_id = "lengths"
+
+    def __init__(self, dim=4, fail_at=None, bad=None):
+        self.dim, self.fail_at, self.bad, self.batches = dim, fail_at, bad or {}, 0
+
+    def embed_text(self, text):
+        if text in self.bad:
+            return np.full(self.dim, self.bad[text])
+        return np.arange(1.0, self.dim + 1) * len(text)
+
+    def embed_texts(self, texts):
+        self.batches += 1
+        if self.batches == self.fail_at:
+            raise ProviderError(f"batch {self.batches} refused")
+        return super().embed_texts(texts)
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+class TestStreamedIngest:
+    """``ingest`` writes each batch as it is embedded, under a temporary
+    directory whose files are renamed into ``--out`` only once every batch
+    is written and every row accepted."""
+
+    @pytest.fixture
+    def corpus9(self, tmp_path):
+        corpus = tmp_path / "corpus9.jsonl"
+        write_jsonl(corpus, [{"id": f"p{i}", "title": "", "text": "x" * (i + 1)}
+                             for i in reversed(range(9))])
+        return corpus
+
+    def ingest(self, monkeypatch, corpus, out, provider, chunk=2):
+        monkeypatch.setattr(cli, "_build_embedder", lambda *args: provider)
+        monkeypatch.setattr(corpus_module, "_EMBED_CHUNK", chunk)
+        return main(["ingest", "--corpus", str(corpus), "--out", str(out),
+                     "--no-embed-title"])
+
+    def test_the_manifest_holds_the_checksums_of_the_published_files(
+            self, monkeypatch, tmp_path, corpus9):
+        out = tmp_path / "index"
+        assert self.ingest(monkeypatch, corpus9, out, Lengths()) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for key, name in (("checksum", "embeddings.jsonl"),
+                          ("matrix_sha256", "matrix.npy"), ("ids_sha256", "ids.json")):
+            assert manifest[key] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert (manifest["count"], manifest["dim"]) == (9, 4)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "embeddings.jsonl", "ids.json", "manifest.json", "matrix.npy"]
+        assert np.load(out / "matrix.npy")[:, 0].tolist() == list(range(1, 10))
+
+    def test_an_empty_index_loads(self, tmp_path, corpus_file, dataset_file, rules_file):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(empty), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["count"], manifest["dim"]) == (0, None)
+        stored = embedding.PrecomputedEmbeddings(
+            out / "embeddings.jsonl", fallback=embedding.HashedEmbedder())
+        assert stored.matrix.shape == (0, 0)
+        assert len(build_index([], stored)) == 0
+        # a run on it answers nothing, and says so
+        code = main(run_args(empty, dataset_file, tmp_path / "run", rules_file,
+                             "--embedder", "precomputed",
+                             "--embeddings", str(out / "embeddings.jsonl")))
+        assert code == 1
+
+    def test_a_failed_batch_leaves_no_output_tree(self, monkeypatch, tmp_path,
+                                                  caplog, corpus9):
+        out = tmp_path / "new" / "index"
+        assert self.ingest(monkeypatch, corpus9, out, Lengths(fail_at=2)) == 1
+        assert "batch 2 refused" in caplog.text
+        assert not (tmp_path / "new").exists()
+
+    def test_a_failed_ingest_into_an_index_leaves_its_files(self, monkeypatch,
+                                                            tmp_path, corpus9):
+        out = tmp_path / "index"
+        assert self.ingest(monkeypatch, corpus9, out, Lengths()) == 0
+        before = tree_bytes(out)
+        assert self.ingest(monkeypatch, corpus9, out, Lengths(dim=3, fail_at=3)) == 1
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("bad, message", [
+        # over the whole corpus, in id order, across batches; non-finite first
+        ({"x": 0.0, "xxx": np.nan, "xxxxx": 0.0, "xxxxxxxx": np.inf},
+         "non-finite embeddings for ids: ['p2', 'p7']"),
+        ({text: 0.0 for text in ("x", "xxx", "xxxx", "xxxxxx", "xxxxxxxx", "x" * 9)},
+         "all-zero embeddings for ids: ['p0', 'p2', 'p3', 'p5', 'p7']"),
+    ])
+    def test_rows_an_index_refuses_are_refused_with_its_message(
+            self, monkeypatch, tmp_path, caplog, corpus9, bad, message):
+        out = tmp_path / "index"
+        assert self.ingest(monkeypatch, corpus9, out, Lengths(bad=bad)) == 1
+        assert message in caplog.text
+        assert not out.exists()
+
+    def test_an_open_index_keeps_its_rows_across_a_reingest(self, monkeypatch,
+                                                            tmp_path, corpus9):
+        out = tmp_path / "index"
+        assert self.ingest(monkeypatch, corpus9, out, Lengths()) == 0
+        stored = embedding.PrecomputedEmbeddings(out / "embeddings.jsonl",
+                                                 fallback=Lengths())
+        old = np.array(stored.matrix)
+        assert self.ingest(monkeypatch, corpus9, out, Lengths(bad={"x": 7.0})) == 0
+        assert np.load(out / "matrix.npy")[0].tolist() == [7.0] * 4
+        assert np.array_equal(stored.matrix, old)
+        assert np.array_equal(build_index(load_paragraphs(corpus9), stored).matrix, old)
+
+    def test_memory_peaks_below_one_matrix(self, monkeypatch, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"id": f"p{i:04d}", "title": f"T{i}",
+                              "text": f"paragraph {i} of the corpus"} for i in range(2000)])
+        provider = Lengths(dim=256)
+        monkeypatch.setattr(cli, "_build_embedder", lambda *args: provider)
+        tracemalloc.start()
+        try:
+            assert main(["ingest", "--corpus", str(corpus),
+                         "--out", str(tmp_path / "index")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 256 * 8
 
 
 class PromptSession:
@@ -835,6 +971,30 @@ class TestStreamedRun:
         assert len([p for p in serial if p.parts[0] == "traces"]) == 58
         summary = json.loads(serial[Path("stats_summary.json")])
         assert (summary["completed"], summary["failed"]) == (58, 2)
+
+    @pytest.mark.parametrize("parallel", [1, 3])
+    def test_a_failed_trace_write_keeps_the_earlier_answers(
+            self, tmp_path, monkeypatch, caplog, corpus_file, rules_file, parallel):
+        dataset = tmp_path / "five.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "question": f"boston city {i}",
+                               "gold_answers": ["Boston"]} for i in range(1, 6)])
+        whole = tmp_path / "whole"
+        assert main(run_args(corpus_file, dataset, whole, rules_file)) == 0
+        to_json = search.RunTrace.to_json
+
+        def failing_to_json(trace):
+            if trace.question == "boston city 3":
+                raise OSError("disk full")
+            return to_json(trace)
+
+        monkeypatch.setattr(search.RunTrace, "to_json", failing_to_json)
+        cut = tmp_path / "cut"
+        assert main(run_args(corpus_file, dataset, cut, rules_file,
+                             "--parallel", str(parallel))) == 1
+        assert "disk full" in caplog.text
+        lines = (whole / "answers.jsonl").read_bytes().splitlines(keepends=True)
+        assert (cut / "answers.jsonl").read_bytes() == b"".join(lines[:2])
+        assert not (cut / "stats_summary.json").exists()
 
 
 class TestRunConfig:

@@ -764,7 +764,8 @@ class TestIndexConstruction:
 
     def test_precomputed_file_without_a_paragraph(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
-        write_embeddings_file(path, vector_index({"a": np.ones(4), "c": np.ones(4)}))
+        index = vector_index({"a": np.ones(4), "c": np.ones(4)})
+        write_embeddings_file(path, index.ids, [index.matrix])
         with pytest.raises(CorpusError, match="ids differ"):
             build_index(self.PARAGRAPHS,
                         PrecomputedEmbeddings(path, fallback=HashedEmbedder(dim=4)))
@@ -801,11 +802,37 @@ class TestEmbeddingsFile:
                    "c": rng.standard_normal(7).astype(np.float32),
                    "d": [0.1, 1, 2.5, 3, -4, 1e-300, 7]}
         path = tmp_path / "embeddings.jsonl"
-        write_embeddings_file(path, vector_index(vectors))
+        index = vector_index(vectors)
+        write_embeddings_file(path, index.ids, [index.matrix])
         want = "".join(
             json.dumps({"id": pid, "values": [float(x) for x in vectors[pid]]},
                        sort_keys=True) + "\n" for pid in sorted(vectors))
         assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("dim", [1, 64])
+    @pytest.mark.parametrize("rows", [0, 1, 128, 129])
+    def test_streamed_files_equal_those_of_the_whole_index(self, tmp_path, dim, rows):
+        # 128 rows are one batch of corpus._EMBED_CHUNK, 129 are two
+        paragraphs = [Paragraph(f"p{i:03d}", "T", f"word{i} shared") for i in range(rows)]
+        provider = HashedEmbedder(dim=dim, seed=3)
+        path = tmp_path / "embeddings.jsonl"
+        written = write_embeddings_file(path, [p.id for p in paragraphs],
+                                        corpus.embed_batches(paragraphs, provider))
+        index = build_index(paragraphs, HashedEmbedder(dim=dim, seed=3))
+        saved = tmp_path / "saved.npy"
+        np.save(saved, index.matrix, allow_pickle=False)
+        assert (tmp_path / "matrix.npy").read_bytes() == saved.read_bytes()
+        assert json.loads((tmp_path / "ids.json").read_text()) == list(index.ids)
+        assert len(path.read_text().splitlines()) == rows
+        assert (written["count"], written["dim"]) == (rows, index.dim)
+        for key, name in (("checksum", "embeddings.jsonl"),
+                          ("matrix_sha256", "matrix.npy"), ("ids_sha256", "ids.json")):
+            assert written[key] == hashlib.sha256(
+                (tmp_path / name).read_bytes()).hexdigest()
+
+    def test_a_row_count_other_than_the_ids_is_refused(self, tmp_path):
+        with pytest.raises(CorpusError, match="2 embedding rows for 3 ids"):
+            write_embeddings_file(tmp_path / "e.jsonl", ["a", "b", "c"], [np.ones((2, 4))])
 
 
 class TestProviders:
@@ -893,7 +920,7 @@ class TestProviders:
         paragraphs = [Paragraph("a", "", "alpha"), Paragraph("b", "", "beta")]
         index = build_index(paragraphs, embedder)
         path = tmp_path / "embeddings.jsonl"
-        write_embeddings_file(path, index)
+        write_embeddings_file(path, index.ids, [index.matrix])
 
         provider = PrecomputedEmbeddings(path, fallback=embedder)
         rebuilt = build_index(paragraphs, provider)
@@ -905,16 +932,19 @@ class TestProviders:
     def test_stored_vectors_in_id_order_are_adopted_not_copied(self, tmp_path, embedder):
         paragraphs = [Paragraph(pid, "", f"text {pid}") for pid in ("c", "a", "b")]
         path = tmp_path / "embeddings.jsonl"
-        write_embeddings_file(path, build_index(paragraphs, embedder))
+        index = build_index(paragraphs, embedder)
+        write_embeddings_file(path, index.ids, [index.matrix])
         provider = PrecomputedEmbeddings(path, fallback=embedder)
-        assert build_index(paragraphs, provider).matrix is provider.matrix
+        assert np.shares_memory(build_index(paragraphs, provider).matrix,
+                                provider.matrix)
         # other ids are refused, not gathered
         with pytest.raises(CorpusError, match="ids differ"):
             build_index(paragraphs[:2], provider)
 
     def test_precomputed_refuses_a_fallback_of_another_dim(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
-        write_embeddings_file(path, vector_index({"a": np.ones(4)}))
+        index = vector_index({"a": np.ones(4)})
+        write_embeddings_file(path, index.ids, [index.matrix])
         with pytest.raises(CorpusError, match="dim 64 does not match"):
             PrecomputedEmbeddings(path, fallback=HashedEmbedder(dim=64))
 

@@ -472,7 +472,7 @@ class TestReRankingFromIndexRows:
         assert index.document_provider_id == hashed.provider_id
         # stored vectors, through their hashed query embedder, when the
         # caller vouches for them
-        write_embeddings_file(tmp_path / "e.jsonl", index)
+        write_embeddings_file(tmp_path / "e.jsonl", index.ids, [index.matrix])
         for vouched in (None, hashed.provider_id):
             stored = PrecomputedEmbeddings(tmp_path / "e.jsonl", fallback=hashed,
                                            document_provider_id=vouched)

@@ -26,7 +26,7 @@ from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
 from .jsonl import field, read_json, read_jsonl
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
-from .metrics import ExampleResult, QAExample, evaluate_run, load_dataset
+from .metrics import ExampleResult, evaluate_run, load_dataset
 from .review import ExpansionStrategy
 from .search import RunStats, RunTrace, TreeConfig, run_chain, run_oner, run_tree
 

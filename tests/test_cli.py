@@ -179,7 +179,7 @@ class TestStreamedIngest:
             "embeddings.jsonl", "ids.json", "manifest.json", "matrix.npy"]
         assert np.load(out / "matrix.npy")[:, 0].tolist() == list(range(1, 10))
 
-    def test_an_empty_index_loads(self, tmp_path, corpus_file, dataset_file, rules_file):
+    def test_an_empty_index_loads(self, tmp_path, dataset_file, rules_file):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         out = tmp_path / "index"

@@ -12,6 +12,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -26,7 +27,7 @@ from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
 from .jsonl import field, read_json, read_jsonl
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
-from .metrics import ExampleResult, evaluate_run, load_dataset
+from .metrics import ExampleResult, QAExample, evaluate_run, load_dataset
 from .review import ExpansionStrategy
 from .search import RunStats, RunTrace, TreeConfig, run_chain, run_oner, run_tree
 
@@ -286,61 +287,46 @@ def cmd_run(args: argparse.Namespace) -> int:
     traces_dir.mkdir(parents=True, exist_ok=True)
 
     # questions are written in dataset order, each trace before its record,
-    # so that a run cut short keeps every answer before the cut; only running
-    # totals and the questions waiting on an earlier one are kept
-    finished: dict[int, tuple[dict, Optional[RunTrace]]] = {}
-    written = 0
-    totals = dict.fromkeys(_SUMMED_STATS + ("completed", "failed", "fusion_calls"), 0)
-    # at most two questions per worker are submitted and not yet written,
-    # so that memory stays flat however many questions a run answers
+    # so that a run cut short keeps every answer before the cut; at most two
+    # questions per worker are submitted and not yet written, so that memory
+    # stays flat however many questions a run answers
     window = 2 * config.parallel
-    pending: dict[concurrent.futures.Future, int] = {}
+    queue: deque[tuple[QAExample, concurrent.futures.Future]] = deque()
+    totals = dict.fromkeys(_SUMMED_STATS + ("completed", "failed", "fusion_calls"), 0)
 
-    def keep_finished() -> None:
-        """Keep the record and trace of each finished question; its future,
-        which holds them too, is dropped on return."""
-        done, _ = concurrent.futures.wait(
-            pending, return_when=concurrent.futures.FIRST_COMPLETED)
-        for future in done:
-            i = pending.pop(future)
-            # taken, not raised, so that its traceback does not hold this
-            # frame and, through it, the batch's traces
-            exc = future.exception()
-            if isinstance(exc, Exception):
-                logger.error("question %s failed: %s", dataset[i].id, exc)
-                finished[i] = {"id": dataset[i].id, "error": str(exc)}, None
-            else:
-                finished[i] = future.result()
-
-    def take_finished(answers) -> None:
-        """Keep each finished question, then write every kept one whose
-        earlier questions are written."""
-        nonlocal written
-        keep_finished()
-        while written in finished:
-            record, trace = finished.pop(written)
-            written += 1
-            if trace is not None:
-                (traces_dir / f"{record['id']}.json").write_text(
-                    trace.to_json(), encoding="utf-8")
-            answers.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-            if "error" in record:
-                totals["failed"] += 1
-                continue
-            totals["completed"] += 1
-            totals["fusion_calls"] += record["fusion_calls"]
-            for key in _SUMMED_STATS:
-                totals[key] += record["stats"][key]
+    def write_oldest(answers) -> None:
+        """Wait on the oldest submitted question and write it; its future,
+        which holds its record and trace, is dropped on return."""
+        example, future = queue.popleft()
+        # taken, not raised, so that its traceback does not hold this frame
+        # and, through it, the batch's traces
+        exc = future.exception()
+        if isinstance(exc, Exception):
+            logger.error("question %s failed: %s", example.id, exc)
+            record, trace = {"id": example.id, "error": str(exc)}, None
+        else:
+            record, trace = future.result()
+        if trace is not None:
+            (traces_dir / f"{record['id']}.json").write_text(
+                trace.to_json(), encoding="utf-8")
+        answers.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+        if "error" in record:
+            totals["failed"] += 1
+            return
+        totals["completed"] += 1
+        totals["fusion_calls"] += record["fusion_calls"]
+        for key in _SUMMED_STATS:
+            totals[key] += record["stats"][key]
 
     with open(out_dir / "answers.jsonl", "w", encoding="utf-8") as answers, \
             concurrent.futures.ThreadPoolExecutor(config.parallel) as executor:
-        for i, example in enumerate(dataset):
-            while len(pending) + len(finished) == window:
-                take_finished(answers)
-            pending[executor.submit(_run_one, example, config, index, embedder,
-                                    llm_provider, demos)] = i
-        while pending:
-            take_finished(answers)
+        for example in dataset:
+            if len(queue) == window:
+                write_oldest(answers)
+            queue.append((example, executor.submit(
+                _run_one, example, config, index, embedder, llm_provider, demos)))
+        while queue:
+            write_oldest(answers)
 
     n, failures = totals["completed"], totals["failed"]
     summary = {

@@ -62,19 +62,20 @@ _BLOCK_BYTES = 1 << 20
 
 def _row_norms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(norms, shifts, scaled)`` of a block of rows.  A row whose norm
-    overflows is scaled by the power of two of its largest value first, as
-    :func:`cosine_similarity` does, and its norm taken from the scaled row:
+    overflows, or underflows to 0 though a value is non-zero, is scaled by
+    the power of two of its largest value first, as :func:`cosine_similarity`
+    does, and its norm taken from the scaled row:
     ``shifts`` holds that exponent, 0 for every other row, and ``scaled`` is
     the block with those rows scaled.  A row with a non-finite value gets a
     non-finite norm even so."""
     shifts = np.zeros(len(block), dtype=np.int32)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(block, axis=1)
-        huge = np.flatnonzero(np.isinf(norms))
-        if huge.size:
-            shifts[huge] = -np.frexp(np.abs(block[huge]).max(axis=1))[1]
+        scaled = np.flatnonzero(np.isinf(norms) | (norms == 0.0) & block.any(axis=1))
+        if scaled.size:
+            shifts[scaled] = -np.frexp(np.abs(block[scaled]).max(axis=1))[1]
             block = np.ldexp(block, shifts[:, None])
-            norms[huge] = np.linalg.norm(block[huge], axis=1)
+            norms[scaled] = np.linalg.norm(block[scaled], axis=1)
     return norms, shifts, block
 
 
@@ -140,8 +141,9 @@ class CorpusIndex:
 
         # taken a block of rows at a time, so that no (n, dim) float64
         # temporary is made; a row's norm has the same bits either way.  The
-        # unit row and scores of a row whose norm overflows are taken from
-        # its scaled row (_row_norms); _shifts is None when no row needs one
+        # unit row and scores of a row whose norm overflows, or underflows to
+        # 0, are taken from its scaled row (_row_norms); _shifts is None when
+        # no row needs one
         n = len(self._ids)
         self._norms = np.empty(n)
         self._shifts = np.zeros(n, dtype=np.int32)
@@ -275,8 +277,8 @@ def retrieve(index: CorpusIndex, query: str, k: int,
     # order, so a stable sort on -score gives (score desc, id asc).
     raw = index._matrix[rows]
     if index._shifts is not None:
-        # a row whose norm overflows is scaled by its power of two first;
-        # a shift of 0 leaves a row's bits alone
+        # a row whose norm overflows or underflows is scaled by its power of
+        # two first; a shift of 0 leaves a row's bits alone
         raw = np.ldexp(raw, index._shifts[rows, None])
     scores = (raw / index._norms[rows, None] * q).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:k]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .corpus import CorpusIndex, Paragraph, format_documents, retrieve
@@ -152,16 +152,7 @@ class RunTrace:
     stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "mode": self.mode,
-            "meta": self.meta,
-            "nodes": self.nodes,
-            "pruned": self.pruned,
-            "turns": self.turns,
-            "evidence": self.evidence,
-            "stats": self.stats,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2,

@@ -215,7 +215,9 @@ class TestStreamedIngest:
         # over the whole corpus, in id order, across batches; non-finite first
         ({"x": 0.0, "xxx": np.nan, "xxxxx": 0.0, "xxxxxxxx": np.inf},
          "non-finite embeddings for ids: ['p2', 'p7']"),
-        ({text: 0.0 for text in ("x", "xxx", "xxxx", "xxxxxx", "xxxxxxxx", "x" * 9)},
+        # p1's norm underflows to 0, but its row is not all-zero
+        ({"xx": 1e-300, **{text: 0.0 for text in
+                           ("x", "xxx", "xxxx", "xxxxxx", "xxxxxxxx", "x" * 9)}},
          "all-zero embeddings for ids: ['p0', 'p2', 'p3', 'p5', 'p7']"),
     ])
     def test_rows_an_index_refuses_are_refused_with_its_message(
@@ -1057,6 +1059,10 @@ class TestRunConfig:
         ("demos_dir", 5, "demos_dir must be a string, got 5"),
         ("mode", None, "mode must be a string, got None"),
         ("mode", "", "with the flags given over it: unknown mode ''"),
+        ("output_dir", "", "run needs --corpus, --dataset and --out"),
+        ("provider", "bogus", "unknown provider 'bogus'"),
+        ("embedder", "bogus", "unknown embedder 'bogus'"),
+        ("embedder", "precomputed", "precomputed embedder requires --embeddings"),
     ])
     def test_bad_config_file_fails_before_the_index(self, tmp_path, corpus_file,
                                                     dataset_file, rules_file,

@@ -114,6 +114,10 @@ class TestCosine:
         with pytest.raises(ValueError, match="mismatch"):
             cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            cosine_similarity([[1.0, 2.0]], [1.0, 2.0])
+
     def test_zero_vector(self):
         with pytest.raises(ValueError, match="zero"):
             cosine_similarity([0.0, 0.0], [1.0, 2.0])
@@ -170,6 +174,8 @@ class TestCosine:
             cosine_similarities([[1.0, 2.0]], [0.0, 0.0])
         with pytest.raises(ValueError, match="mismatch"):
             cosine_similarities([[1.0, 2.0]], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="2-D matrix and a 1-D vector"):
+            cosine_similarities([1.0, 2.0], [1.0, 2.0])
 
 
 def brute_force_topk(index, query, k, provider):
@@ -316,6 +322,11 @@ class TestScoring:
         with pytest.raises(ValueError, match="non-finite"):
             retrieve(index, "q", 1, FixedQuery([np.nan, 1.0]))
 
+    def test_zero_query_is_rejected(self):
+        index = vector_index({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        with pytest.raises(ValueError, match="zero vector"):
+            retrieve(index, "q", 1, FixedQuery([0.0, 0.0]))
+
     def test_nan_from_a_precomputed_file_is_refused(self, tmp_path):
         # a stored matrix can carry one
         path = tmp_path / "embeddings.jsonl"
@@ -326,18 +337,21 @@ class TestScoring:
             build_index(paragraphs,
                         PrecomputedEmbeddings(path, fallback=HashedEmbedder(dim=2)))
 
-    def test_a_row_whose_norm_overflows_is_scaled_not_zeroed(self):
-        # 1e308 squared overflows float64: the row is scaled by its power of
-        # two first, as cosine_similarity does
-        index = vector_index({"a": [1e308, 1e308], "b": [0.0, 1.0]})
+    @pytest.mark.parametrize("row, score, shift", [
+        ([1e308, 1e308], 2 ** -0.5, -1024), ([1e-300, 0.0], 1.0, 996)])
+    def test_a_row_whose_norm_overflows_or_underflows_is_scaled_not_zeroed(
+            self, row, score, shift):
+        # 1e308 squared overflows float64 and 1e-300 squared underflows to 0:
+        # the row is scaled by its power of two first, as cosine_similarity does
+        index = vector_index({"a": row, "b": [0.0, 1.0]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = retrieve(index, "q", 2, FixedQuery([1.0, 0.0]))
         assert [p.id for p, _ in got] == ["a", "b"]
-        assert got[0][1] == pytest.approx(2 ** -0.5, rel=1e-15)
-        assert got[0][1] == pytest.approx(cosine_similarity([1e308, 1e308], [1, 0]))
-        assert np.array_equal(index.embedding("a"), [1e308, 1e308])
-        assert index._shifts.tolist() == [-1024, 0]
+        assert got[0][1] == pytest.approx(score, rel=1e-15)
+        assert got[0][1] == pytest.approx(cosine_similarity(row, [1, 0]))
+        assert np.array_equal(index.embedding("a"), row)
+        assert index._shifts.tolist() == [shift, 0]
 
     def test_norms_are_taken_in_blocks_with_the_bits_of_one_pass(self):
         rng = np.random.default_rng(12)
@@ -605,6 +619,10 @@ class TestHashedTable:
         want = np.array([loop_embed(token, 16, 9) for token in tokens])
         embedder = HashedEmbedder(dim=16, seed=9)
         assert_same_bits(embedder.embed_texts(tokens), want)
+
+    def test_dim_must_be_positive(self):
+        with pytest.raises(ValueError, match="dim must be positive, got 0"):
+            HashedEmbedder(dim=0)
 
     def test_a_blank_text_in_a_batch_is_refused_before_any_draw(self):
         embedder = HashedEmbedder(dim=8, seed=1)

@@ -75,6 +75,10 @@ class TestRenderPrompt:
         with pytest.raises(ValueError, match="Documents"):
             render_prompt(template, {"Question": "q"})
 
+    def test_unknown_template_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="unknown template 'bogus'; expected one of"):
+            load_template("bogus")
+
     def test_all_templates_load(self):
         for name in TEMPLATE_NAMES:
             template = load_template(name)
@@ -552,7 +556,10 @@ class TestRemoteEmbedderBatches:
         lambda data: [dict(item, index=0) for item in data],
         lambda data: [dict(data[0], embedding=[])] + data[1:],
         lambda data: [dict(data[0], embedding=[1.0])] + data[1:],
-    ], ids=["too-few", "too-many", "repeated-index", "empty-vector", "ragged"])
+        lambda data: [dict(item, embedding=[]) for item in data],
+        lambda data: [dict(item, embedding=1.0) for item in data],
+    ], ids=["too-few", "too-many", "repeated-index", "empty-vector", "ragged",
+            "all-empty", "scalars"])
     def test_a_reply_not_one_embedding_per_input_is_refused(self, reply):
         service = EmbeddingService(reply=reply)
         with pytest.raises(ProviderError, match="malformed embedding payload"):

@@ -82,6 +82,10 @@ class TestF1:
     def test_max_over_golds(self):
         assert f1_score("boston", ["tokyo", "boston"]) == 1.0
 
+    def test_empty_golds_rejected(self):
+        with pytest.raises(ValueError, match="gold_answers must be non-empty"):
+            f1_score("x", [])
+
     @given(words, words)
     def test_em_implies_f1_and_bounds(self, pred, gold):
         em = exact_match(pred, [gold])
@@ -182,6 +186,10 @@ class TestEvaluateRun:
         dataset = [example(0, ["x"]), example(1, ["y"])]
         with pytest.raises(RevtreeError, match="q1"):
             evaluate_run(dataset, {"q0": result(0, "x")})
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="dataset must be non-empty"):
+            evaluate_run([], {})
 
     def test_examples_without_gold_ids_excluded_from_recall(self):
         dataset = [example(0, ["x"], {"p1"}), example(1, ["y"])]

@@ -170,6 +170,14 @@ class TestRoundTrip:
         parsed = parse_mpc_output(render_mpc_output(query, answer))
         assert parsed == MpcExpansion(query=query, answer=answer)
 
+    @pytest.mark.parametrize("decision, supported", [
+        (ReviewDecision.accept("it fits", supported=None), True),
+        (ReviewDecision.search("more", supported=None), False),
+    ])
+    def test_unset_support_renders_as_the_actions_default(self, decision, supported):
+        parsed = parse_review_output(render_review_output(decision))
+        assert (parsed.action, parsed.supported) == (decision.action, supported)
+
     def test_mpc_round_trip_without_answer(self):
         parsed = parse_mpc_output(render_mpc_output("missing fact"))
         assert parsed == MpcExpansion(query="missing fact", answer="")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from revtree import (
+    Evidence,
+    EvidencePool,
     ExpansionStrategy,
     LlmClient,
     Paragraph,
@@ -138,6 +140,11 @@ def test_widths_are_positive_ints_by_exact_type(widths):
     # a bool is an int to isinstance, so (True, 2) used to make widths (1, 2)
     with pytest.raises(ValueError, match="widths must be one or more positive integers"):
         TreeConfig(widths=widths)
+
+
+def test_evidence_with_an_empty_path_is_refused():
+    with pytest.raises(ValueError, match="evidence path must be non-empty"):
+        EvidencePool().add(Evidence(path=(), brief_analysis="", accepted_at_call=1))
 
 
 class TestRepetitivePruningFixture:
@@ -465,6 +472,11 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain("q", small_index, embedder, always_accept_oracle(),
                       max_turns=0)
+
+    def test_invalid_per_turn_k(self, embedder, small_index):
+        with pytest.raises(ValueError, match="per_turn_k must be >= 1, got 0"):
+            run_chain("q", small_index, embedder, always_accept_oracle(),
+                      per_turn_k=0)
 
 
 class TestRunOner:

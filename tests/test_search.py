@@ -472,8 +472,6 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain("q", small_index, embedder, always_accept_oracle(),
                       max_turns=0)
-
-    def test_invalid_per_turn_k(self, embedder, small_index):
         with pytest.raises(ValueError, match="per_turn_k must be >= 1, got 0"):
             run_chain("q", small_index, embedder, always_accept_oracle(),
                       per_turn_k=0)

@@ -27,7 +27,7 @@ from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
 from .jsonl import field, read_json, read_jsonl
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
-from .metrics import ExampleResult, QAExample, evaluate_run, load_dataset
+from .metrics import ExampleResult, QAExample, evaluate_run, load_dataset, sum_results
 from .review import ExpansionStrategy
 from .search import RunStats, RunTrace, TreeConfig, run_chain, run_oner, run_tree
 
@@ -209,11 +209,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-# the per-question counts stats_summary.json sums over answered questions
-_SUMMED_STATS = ("api_calls", "distinct_docs", "evidence_count", "parse_failures",
-                 "provider_failures")
-
-
 def _run_one(example, config: RunConfig, index: CorpusIndex, embedder,
              llm_provider, demos: dict) -> tuple[dict, RunTrace]:
     client = LlmClient(llm_provider)
@@ -285,6 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
+    _dump_json(out_dir / "config.json", asdict(config))
 
     # questions are written in dataset order, each trace before its record,
     # so that a run cut short keeps every answer before the cut; at most two
@@ -292,7 +288,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     # stays flat however many questions a run answers
     window = 2 * config.parallel
     queue: deque[tuple[QAExample, concurrent.futures.Future]] = deque()
-    totals = dict.fromkeys(_SUMMED_STATS + ("completed", "failed", "fusion_calls"), 0)
 
     def write_oldest(answers) -> None:
         """Wait on the oldest submitted question and write it; its future,
@@ -310,24 +305,25 @@ def cmd_run(args: argparse.Namespace) -> int:
             (traces_dir / f"{record['id']}.json").write_text(
                 trace.to_json(), encoding="utf-8")
         answers.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-        if "error" in record:
-            totals["failed"] += 1
-            return
-        totals["completed"] += 1
-        totals["fusion_calls"] += record["fusion_calls"]
-        for key in _SUMMED_STATS:
-            totals[key] += record["stats"][key]
 
-    with open(out_dir / "answers.jsonl", "w", encoding="utf-8") as answers, \
+    # line-buffered, so that a killed run keeps each answer whose trace it wrote
+    with open(out_dir / "answers.jsonl", "w", encoding="utf-8", buffering=1) as answers, \
             concurrent.futures.ThreadPoolExecutor(config.parallel) as executor:
-        for example in dataset:
-            if len(queue) == window:
+        try:
+            for example in dataset:
+                if len(queue) == window:
+                    write_oldest(answers)
+                queue.append((example, executor.submit(
+                    _run_one, example, config, index, embedder, llm_provider, demos)))
+            while queue:
                 write_oldest(answers)
-            queue.append((example, executor.submit(
-                _run_one, example, config, index, embedder, llm_provider, demos)))
-        while queue:
-            write_oldest(answers)
+        except BaseException:
+            # a cut run answers no queued question: only the running ones finish
+            executor.shutdown(cancel_futures=True)
+            raise
 
+    # the totals eval reads, summed from the records as written
+    totals = sum_results(result for _, result in _read_answers(out_dir / "answers.jsonl"))
     n, failures = totals["completed"], totals["failed"]
     summary = {
         "n": len(dataset),
@@ -344,7 +340,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "total_fusion_calls": totals["fusion_calls"],
     }
     _dump_json(out_dir / "stats_summary.json", summary)
-    _dump_json(out_dir / "config.json", asdict(config))
     print(f"ran {len(dataset)} questions ({failures} failed) -> {out_dir}")
     # a run that answered nothing, or whose every retrieval came back empty,
     # is not a success, though its files stand
@@ -355,6 +350,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1
 
 
+def _read_answers(path: Path):
+    """Each record of an ``answers.jsonl`` as ``(line number, ExampleResult)``."""
+    for lineno, record in read_jsonl(path, RevtreeError):
+        where = f"{path}: line {lineno}"
+        read = partial(field, record, where=where, error_cls=RevtreeError)
+        stats = read("stats", dict, default={})
+        # the counts a report reads; rate is taken from their means
+        counts = {f.name: field(stats, f.name, int, f"{where}: stats", RevtreeError,
+                                default=0)
+                  for f in fields(RunStats) if f.name != "rate"}
+        yield lineno, ExampleResult(
+            example_id=read("id", str), answer=read("answer", str, default=""),
+            scored_ids=tuple(read("scored_ids", list[str], default=[])),
+            stats=RunStats(**counts), fusion_calls=read("fusion_calls", int, default=0),
+            failed="error" in record)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     run_dir = Path(args.run)
@@ -362,19 +374,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # the line of each id's record, to refuse a repeated or unknown id
     lines = dict.fromkeys((example.id for example in dataset), 0)
     answers_path = run_dir / "answers.jsonl"
-    for lineno, record in read_jsonl(answers_path, RevtreeError):
-        where = f"{answers_path}: line {lineno}"
-        read = partial(field, record, where=where, error_cls=RevtreeError)
-        stats = read("stats", dict, default={})
-        # the counts a report reads; rate is taken from their means
-        counts = {f.name: field(stats, f.name, int, f"{where}: stats", RevtreeError,
-                                default=0)
-                  for f in fields(RunStats) if f.name != "rate"}
-        example_id = read("id", str)
-        results[example_id] = ExampleResult(
-            example_id=example_id, answer=read("answer", str, default=""),
-            scored_ids=tuple(read("scored_ids", list[str], default=[])),
-            stats=RunStats(**counts), failed="error" in record)
+    for lineno, result in _read_answers(answers_path):
+        where, example_id = f"{answers_path}: line {lineno}", result.example_id
+        results[example_id] = result
         if example_id not in lines:
             raise RevtreeError(f"{where}: id '{example_id}' is not in the "
                                f"dataset {args.dataset}")
@@ -495,6 +497,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError as exc:
         logger.error("out of memory: %s", exc)
         return 1
+    except KeyboardInterrupt:
+        logger.error("interrupted")
+        return 130
 
 
 if __name__ == "__main__":

@@ -108,7 +108,7 @@ class CorpusIndex:
     """
 
     def __init__(self, paragraphs: Sequence[Paragraph], matrix: np.ndarray,
-                 provider_id: str, document_provider_id: Optional[str] = None):
+                 document_provider_id: Optional[str] = None):
         """Adopt ``matrix``, whose row ``i`` is the embedding of
         ``paragraphs[i]``; the paragraphs must be in strictly ascending-id
         order.  The matrix is made read-only, not copied, when it is a
@@ -117,7 +117,6 @@ class CorpusIndex:
         ``document_provider_id`` is the id of the provider whose
         ``embed_text(format_documents([p]))`` is the row of each paragraph
         ``p``, or ``None`` when no provider is known to give the rows."""
-        self.provider_id = provider_id
         self.document_provider_id = document_provider_id
         self._ids: tuple[str, ...] = tuple(p.id for p in paragraphs)
         for first, second in zip(self._ids, self._ids[1:]):
@@ -126,7 +125,7 @@ class CorpusIndex:
             if first > second:
                 raise CorpusError(
                     f"paragraph ids out of order: '{first}' before '{second}'")
-        self._by_id = dict(zip(self._ids, paragraphs))
+        self._paragraphs = tuple(paragraphs)
         self._row = {pid: i for i, pid in enumerate(self._ids)}
 
         self._matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -177,7 +176,7 @@ class CorpusIndex:
         return self._ids
 
     def get(self, pid: str) -> Paragraph:
-        return self._by_id[pid]
+        return self._paragraphs[self._row[pid]]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -362,14 +361,14 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
     ordered = sorted(paragraphs, key=lambda p: p.id)
     if isinstance(provider, PrecomputedEmbeddings):
         return CorpusIndex(ordered, provider.matrix_for([p.id for p in ordered]),
-                           provider.provider_id, provider.document_provider_id)
+                           provider.document_provider_id)
     matrix, start = np.zeros((0, 0)), 0
     for vectors in embed_batches(ordered, provider, embed_title):
         if not start:
             matrix = np.empty((len(ordered), vectors.shape[1]))
         matrix[start:start + len(vectors)] = vectors
         start += len(vectors)
-    return CorpusIndex(ordered, matrix, provider.provider_id,
+    return CorpusIndex(ordered, matrix,
                        provider.provider_id if embed_title else None)
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import RevtreeError
 from . import jsonl
@@ -54,6 +54,7 @@ class ExampleResult:
     answer: str
     scored_ids: tuple[str, ...] = ()
     stats: RunStats = field(default_factory=RunStats)
+    fusion_calls: int = 0
     failed: bool = False
 
 
@@ -144,6 +145,19 @@ def recall_at_k(retrieved_ids: Sequence[str], gold_ids: frozenset[str] | set[str
     return len(window & set(gold_ids)) / len(gold_ids)
 
 
+def sum_results(results: Iterable[ExampleResult]) -> Counter:
+    """Count ``completed`` and ``failed`` results, and sum the completed ones' counts."""
+    totals = Counter(completed=0, failed=0)
+    for result in results:
+        if result.failed:
+            totals["failed"] += 1
+        else:
+            totals.update({key: getattr(result.stats, key) for key in (
+                "api_calls", "distinct_docs", "evidence_count", "parse_failures",
+                "provider_failures")}, completed=1, fusion_calls=result.fusion_calls)
+    return totals
+
+
 def evaluate_run(dataset: Sequence[QAExample],
                  results: Mapping[str, ExampleResult]) -> MetricsReport:
     """Aggregate per-example results into one report.
@@ -161,7 +175,6 @@ def evaluate_run(dataset: Sequence[QAExample],
     f1_sum = 0.0
     recall_sum = 0.0
     recall_n = 0
-    completed: list[RunStats] = []
     for example in dataset:
         result = results.get(example.id)
         if result is None:
@@ -175,13 +188,12 @@ def evaluate_run(dataset: Sequence[QAExample],
         if example.gold_paragraph_ids:
             recall_sum += recall_at_k(result.scored_ids,
                                       example.gold_paragraph_ids)
-        completed.append(result.stats)
+    totals = sum_results(results[example.id] for example in dataset)
     n = len(dataset)
-    done = len(completed) or 1  # with none completed, every mean is 0
-    api_sum = sum(s.api_calls for s in completed)
-    parse_failure_sum = sum(s.parse_failures for s in completed)
+    done = totals["completed"] or 1  # with none completed, every mean is 0
+    api_sum = totals["api_calls"]
     mean_api = api_sum / done
-    mean_docs = sum(s.distinct_docs for s in completed) / done
+    mean_docs = totals["distinct_docs"] / done
     return MetricsReport(
         em=em_sum / n,
         f1=f1_sum / n,
@@ -189,12 +201,12 @@ def evaluate_run(dataset: Sequence[QAExample],
         mean_api_calls=mean_api,
         mean_distinct_docs=mean_docs,
         mean_rate=mean_docs / mean_api if mean_api > 0 else 0.0,
-        mean_evidence=sum(s.evidence_count for s in completed) / done,
-        parse_success_rate=1.0 - parse_failure_sum / api_sum if api_sum > 0 else 1.0,
+        mean_evidence=totals["evidence_count"] / done,
+        parse_success_rate=1.0 - totals["parse_failures"] / api_sum if api_sum > 0 else 1.0,
         n=n,
         recall_excluded=n - recall_n,
-        failed=n - len(completed),
-        total_provider_failures=sum(s.provider_failures for s in completed),
+        failed=totals["failed"],
+        total_provider_failures=totals["provider_failures"],
     )
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -201,6 +205,19 @@ class TestStreamedIngest:
         out = tmp_path / "new" / "index"
         assert self.ingest(monkeypatch, corpus9, out, Lengths(fail_at=2)) == 1
         assert "batch 2 refused" in caplog.text
+        assert not (tmp_path / "new").exists()
+
+    def test_an_interrupted_ingest_exits_130_and_leaves_no_output_tree(
+            self, monkeypatch, tmp_path, caplog, corpus9):
+        class Interrupted(Lengths):
+            def embed_texts(self, texts):
+                if self.batches == 1:
+                    raise KeyboardInterrupt
+                return super().embed_texts(texts)
+
+        out = tmp_path / "new" / "index"
+        assert self.ingest(monkeypatch, corpus9, out, Interrupted()) == 130
+        assert caplog.messages[-1] == "interrupted"
         assert not (tmp_path / "new").exists()
 
     def test_a_failed_ingest_into_an_index_leaves_its_files(self, monkeypatch,
@@ -974,29 +991,139 @@ class TestStreamedRun:
         summary = json.loads(serial[Path("stats_summary.json")])
         assert (summary["completed"], summary["failed"]) == (58, 2)
 
-    @pytest.mark.parametrize("parallel", [1, 3])
-    def test_a_failed_trace_write_keeps_the_earlier_answers(
-            self, tmp_path, monkeypatch, caplog, corpus_file, rules_file, parallel):
-        dataset = tmp_path / "five.jsonl"
+    @pytest.fixture
+    def six(self, tmp_path):
+        dataset = tmp_path / "six.jsonl"
         write_jsonl(dataset, [{"id": f"q{i}", "question": f"boston city {i}",
-                               "gold_answers": ["Boston"]} for i in range(1, 6)])
+                               "gold_answers": ["Boston"]} for i in range(1, 7)])
+        return dataset
+
+    def assert_cut_at(self, cut: Path, whole: Path, question: int) -> None:
+        """``cut`` holds the answers and traces of the questions before
+        ``question``, and the config of ``whole`` in all but its directory."""
+        lines = (whole / "answers.jsonl").read_bytes().splitlines(keepends=True)
+        assert (cut / "answers.jsonl").read_bytes() == b"".join(lines[:question - 1])
+        assert sorted(p.name for p in (cut / "traces").iterdir()) == \
+            [f"q{i}.json" for i in range(1, question)]
+        config, want = (json.loads((run / "config.json").read_text())
+                        for run in (cut, whole))
+        assert config.pop("output_dir") == str(cut)
+        want.pop("output_dir")
+        assert config == want
+        assert not (cut / "stats_summary.json").exists()
+
+    @pytest.mark.parametrize("parallel", [1, 3])
+    # with 12 questions, questions past the window are still queued when the
+    # trace write fails
+    @pytest.mark.parametrize("count, failing", [(5, 3), (12, 4)])
+    def test_a_failed_trace_write_keeps_the_earlier_answers(
+            self, tmp_path, monkeypatch, caplog, corpus_file, rules_file, parallel,
+            count, failing):
+        dataset = tmp_path / "dataset.jsonl"
+        write_jsonl(dataset, [{"id": f"q{i}", "question": f"boston city {i}",
+                               "gold_answers": ["Boston"]} for i in range(1, count + 1)])
         whole = tmp_path / "whole"
-        assert main(run_args(corpus_file, dataset, whole, rules_file)) == 0
-        to_json = search.RunTrace.to_json
+        assert main(run_args(corpus_file, dataset, whole, rules_file,
+                             "--parallel", str(parallel))) == 0
+        to_json, run_one = search.RunTrace.to_json, cli._run_one
+        shutdown = concurrent.futures.ThreadPoolExecutor.shutdown
+        entered, release = [], threading.Event()
 
         def failing_to_json(trace):
-            if trace.question == "boston city 3":
+            if trace.question == f"boston city {failing}":
                 raise OSError("disk full")
             return to_json(trace)
 
+        def held_run_one(example, *args):
+            # a question past the failing one holds its worker until the run
+            # shuts down, so that no worker is free for a queued question
+            # before the cut
+            entered.append(example.id)
+            if int(example.id[1:]) > failing:
+                assert release.wait(30)
+            return run_one(example, *args)
+
+        def releasing_shutdown(self, wait=True, *, cancel_futures=False):
+            shutdown(self, wait=False, cancel_futures=cancel_futures)
+            release.set()
+            shutdown(self, wait=wait)
+
         monkeypatch.setattr(search.RunTrace, "to_json", failing_to_json)
+        monkeypatch.setattr(cli, "_run_one", held_run_one)
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "shutdown",
+                            releasing_shutdown)
         cut = tmp_path / "cut"
         assert main(run_args(corpus_file, dataset, cut, rules_file,
                              "--parallel", str(parallel))) == 1
         assert "disk full" in caplog.text
-        lines = (whole / "answers.jsonl").read_bytes().splitlines(keepends=True)
-        assert (cut / "answers.jsonl").read_bytes() == b"".join(lines[:2])
-        assert not (cut / "stats_summary.json").exists()
+        self.assert_cut_at(cut, whole, failing)
+        # only the questions running at the cut finish; the queued ones are
+        # cancelled
+        assert len(entered) <= failing + parallel, entered
+
+    def test_a_killed_run_keeps_its_config_and_each_answer_it_wrote(
+            self, tmp_path, corpus_file, rules_file, six):
+        whole = tmp_path / "whole"
+        assert main(run_args(corpus_file, six, whole, rules_file)) == 0
+        cut = tmp_path / "cut"
+        root = Path(__file__).resolve().parent.parent
+        child = subprocess.Popen(
+            [sys.executable, "-c", BLOCKED_RUN, "q4",
+             *run_args(corpus_file, six, cut, rules_file, "--parallel", "1")],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        answers = cut / "answers.jsonl"
+        try:
+            # q4 blocks, so the run stops with three records written
+            deadline = time.monotonic() + 60
+            while not answers.exists() or answers.read_bytes().count(b"\n") < 3:
+                assert child.poll() is None, "the run ended before it was killed"
+                assert time.monotonic() < deadline, "three answers never reached the file"
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+        self.assert_cut_at(cut, whole, 4)
+
+    @pytest.mark.parametrize("parallel", [1, 3])
+    def test_an_interrupt_keeps_the_earlier_answers_and_exits_130(
+            self, tmp_path, monkeypatch, caplog, capsys, corpus_file, rules_file,
+            six, parallel):
+        whole = tmp_path / "whole"
+        assert main(run_args(corpus_file, six, whole, rules_file,
+                             "--parallel", str(parallel))) == 0
+        run_one = cli._run_one
+
+        def interrupted_run_one(example, *args):
+            if example.id == "q4":
+                raise KeyboardInterrupt
+            return run_one(example, *args)
+
+        monkeypatch.setattr(cli, "_run_one", interrupted_run_one)
+        cut = tmp_path / "cut"
+        assert main(run_args(corpus_file, six, cut, rules_file,
+                             "--parallel", str(parallel))) == 130
+        self.assert_cut_at(cut, whole, 4)
+        assert caplog.messages[-1] == "interrupted"
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+
+# run as ``python -c BLOCKED_RUN <id> <run args>``: revtree run, in which the
+# question of that id never finishes
+BLOCKED_RUN = """
+import sys, threading
+from revtree import cli
+
+run_one = cli._run_one
+
+def blocked_run_one(example, *args):
+    if example.id == sys.argv[1]:
+        threading.Event().wait()
+    return run_one(example, *args)
+
+cli._run_one = blocked_run_one
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 class TestRunConfig:

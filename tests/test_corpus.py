@@ -257,8 +257,7 @@ class FixedQuery(EmbeddingProvider):
 def vector_index(vectors: dict) -> CorpusIndex:
     ids = sorted(vectors)
     return CorpusIndex([Paragraph(pid, "", "text") for pid in ids],
-                       np.array([vectors[pid] for pid in ids], dtype=np.float64),
-                       "fixed")
+                       np.array([vectors[pid] for pid in ids], dtype=np.float64))
 
 
 class TestScoring:
@@ -725,6 +724,13 @@ class ShapedEmbedder(EmbeddingProvider):
 class TestIndexConstruction:
     PARAGRAPHS = [Paragraph(pid, "", f"text {pid}") for pid in ("c", "a", "b")]
 
+    def test_get_returns_the_paragraph_of_an_id_and_refuses_others(self, embedder):
+        index = build_index(self.PARAGRAPHS, embedder)
+        assert [index.get(pid) for pid in "abc"] == sorted(self.PARAGRAPHS,
+                                                            key=lambda p: p.id)
+        with pytest.raises(KeyError):
+            index.get("d")
+
     def test_duplicate_paragraph_id(self, embedder):
         paragraphs = self.PARAGRAPHS + [Paragraph("a", "", "again")]
         with pytest.raises(CorpusError, match="duplicate paragraph id 'a'"):
@@ -795,15 +801,14 @@ class TestIndexConstruction:
     def test_index_refuses_unsorted_or_repeated_ids(self):
         a, b = Paragraph("a", "", "x"), Paragraph("b", "", "y")
         with pytest.raises(CorpusError, match="out of order"):
-            CorpusIndex([b, a], np.eye(2), "fixed")
+            CorpusIndex([b, a], np.eye(2))
         with pytest.raises(CorpusError, match="duplicate paragraph id 'a'"):
-            CorpusIndex([a, a], np.eye(2), "fixed")
+            CorpusIndex([a, a], np.eye(2))
 
     @pytest.mark.parametrize("matrix", [np.ones(2), np.ones((3, 2)), np.ones((1, 2))])
     def test_index_refuses_a_matrix_of_another_row_count(self, matrix):
         with pytest.raises(CorpusError, match="one row for each of 2"):
-            CorpusIndex([Paragraph("a", "", "x"), Paragraph("b", "", "y")],
-                        matrix, "fixed")
+            CorpusIndex([Paragraph("a", "", "x"), Paragraph("b", "", "y")], matrix)
 
     def test_built_matrix_is_adopted_read_only(self, embedder):
         index = build_index(self.PARAGRAPHS, embedder)

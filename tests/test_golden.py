@@ -186,20 +186,27 @@ def _write_jsonl(path: Path, rows) -> None:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def run_matrix(workdir: Path) -> dict[str, str]:
-    """Run the matrix in ``workdir`` (paths stay relative, so ``config.json``
-    does not name the directory) and return ``{file: sha256}``."""
+def write_inputs(workdir: Path) -> list[dict]:
+    """Write the seeded ``corpus.jsonl``, ``dataset.jsonl`` and
+    ``rules.jsonl`` into ``workdir``, and return the dataset."""
     rng = random.Random(20241018)
     paragraphs = make_corpus(rng)
     dataset = make_dataset(rng, paragraphs)
     rules = make_rules(rng, paragraphs, dataset)
+    _write_jsonl(workdir / "corpus.jsonl", [
+        {"id": p.id, "title": p.title, "text": p.text} for p in paragraphs])
+    _write_jsonl(workdir / "dataset.jsonl", dataset)
+    _write_jsonl(workdir / "rules.jsonl", rules)
+    return dataset
+
+
+def run_matrix(workdir: Path) -> dict[str, str]:
+    """Run the matrix in ``workdir`` (paths stay relative, so ``config.json``
+    does not name the directory) and return ``{file: sha256}``."""
+    write_inputs(workdir)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        _write_jsonl(Path("corpus.jsonl"), [
-            {"id": p.id, "title": p.title, "text": p.text} for p in paragraphs])
-        _write_jsonl(Path("dataset.jsonl"), dataset)
-        _write_jsonl(Path("rules.jsonl"), rules)
         assert main(["ingest", "--corpus", "corpus.jsonl", "--out", "index"]) == 0
         for name, extra in RUNS:
             out = f"runs/{name}"
@@ -226,6 +233,34 @@ def test_outputs_match_the_golden_digests(tmp_path):
                      if got.get(name) != want.get(name))
     assert not changed, (
         f"{len(changed)} output files differ from {DIGESTS.name}: {changed[:20]}")
+
+
+def test_each_question_is_answered_as_it_is_alone(tmp_path):
+    """A question's record and trace do not depend on the other questions of
+    its run, on their order or on ``--parallel``, which workers in other
+    processes will rely on."""
+    dataset = write_inputs(tmp_path)
+
+    def run(name: str, examples: list[dict], parallel: int) -> dict:
+        _write_jsonl(tmp_path / f"{name}.jsonl", examples)
+        out = tmp_path / name
+        assert main(["run", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--dataset", str(tmp_path / f"{name}.jsonl"),
+                     "--rules", str(tmp_path / "rules.jsonl"), "--out", str(out),
+                     "--parallel", str(parallel)]) == 0
+        lines = (out / "answers.jsonl").read_text(encoding="utf-8").splitlines()
+        ids = [json.loads(line)["id"] for line in lines]
+        return {qid: (line, (out / "traces" / f"{qid}.json").read_bytes())
+                for qid, line in zip(ids, lines)}
+
+    forward = run("forward", dataset, 1)
+    rng = random.Random(7)
+    for i in range(2):
+        subset = rng.sample(dataset, 10)
+        for parallel in (1, 3):
+            got = run(f"subset{i}_parallel{parallel}", subset, parallel)
+            assert list(got) == [example["id"] for example in subset]
+            assert got == {qid: forward[qid] for qid in got}
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from revtree import (
     recall_at_k,
 )
 from revtree.errors import RevtreeError
+from revtree.metrics import sum_results
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz ,.!ABC", max_size=40)
 
@@ -230,6 +231,22 @@ class TestEvaluateRun:
         assert report.mean_rate == pytest.approx(6.0 / (20 / 3))
         assert report.parse_success_rate == pytest.approx(0.9)
         assert report.recall_excluded == 1
+
+    def test_a_failed_result_is_counted_and_not_summed(self):
+        done = ExampleResult("q0", "x", stats=RunStats(api_calls=5, distinct_docs=3,
+                                                      provider_failures=1),
+                             fusion_calls=2)
+        failed = ExampleResult("q1", "", stats=RunStats(api_calls=7), fusion_calls=1,
+                               failed=True)
+        totals = sum_results([done, failed, done])
+        assert totals == {"completed": 2, "failed": 1, "fusion_calls": 4,
+                          "api_calls": 10, "distinct_docs": 6, "evidence_count": 0,
+                          "parse_failures": 0, "provider_failures": 2}
+        report = evaluate_run([example(0, ["x"]), example(1, ["y"])],
+                              {"q0": done, "q1": failed})
+        assert (report.failed, report.mean_api_calls, report.total_provider_failures) \
+            == (1, 5.0, 1)
+        assert sum_results([failed])["api_calls"] == 0
 
     def test_report_table_renders(self):
         dataset = [example(0, ["x"])]

@@ -368,8 +368,7 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
             matrix = np.empty((len(ordered), vectors.shape[1]))
         matrix[start:start + len(vectors)] = vectors
         start += len(vectors)
-    return CorpusIndex(ordered, matrix,
-                       provider.provider_id if embed_title else None)
+    return CorpusIndex(ordered, matrix, provider.provider_id if embed_title else None)
 
 
 def load_paragraphs(source_path: str | Path) -> list[Paragraph]:

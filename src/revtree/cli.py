@@ -5,15 +5,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
 import json
 import logging
-import os
-import shutil
 import sys
-import tempfile
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -21,10 +16,10 @@ from typing import Optional
 
 from . import embedding
 from .corpus import CorpusIndex, build_index, embed_batches, load_paragraphs
-from .errors import CorpusError, RevtreeError
+from .errors import RevtreeError
 from .fusion import FusionStrategy, generate_answer, reserved_tokens, \
     select_scored_paragraphs
-from .jsonl import field, read_json, read_jsonl
+from .jsonl import field, read_json, read_jsonl, write_json
 from .llm import LlmClient, RemoteChatProvider, ScriptedOracle, load_demos, \
     make_token_estimator
 from .metrics import ExampleResult, QAExample, evaluate_run, load_dataset, sum_results
@@ -100,112 +95,25 @@ class RunConfig:
                            make_token_estimator(self.estimator))
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _check_manifest(embeddings_path: str, corpus_path: str, query_embedder,
-                    embed_title: bool) -> Optional[str]:
-    """Refuse stored vectors unless the ``manifest.json`` their ingest wrote
-    beside ``embeddings_path`` is a JSON object that names the embedder
-    queries use (``provider_id``) and the run's ``embed_title``, and records
-    the sha256 of ``corpus_path`` and of the matrix and ids files the vectors
-    are loaded from (``corpus_sha256``, ``matrix_sha256``, ``ids_sha256``).
-
-    Return the query embedder's id if the stored vectors are its embeddings
-    of ``format_documents([p])`` (the manifest says ``embed_title``), else
-    ``None``."""
-    manifest_path = Path(embeddings_path).with_name("manifest.json")
-    if not manifest_path.exists():
-        raise CorpusError(f"{manifest_path} is missing: stored vectors are read "
-                          "only from the output of revtree ingest")
-    manifest = read_json(manifest_path, CorpusError)
-    read = partial(field, manifest, where=str(manifest_path), error_cls=CorpusError)
-    if read("provider_id", str) != query_embedder.provider_id:
-        raise CorpusError(
-            f"{embeddings_path} was embedded by {manifest['provider_id']!r} "
-            f"(per {manifest_path}), but queries are embedded by "
-            f"{query_embedder.provider_id!r}")
-    if read("embed_title", bool) != embed_title:
-        raise CorpusError(
-            f"{embeddings_path} was embedded with embed_title "
-            f"{manifest['embed_title']} (per {manifest_path}), but the run has "
-            f"embed_title {embed_title}: pass --no-embed-title to run exactly "
-            "when it was passed to ingest")
-    if read("corpus_sha256", str) != _file_sha256(corpus_path):
-        raise CorpusError(
-            f"{corpus_path} is not the corpus {embeddings_path} was embedded "
-            f"from: its sha256 differs from the one in {manifest_path}")
-    for key, name in (("matrix_sha256", embedding.MATRIX_FILE),
-                      ("ids_sha256", embedding.IDS_FILE)):
-        path = manifest_path.with_name(name)
-        if read(key, str) != _file_sha256(path):
-            raise CorpusError(f"{path} does not match the checksum in {manifest_path}")
-    return query_embedder.provider_id if embed_title else None
-
-
 def _build_embedder(kind: str, dim: int, seed: int,
                     embeddings_path: Optional[str] = None,
                     corpus_path: Optional[str] = None, embed_title: bool = True):
     if kind == "remote":
         return embedding.RemoteEmbedder()
-    hashed = embedding.HashedEmbedder(dim=dim, seed=seed)
-    if kind == "hashed":
-        return hashed
-    documents = _check_manifest(embeddings_path, corpus_path, hashed, embed_title)
-    return embedding.PrecomputedEmbeddings(embeddings_path, fallback=hashed,
-                                           document_provider_id=documents)
-
-
-@contextmanager
-def _staged(out_dir: Path):
-    """A new directory inside ``out_dir``, made with it if need be, to
-    write an index into.  If the block raises, the directory is deleted with
-    every directory made for it; otherwise each of its files is renamed into
-    ``out_dir``, ``manifest.json`` last, and replaces a file of its name."""
-    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".ingest-", dir=out_dir))
-    try:
-        yield stage
-    except BaseException:
-        shutil.rmtree(made[-1] if made else stage, ignore_errors=True)
-        raise
-    for name in sorted(os.listdir(stage), key=lambda name: name == "manifest.json"):
-        os.replace(stage / name, out_dir / name)
-    stage.rmdir()
+    if kind == "precomputed":
+        return embedding.open_index(embeddings_path, corpus_path, dim, seed, embed_title)
+    return embedding.HashedEmbedder(dim=dim, seed=seed)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     provider = _build_embedder(args.embedder, args.dim, args.seed)
     embed_title = not args.no_embed_title
     ordered = sorted(load_paragraphs(args.corpus), key=lambda p: p.id)
-    out_dir = Path(args.out)
-    # each batch is written as it is embedded, and the files are published
-    # only once all of them are written and every row is accepted
-    with _staged(out_dir) as stage:
-        written = embedding.write_embeddings_file(
-            stage / "embeddings.jsonl", [p.id for p in ordered],
-            embed_batches(ordered, provider, embed_title))
-        _dump_json(stage / "manifest.json", {
-            "corpus": str(args.corpus),
-            "corpus_sha256": _file_sha256(args.corpus),
-            "provider_id": provider.provider_id,
-            "embed_title": embed_title,
-            **written,
-        })
-    print(f"ingested {written['count']} paragraphs -> {out_dir}")
+    # each batch is written as it is embedded
+    embedding.write_index(args.out, args.corpus, [p.id for p in ordered],
+                          embed_batches(ordered, provider, embed_title),
+                          provider.provider_id, embed_title)
+    print(f"ingested {len(ordered)} paragraphs -> {Path(args.out)}")
     return 0
 
 
@@ -280,7 +188,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
-    _dump_json(out_dir / "config.json", asdict(config))
+    write_json(out_dir / "config.json", asdict(config))
 
     # questions are written in dataset order, each trace before its record,
     # so that a run cut short keeps every answer before the cut; at most two
@@ -339,7 +247,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "total_provider_failures": totals["provider_failures"],
         "total_fusion_calls": totals["fusion_calls"],
     }
-    _dump_json(out_dir / "stats_summary.json", summary)
+    write_json(out_dir / "stats_summary.json", summary)
     print(f"ran {len(dataset)} questions ({failures} failed) -> {out_dir}")
     # a run that answered nothing, or whose every retrieval came back empty,
     # is not a success, though its files stand
@@ -386,7 +294,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         lines[example_id] = lineno
     report = evaluate_run(dataset, results)
     out_path = Path(args.out) if args.out else run_dir / "report.json"
-    _dump_json(out_path, report.to_dict())
+    write_json(out_path, report.to_dict())
     print(report.format_table())
     return 0
 

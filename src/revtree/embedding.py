@@ -24,7 +24,8 @@ implementations back the corpus index and query embedding:
   configured through environment variables; a batch is posted in chunks.
 * :class:`PrecomputedEmbeddings` -- serves the stored paragraph vectors an
   ingest writes as a binary matrix, mapped read-only, and its ids,
-  delegating free-text (query) embedding to a fallback provider.
+  delegating free-text (query) embedding to a fallback provider.  Only
+  :func:`write_index` and :func:`open_index` know the stored index's files.
 """
 
 from __future__ import annotations
@@ -32,7 +33,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import shutil
+import tempfile
 import threading
+from functools import partial
 from itertools import chain, filterfalse
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -40,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CorpusError, ProviderConfigError
-from .jsonl import read_json
+from .jsonl import field, read_json, write_json
 from .llm import new_session, post_json, read_env, with_retries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -360,10 +365,10 @@ class PrecomputedEmbeddings(EmbeddingProvider):
     float64 matrix in ``MATRIX_FILE`` and its ids in ``IDS_FILE``, both
     beside the line-delimited file ``path`` (:func:`write_embeddings_file`).
 
-    The caller has checked both files' checksums.  The matrix is mapped
-    read-only, not copied onto the heap; it must be float64 with one row per
-    stored id, and the stored ids must be exactly the ids an index asks for
-    (:meth:`matrix_for`).  Free-text embedding
+    :func:`open_index` checks the checksums of what this loads.  The matrix
+    is mapped read-only, not copied onto the heap; it must be float64 with
+    one row per stored id, and the stored ids must be exactly the ids an
+    index asks for (:meth:`matrix_for`).  Free-text embedding
     (needed at query time) is delegated to ``fallback``, which must embed to
     the stored dim.  ``document_provider_id`` is the id of the provider whose
     ``embed_text(format_documents([p]))`` is the stored vector of each
@@ -414,9 +419,11 @@ class PrecomputedEmbeddings(EmbeddingProvider):
         return self.fallback.embed_texts(texts)
 
 
-# what write_embeddings_file writes beside the line-delimited file
+# the files of a stored index
+EMBEDDINGS_FILE = "embeddings.jsonl"
 MATRIX_FILE = "matrix.npy"
 IDS_FILE = "ids.json"
+MANIFEST_FILE = "manifest.json"
 
 
 def _npy_header(shape: tuple[int, int]) -> bytes:
@@ -446,7 +453,8 @@ def write_embeddings_file(path: str | Path, ids: Sequence[str],
 
     Return the files' manifest fields, their sha256 taken from the bytes as
     they are written: ``count``, ``dim`` (``None`` without rows),
-    ``checksum`` (of ``path``), ``matrix_sha256`` and ``ids_sha256``.
+    ``checksum`` (of ``path``), ``matrix_sha256`` and ``ids_sha256``.  A
+    batch that is not ``(m, dim)`` rows of the first batch's dim is refused.
     """
     path = Path(path)
     digests = {key: hashlib.sha256() for key in ("checksum", "matrix_sha256", "ids_sha256")}
@@ -459,9 +467,12 @@ def write_embeddings_file(path: str | Path, ids: Sequence[str],
     with open(path, "wb") as lines, open(path.with_name(MATRIX_FILE), "wb") as matrix:
         for batch in batches:
             batch = np.ascontiguousarray(batch, dtype=np.float64)
-            if dim is None:
+            if dim is None and batch.ndim == 2:
                 dim = batch.shape[1]
                 put(matrix, "matrix_sha256", _npy_header((len(ids), dim)))
+            if batch.shape[1:] != (dim,):
+                raise CorpusError(f"an embedding batch of shape {batch.shape}, not "
+                                  f"(m, dim) with the first batch's dim {dim}")
             put(lines, "checksum", "".join(
                 '{"id": ' + json.dumps(pid) + ', "values": ['
                 + ", ".join(map(repr, row)) + "]}\n"
@@ -477,3 +488,93 @@ def write_embeddings_file(path: str | Path, ids: Sequence[str],
         put(handle, "ids_sha256", json.dumps(list(ids)).encode("utf-8"))
     return {"count": len(ids), "dim": dim,
             **{key: digest.hexdigest() for key, digest in digests.items()}}
+
+
+def _file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def write_index(out_dir: str | Path, corpus_path: str | Path, ids: Sequence[str],
+                batches: Iterable[np.ndarray], provider_id: str,
+                embed_title: bool) -> None:
+    """Write :func:`write_embeddings_file`'s files and a manifest of their
+    sha256, ``corpus_path``'s, ``provider_id`` and ``embed_title`` into a new
+    directory in ``out_dir``, then rename them into ``out_dir``, the manifest
+    last; if writing raises, delete every directory made for them."""
+    out_dir = Path(out_dir)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".ingest-", dir=out_dir))
+    try:
+        write_json(stage / MANIFEST_FILE, {
+            **write_embeddings_file(stage / EMBEDDINGS_FILE, ids, batches),
+            "corpus": str(corpus_path),
+            "corpus_sha256": _file_sha256(corpus_path),
+            "provider_id": provider_id,
+            "embed_title": embed_title,
+        })
+    except BaseException:
+        shutil.rmtree(made[-1] if made else stage, ignore_errors=True)
+        raise
+    for name in (EMBEDDINGS_FILE, MATRIX_FILE, IDS_FILE, MANIFEST_FILE):
+        os.replace(stage / name, out_dir / name)
+    stage.rmdir()
+
+
+def _saved_sha256(path: Path, matrix: np.ndarray) -> Optional[str]:
+    """The sha256 of ``np.save``'s bytes of ``matrix`` if ``path`` is their size
+    and starts with their header, else ``None``."""
+    header = _npy_header(matrix.shape)
+    with open(path, "rb") as handle:
+        if handle.read(len(header)) != header or \
+                os.fstat(handle.fileno()).st_size != len(header) + matrix.nbytes:
+            return None
+    digest = hashlib.sha256(header)
+    digest.update(matrix)
+    return digest.hexdigest()
+
+
+def open_index(embeddings_path: str | Path, corpus_path: str | Path, dim: int,
+               seed: int, embed_title: bool) -> PrecomputedEmbeddings:
+    """The index :func:`write_index` wrote beside ``embeddings_path``; a
+    :class:`RemoteEmbedder` embeds its queries if it embedded its rows, else
+    the :class:`HashedEmbedder` of ``dim`` and ``seed``.  Refused unless the
+    manifest names that embedder and ``embed_title`` and holds the sha256 of
+    ``corpus_path`` and of the matrix and ids as they were loaded."""
+    manifest_path = Path(embeddings_path).with_name(MANIFEST_FILE)
+    if not manifest_path.exists():
+        raise CorpusError(f"{manifest_path} is missing: stored vectors are read "
+                          "only from the output of revtree ingest")
+    manifest = read_json(manifest_path, CorpusError)
+    read = partial(field, manifest, where=str(manifest_path), error_cls=CorpusError)
+    stored_by = read("provider_id", str)
+    queries = (RemoteEmbedder() if stored_by.startswith("remote:")
+               else HashedEmbedder(dim=dim, seed=seed))
+    if stored_by != queries.provider_id:
+        raise CorpusError(
+            f"{embeddings_path} was embedded by {stored_by!r} (per {manifest_path}), "
+            f"but queries are embedded by {queries.provider_id!r}")
+    if read("embed_title", bool) != embed_title:
+        raise CorpusError(
+            f"{embeddings_path} was embedded with embed_title "
+            f"{manifest['embed_title']} (per {manifest_path}), but the run has "
+            f"embed_title {embed_title}: pass --no-embed-title to run exactly "
+            "when it was passed to ingest")
+    if read("corpus_sha256", str) != _file_sha256(corpus_path):
+        raise CorpusError(
+            f"{corpus_path} is not the corpus {embeddings_path} was embedded "
+            f"from: its sha256 differs from the one in {manifest_path}")
+    stored = PrecomputedEmbeddings(embeddings_path, queries,
+                                   queries.provider_id if embed_title else None)
+    matrix_path = manifest_path.with_name(MATRIX_FILE)
+    for key, path, digest in (
+            ("matrix_sha256", matrix_path, _saved_sha256(matrix_path, stored.matrix)),
+            ("ids_sha256", manifest_path.with_name(IDS_FILE),
+             hashlib.sha256(json.dumps(stored.ids).encode("utf-8")).hexdigest())):
+        if read(key, str) != digest:
+            raise CorpusError(f"{path} does not match the checksum in {manifest_path}")
+    return stored

@@ -1,4 +1,5 @@
-"""The one reader of the JSON files the engine takes in, and of their fields."""
+"""The one reader of the JSON files the engine takes in, and of their fields,
+and the one writer of the JSON documents it puts out."""
 
 from __future__ import annotations
 
@@ -40,6 +41,12 @@ def read_json(path: str | Path, error_cls: type[Exception], kind=dict) -> Any:
     if not _is(document, kind):
         raise error_cls(f"{path} does not hold {_KINDS[kind]}")
     return document
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as sorted, indented JSON and a newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2,
+                                     ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def field(record: dict, key: str, kind, where: str, error_cls: type[Exception],

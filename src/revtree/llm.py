@@ -186,12 +186,19 @@ class ScriptedOracle:
         Each line is an object with a required ``response`` string and
         optional ``question``, ``path_ids`` and ``template`` matchers; a
         ``template`` must name one of :data:`TEMPLATE_NAMES`.  A line with
-        ``{"default": "..."}`` sets the default response.
+        ``{"default": "..."}`` sets the default response.  A line with any
+        other key is refused, so that a misspelt matcher cannot widen its rule.
         """
         rules: list[ScriptedRule] = []
         default: Optional[str] = None
         for lineno, record in jsonl.read_jsonl(path, ProviderConfigError):
             where = f"{path}: line {lineno}"
+            keys = ("default",) if "default" in record else \
+                ("response", "question", "path_ids", "template")
+            unknown = sorted(set(record) - set(keys))
+            if unknown:
+                raise ProviderConfigError(
+                    f"{where}: unknown keys {unknown}; the line may hold only {keys}")
             read = partial(jsonl.field, record, where=where, error_cls=ProviderConfigError)
             if "default" in record:
                 default = read("default", str)

@@ -788,6 +788,68 @@ class TestBinaryIndex:
         assert not out.exists()
         assert message in caplog.text
 
+    @pytest.mark.parametrize("layout", ["trailing_bytes", "fortran_order"])
+    def test_a_matrix_file_other_than_the_saved_rows_is_refused(
+            self, tmp_path, caplog, corpus30, questions, rules_file, index_dir, layout):
+        # either file loads the ingested rows, but is not the file ingest wrote
+        matrix_path = index_dir / "matrix.npy"
+        if layout == "trailing_bytes":
+            with open(matrix_path, "ab") as handle:
+                handle.write(b"\0" * 8)
+        else:
+            np.save(matrix_path, np.asfortranarray(np.load(matrix_path)))
+        code, out = self.run_precomputed(tmp_path, corpus30, questions, rules_file,
+                                         index_dir, "run")
+        assert code == 1
+        assert not out.exists()
+        assert "matrix.npy does not match the checksum" in caplog.text
+
+    def test_an_index_published_between_its_manifest_and_its_load_is_refused(
+            self, monkeypatch, tmp_path, caplog, corpus30, questions, rules_file,
+            index_dir):
+        load = embedding.PrecomputedEmbeddings.__init__
+
+        def reingest_then_load(stored, *args, **kwargs):
+            # the rows of another seed are published over the index whose
+            # manifest the run has read
+            assert main(["ingest", "--corpus", str(corpus30), "--out", str(index_dir),
+                         "--seed", "1"]) == 0
+            load(stored, *args, **kwargs)
+
+        monkeypatch.setattr(embedding.PrecomputedEmbeddings, "__init__", reingest_then_load)
+        code, out = self.run_precomputed(tmp_path, corpus30, questions, rules_file,
+                                         index_dir, "run")
+        assert code == 1
+        assert not out.exists()
+        assert f"{index_dir / 'matrix.npy'} does not match the checksum in " \
+            f"{index_dir / 'manifest.json'}" in caplog.text
+
+    def test_a_remotely_embedded_index_runs_with_remote_queries(
+            self, monkeypatch, tmp_path, corpus30, questions, rules_file):
+        for var in ("REVTREE_EMBED_BASE_URL", "REVTREE_EMBED_API_KEY",
+                    "REVTREE_EMBED_MODEL"):
+            monkeypatch.setenv(var, "m")
+        hashed = embedding.HashedEmbedder(dim=8)
+        posted = []
+
+        class Service:
+            def post(self, url, json, **kwargs):
+                posted.extend(json["input"])
+                rows = hashed.embed_texts(json["input"]).tolist()
+                return PromptResponse({"data": [{"embedding": row} for row in rows]})
+
+        monkeypatch.setattr(embedding, "new_session", Service)
+        index_dir = tmp_path / "index"
+        assert main(["ingest", "--corpus", str(corpus30), "--out", str(index_dir),
+                     "--embedder", "remote"]) == 0
+        assert json.loads((index_dir / "manifest.json").read_text())["provider_id"] \
+            == "remote:m"
+        del posted[:]
+        code, out = self.run_precomputed(tmp_path, corpus30, questions, rules_file,
+                                         index_dir, "run")
+        assert code == 0
+        assert {f"boston fact {i} river" for i in range(6)} <= set(posted)
+
 
 class TestReRankingFromStoredRows:
     """Re-ranking continues each evidence's fold from its first paragraph's

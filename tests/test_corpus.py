@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 import warnings
@@ -856,6 +857,17 @@ class TestEmbeddingsFile:
     def test_a_row_count_other_than_the_ids_is_refused(self, tmp_path):
         with pytest.raises(CorpusError, match="2 embedding rows for 3 ids"):
             write_embeddings_file(tmp_path / "e.jsonl", ["a", "b", "c"], [np.ones((2, 4))])
+
+    @pytest.mark.parametrize("batches, shape", [
+        # the matrix's header would say (4, 3), and rows c and d would load
+        # as [2, 2, 2] while their lines held 5 values
+        ([np.ones((2, 3)), np.full((2, 5), 2.0)], "(2, 5)"),
+        ([np.ones(4)], "(4,)"),
+    ])
+    def test_a_batch_of_another_width_is_refused(self, tmp_path, batches, shape):
+        message = re.escape(f"an embedding batch of shape {shape}")
+        with pytest.raises(CorpusError, match=message):
+            write_embeddings_file(tmp_path / "e.jsonl", ["a", "b", "c", "d"], batches)
 
 
 class TestProviders:

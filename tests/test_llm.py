@@ -176,6 +176,10 @@ class TestScriptedOracle:
         ({"template": 3, "response": "r"}, "line 2: template must be a string, got 3"),
         # a misspelt template used to never match
         ({"template": "review-cot", "response": "r"}, "line 2: template must be one of"),
+        # a misspelt matcher used to be ignored, so its rule matched every request
+        ({"tempate": "mpc", "response": "only for mpc"}, "line 2: unknown keys .'tempate'"),
+        ({"default": "d", "response": "r", "path": ["a"]},
+         "line 2: unknown keys .'path', 'response'.; the line may hold only .'default'"),
     ])
     def test_from_file_refuses_a_malformed_rule(self, tmp_path, line, message):
         # a string path_ids used to match the path of its characters

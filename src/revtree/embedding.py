@@ -307,13 +307,15 @@ class RemoteEmbedder(EmbeddingProvider):
     _CHUNK = 64
     # seconds a post may take
     TIMEOUT = 60.0
+    # a provider_id starting so names a remote embedder's model
+    ID_PREFIX = "remote:"
 
     def __init__(self, session=None, backoff_s: float = 0.5):
         base_url, self._api_key, self.model = read_env(
             (EMBED_BASE_URL_VAR, EMBED_API_KEY_VAR, EMBED_MODEL_VAR),
             "remote embedder")
         self.base_url = base_url.rstrip("/")
-        self.provider_id = f"remote:{self.model}"
+        self.provider_id = f"{self.ID_PREFIX}{self.model}"
         self.backoff_s = backoff_s
         self._session = session if session is not None else new_session()
 
@@ -552,7 +554,7 @@ def open_index(embeddings_path: str | Path, corpus_path: str | Path, dim: int,
     manifest = read_json(manifest_path, CorpusError)
     read = partial(field, manifest, where=str(manifest_path), error_cls=CorpusError)
     stored_by = read("provider_id", str)
-    queries = (RemoteEmbedder() if stored_by.startswith("remote:")
+    queries = (RemoteEmbedder() if stored_by.startswith(RemoteEmbedder.ID_PREFIX)
                else HashedEmbedder(dim=dim, seed=seed))
     if stored_by != queries.provider_id:
         raise CorpusError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import hashlib
 import json
 import logging
 import sys
@@ -97,20 +98,25 @@ class RunConfig:
 
 def _build_embedder(kind: str, dim: int, seed: int,
                     embeddings_path: Optional[str] = None,
-                    corpus_path: Optional[str] = None, embed_title: bool = True):
+                    corpus_path: Optional[str] = None,
+                    corpus_sha256: Optional[str] = None, embed_title: bool = True):
     if kind == "remote":
         return embedding.RemoteEmbedder()
     if kind == "precomputed":
-        return embedding.open_index(embeddings_path, corpus_path, dim, seed, embed_title)
+        return embedding.open_index(embeddings_path, corpus_path, corpus_sha256,
+                                    dim, seed, embed_title)
     return embedding.HashedEmbedder(dim=dim, seed=seed)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     provider = _build_embedder(args.embedder, args.dim, args.seed)
     embed_title = not args.no_embed_title
-    ordered = sorted(load_paragraphs(args.corpus), key=lambda p: p.id)
+    # the corpus is read once, and hashed as it is parsed
+    corpus_sha256 = hashlib.sha256()
+    ordered = sorted(load_paragraphs(args.corpus, corpus_sha256), key=lambda p: p.id)
     # each batch is written as it is embedded
-    embedding.write_index(args.out, args.corpus, [p.id for p in ordered],
+    embedding.write_index(args.out, args.corpus, corpus_sha256.hexdigest(),
+                          [p.id for p in ordered],
                           embed_batches(ordered, provider, embed_title),
                           provider.provider_id, embed_title)
     print(f"ingested {len(ordered)} paragraphs -> {Path(args.out)}")
@@ -178,11 +184,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     llm_provider = (ScriptedOracle.from_file(config.rules_path)
                     if config.provider == "scripted" else
                     RemoteChatProvider(pool_size=config.parallel * max(config.tree.widths)))
+    # the corpus is read once, and a stored index is opened only if it was
+    # embedded from the bytes read
+    corpus_sha256 = hashlib.sha256()
+    paragraphs = load_paragraphs(config.corpus_path, corpus_sha256)
     embedder = _build_embedder(config.embedder, config.dim, config.seed,
                                config.embeddings_path, config.corpus_path,
-                               config.embed_title)
-    index = build_index(load_paragraphs(config.corpus_path), embedder,
-                        embed_title=config.embed_title)
+                               corpus_sha256.hexdigest(), config.embed_title)
+    index = build_index(paragraphs, embedder, embed_title=config.embed_title)
     # made only now, so that a run refused before its first question leaves
     # no output tree
     out_dir = Path(config.output_dir)

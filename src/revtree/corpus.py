@@ -371,17 +371,18 @@ def build_index(paragraphs: Iterable[Paragraph], provider: EmbeddingProvider,
     return CorpusIndex(ordered, matrix, provider.provider_id if embed_title else None)
 
 
-def load_paragraphs(source_path: str | Path) -> list[Paragraph]:
+def load_paragraphs(source_path: str | Path, digest=None) -> list[Paragraph]:
     """Parse a line-delimited corpus file into paragraphs.
 
     Each line is a JSON record with ``id``, ``title`` and ``text`` fields.
     Blank lines are skipped.  Malformed lines and duplicate ids are errors
-    that name the offending line.
+    that name the offending line.  ``digest``, a :mod:`hashlib` object, if
+    given, takes the bytes the paragraphs are parsed from, as they are read.
     """
     path = Path(source_path)
     paragraphs: list[Paragraph] = []
     seen: dict[str, int] = {}
-    for lineno, record in read_jsonl(path, CorpusError):
+    for lineno, record in read_jsonl(path, CorpusError, digest):
         where = f"{path}: line {lineno}"
         pid = field(record, "id", str, where, CorpusError)
         title = field(record, "title", str, where, CorpusError, default="")

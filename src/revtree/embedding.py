@@ -30,13 +30,17 @@ implementations back the corpus index and query embedding:
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import io
 import json
 import os
 import shutil
+import signal
 import tempfile
 import threading
+from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from itertools import chain, filterfalse
 from pathlib import Path
@@ -438,6 +442,20 @@ def _npy_header(shape: tuple[int, int]) -> bytes:
     return buffer.getvalue()
 
 
+# batches handed to the helper process and not yet written: enough that
+# the helper need not wait on the parent, few enough that memory stays flat
+_PENDING = 4
+
+
+def _format_lines(ids: Sequence[str], rows: np.ndarray) -> bytes:
+    """The ``embeddings.jsonl`` lines of ``rows``, one per id, in UTF-8."""
+    return "".join(
+        '{"id": ' + json.dumps(pid) + ', "values": ['
+        + ", ".join(map(repr, row)) + "]}\n"
+        for pid, row in zip(ids, rows.tolist())
+    ).encode("utf-8")
+
+
 def write_embeddings_file(path: str | Path, ids: Sequence[str],
                           batches: Iterable[np.ndarray]) -> dict:
     """Write the embeddings of ``ids``, given as consecutive ``(m, dim)``
@@ -453,6 +471,12 @@ def write_embeddings_file(path: str | Path, ids: Sequence[str],
     value spelled by ``repr``, as ``json.dumps`` spells a float; the caller
     passes only finite rows, so no line spells ``NaN`` or ``Infinity``.
 
+    The lines are spelled by one helper process (:func:`_format_lines`)
+    while the next batches come, at most ``_PENDING`` batches behind, and
+    are written here in batch order.  The helper ignores Ctrl-C, which this
+    process takes; it is joined, after the batches it was given, before this
+    returns or raises.  A helper that dies is a :class:`CorpusError`.
+
     Return the files' manifest fields, their sha256 taken from the bytes as
     they are written: ``count``, ``dim`` (``None`` without rows),
     ``checksum`` (of ``path``), ``matrix_sha256`` and ``ids_sha256``.  A
@@ -466,47 +490,49 @@ def write_embeddings_file(path: str | Path, ids: Sequence[str],
         handle.write(data)
 
     dim, done = None, 0
-    with open(path, "wb") as lines, open(path.with_name(MATRIX_FILE), "wb") as matrix:
-        for batch in batches:
-            batch = np.ascontiguousarray(batch, dtype=np.float64)
-            if dim is None and batch.ndim == 2:
-                dim = batch.shape[1]
-                put(matrix, "matrix_sha256", _npy_header((len(ids), dim)))
-            if batch.shape[1:] != (dim,):
-                raise CorpusError(f"an embedding batch of shape {batch.shape}, not "
-                                  f"(m, dim) with the first batch's dim {dim}")
-            put(lines, "checksum", "".join(
-                '{"id": ' + json.dumps(pid) + ', "values": ['
-                + ", ".join(map(repr, row)) + "]}\n"
-                for pid, row in zip(ids[done:done + len(batch)], batch.tolist())
-            ).encode("utf-8"))
-            put(matrix, "matrix_sha256", batch.tobytes())
-            done += len(batch)
-        if done != len(ids):
-            raise CorpusError(f"{done} embedding rows for {len(ids)} ids")
-        if dim is None:
-            put(matrix, "matrix_sha256", _npy_header((0, 0)))
+    pending: deque[concurrent.futures.Future] = deque()
+    try:
+        with open(path, "wb") as lines, \
+                open(path.with_name(MATRIX_FILE), "wb") as matrix, \
+                concurrent.futures.ProcessPoolExecutor(
+                    1, initializer=signal.signal,
+                    initargs=(signal.SIGINT, signal.SIG_IGN)) as helper:
+            for batch in batches:
+                batch = np.ascontiguousarray(batch, dtype=np.float64)
+                if dim is None and batch.ndim == 2:
+                    dim = batch.shape[1]
+                    put(matrix, "matrix_sha256", _npy_header((len(ids), dim)))
+                if batch.shape[1:] != (dim,):
+                    raise CorpusError(f"an embedding batch of shape {batch.shape}, not "
+                                      f"(m, dim) with the first batch's dim {dim}")
+                if len(pending) == _PENDING:
+                    put(lines, "checksum", pending.popleft().result())
+                pending.append(helper.submit(
+                    _format_lines, ids[done:done + len(batch)], batch))
+                put(matrix, "matrix_sha256", batch.tobytes())
+                done += len(batch)
+            while pending:
+                put(lines, "checksum", pending.popleft().result())
+            if done != len(ids):
+                raise CorpusError(f"{done} embedding rows for {len(ids)} ids")
+            if dim is None:
+                put(matrix, "matrix_sha256", _npy_header((0, 0)))
+    except BrokenProcessPool as exc:
+        raise CorpusError(f"the helper process writing {path.name} died: {exc}") from None
     with open(path.with_name(IDS_FILE), "wb") as handle:
         put(handle, "ids_sha256", json.dumps(list(ids)).encode("utf-8"))
     return {"count": len(ids), "dim": dim,
             **{key: digest.hexdigest() for key, digest in digests.items()}}
 
 
-def _file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def write_index(out_dir: str | Path, corpus_path: str | Path, ids: Sequence[str],
-                batches: Iterable[np.ndarray], provider_id: str,
+def write_index(out_dir: str | Path, corpus_path: str | Path, corpus_sha256: str,
+                ids: Sequence[str], batches: Iterable[np.ndarray], provider_id: str,
                 embed_title: bool) -> None:
     """Write :func:`write_embeddings_file`'s files and a manifest of their
-    sha256, ``corpus_path``'s, ``provider_id`` and ``embed_title`` into a new
-    directory in ``out_dir``, then rename them into ``out_dir``, the manifest
-    last; if writing raises, delete every directory made for them."""
+    sha256, ``corpus_path`` with the sha256 of the bytes its paragraphs were
+    read from, ``provider_id`` and ``embed_title`` into a new directory in
+    ``out_dir``, then rename them into ``out_dir``, the manifest last; if
+    writing raises, delete every directory made for them."""
     out_dir = Path(out_dir)
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -515,7 +541,7 @@ def write_index(out_dir: str | Path, corpus_path: str | Path, ids: Sequence[str]
         write_json(stage / MANIFEST_FILE, {
             **write_embeddings_file(stage / EMBEDDINGS_FILE, ids, batches),
             "corpus": str(corpus_path),
-            "corpus_sha256": _file_sha256(corpus_path),
+            "corpus_sha256": corpus_sha256,
             "provider_id": provider_id,
             "embed_title": embed_title,
         })
@@ -540,13 +566,15 @@ def _saved_sha256(path: Path, matrix: np.ndarray) -> Optional[str]:
     return digest.hexdigest()
 
 
-def open_index(embeddings_path: str | Path, corpus_path: str | Path, dim: int,
-               seed: int, embed_title: bool) -> PrecomputedEmbeddings:
+def open_index(embeddings_path: str | Path, corpus_path: str | Path, corpus_sha256: str,
+               dim: int, seed: int, embed_title: bool) -> PrecomputedEmbeddings:
     """The index :func:`write_index` wrote beside ``embeddings_path``; a
     :class:`RemoteEmbedder` embeds its queries if it embedded its rows, else
     the :class:`HashedEmbedder` of ``dim`` and ``seed``.  Refused unless the
-    manifest names that embedder and ``embed_title`` and holds the sha256 of
-    ``corpus_path`` and of the matrix and ids as they were loaded."""
+    manifest names that embedder and ``embed_title`` and holds
+    ``corpus_sha256``, that of the bytes the run's paragraphs were read from
+    ``corpus_path``, and the sha256 of the matrix and ids as they were
+    loaded."""
     manifest_path = Path(embeddings_path).with_name(MANIFEST_FILE)
     if not manifest_path.exists():
         raise CorpusError(f"{manifest_path} is missing: stored vectors are read "
@@ -566,7 +594,7 @@ def open_index(embeddings_path: str | Path, corpus_path: str | Path, dim: int,
             f"{manifest['embed_title']} (per {manifest_path}), but the run has "
             f"embed_title {embed_title}: pass --no-embed-title to run exactly "
             "when it was passed to ingest")
-    if read("corpus_sha256", str) != _file_sha256(corpus_path):
+    if read("corpus_sha256", str) != corpus_sha256:
         raise CorpusError(
             f"{corpus_path} is not the corpus {embeddings_path} was embedded "
             f"from: its sha256 differs from the one in {manifest_path}")

@@ -15,11 +15,21 @@ _ITEM_KINDS = {list[str]: str, list[int]: int}
 _REQUIRED = object()
 
 
-def read_jsonl(path: str | Path, error_cls: type[Exception]) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str | Path, error_cls: type[Exception],
+               digest=None) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of ``path``;
-    a line that is not a JSON object raises ``error_cls`` naming the line."""
-    with open(path, "r", encoding="utf-8") as handle:
+    a line that is not a JSON object raises ``error_cls`` naming the line.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``.  Each line's bytes are
+    added to ``digest`` (a :mod:`hashlib` object), if given, as the line is
+    read, so that after the last record it holds the hash of the bytes
+    parsed."""
+    # untranslated, so that each line is its bytes decoded
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         for lineno, line in enumerate(handle, 1):
+            if digest is not None:
+                digest.update(line.encode("utf-8"))
+            if "\r" in line:  # ended as universal newlines would end it
+                line = line.rstrip("\r\n") + "\n"
             if not line.strip():
                 continue
             try:

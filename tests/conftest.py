@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import re
 
@@ -24,6 +25,14 @@ from revtree import (
     build_index,
     render_review_output,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process running: whatever the program
+    starts, it joins before it returns or raises."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -6,7 +6,10 @@ import concurrent.futures
 import gc
 import hashlib
 import json
+import logging
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -147,6 +150,57 @@ class Lengths(embedding.EmbeddingProvider):
         return super().embed_texts(texts)
 
 
+class Interrupted(Lengths):
+    """Ctrl-C while the second batch is embedded."""
+
+    def embed_texts(self, texts):
+        if self.batches == 1:
+            raise KeyboardInterrupt
+        return super().embed_texts(texts)
+
+
+class KillsTheHelper(Lengths):
+    """Kills every child process with SIGKILL before the third batch."""
+
+    def embed_texts(self, texts):
+        if self.batches == 2:
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+        return super().embed_texts(texts)
+
+
+def exit_at_once(ids, rows):
+    """Stands in for the helper's line formatter: its process exits."""
+    os._exit(1)
+
+
+# Ctrl-C from a terminal reaches every process of its group, the ingest's
+# helper too; here the ingest sends it to its own new group once the helper
+# has returned a batch
+SIGINT_PROBE = """
+import multiprocessing, os, signal, sys, time
+from revtree import cli, corpus, embedding
+
+class SendsCtrlC(embedding.EmbeddingProvider):
+    provider_id, dim, batches = "lengths", 4, 0
+
+    def embed_text(self, text):
+        return [float(len(text))] * 4
+
+    def embed_texts(self, texts):
+        self.batches += 1
+        if self.batches == embedding._PENDING + 2:
+            os.killpg(os.getpgrp(), signal.SIGINT)
+            time.sleep(30)
+        return super().embed_texts(texts)
+
+corpus._EMBED_CHUNK = 2
+cli._build_embedder = lambda *args: SendsCtrlC()
+code = cli.main(["ingest", "--corpus", sys.argv[1], "--out", sys.argv[2]])
+print(code, multiprocessing.active_children())
+"""
+
+
 def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() if p.is_file() else None
             for p in sorted(root.rglob("*"))}
@@ -209,16 +263,71 @@ class TestStreamedIngest:
 
     def test_an_interrupted_ingest_exits_130_and_leaves_no_output_tree(
             self, monkeypatch, tmp_path, caplog, corpus9):
-        class Interrupted(Lengths):
-            def embed_texts(self, texts):
-                if self.batches == 1:
-                    raise KeyboardInterrupt
-                return super().embed_texts(texts)
-
         out = tmp_path / "new" / "index"
         assert self.ingest(monkeypatch, corpus9, out, Interrupted()) == 130
         assert caplog.messages[-1] == "interrupted"
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("cut, code, message", [
+        ("refused", 1, "batch 2 refused"),
+        ("interrupted", 130, "interrupted"),
+        ("helper_exits", 1, "the helper process writing embeddings.jsonl died"),
+        ("helper_killed", 1, "the helper process writing embeddings.jsonl died"),
+    ])
+    def test_a_cut_ingest_leaves_no_files_and_no_process(
+            self, monkeypatch, tmp_path, caplog, capfd, corpus9, cut, code, message):
+        provider = {"refused": Lengths(fail_at=2), "interrupted": Interrupted(),
+                    "helper_exits": Lengths(), "helper_killed": KillsTheHelper()}[cut]
+        if cut == "helper_exits":
+            monkeypatch.setattr(embedding, "_format_lines", exit_at_once)
+        submit, submitted = concurrent.futures.ProcessPoolExecutor.submit, []
+
+        def counted_submit(executor, *args):
+            submitted.append(args)
+            return submit(executor, *args)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit",
+                            counted_submit)
+        out = tmp_path / "new" / "index"
+        assert self.ingest(monkeypatch, corpus9, out, provider) == code
+        # the helper was given a batch before the cut
+        assert submitted
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in capfd.readouterr().err
+        assert not (tmp_path / "new").exists()
+        assert not list(tmp_path.rglob(".ingest-*"))
+        assert multiprocessing.active_children() == []
+
+    def test_ctrl_c_to_the_process_group_exits_130_without_a_traceback(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"id": f"p{i:02d}", "title": "", "text": "x" * (i + 1)}
+                             for i in range(40)])
+        out = tmp_path / "new" / "index"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", SIGINT_PROBE, str(corpus), str(out)], env=env,
+            capture_output=True, text=True, timeout=60, start_new_session=True)
+        assert result.stdout.split("\n")[0] == "130 []", result.stderr
+        assert result.stderr == "ERROR revtree.cli: interrupted\n"
+        assert not (tmp_path / "new").exists()
+
+    def test_the_manifest_holds_the_hash_of_the_corpus_read(self, monkeypatch,
+                                                             tmp_path, corpus9):
+        read, original = cli.load_paragraphs, corpus9.read_bytes()
+
+        def read_then_rewrite(path, *rest):
+            paragraphs = read(path, *rest)
+            corpus9.write_bytes(original.replace(b'"x"', b'"y"'))
+            return paragraphs
+
+        monkeypatch.setattr(cli, "load_paragraphs", read_then_rewrite)
+        out = tmp_path / "index"
+        assert self.ingest(monkeypatch, corpus9, out, Lengths()) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert corpus9.read_bytes() != original
+        assert manifest["corpus_sha256"] == hashlib.sha256(original).hexdigest()
 
     def test_a_failed_ingest_into_an_index_leaves_its_files(self, monkeypatch,
                                                             tmp_path, corpus9):
@@ -732,6 +841,41 @@ class TestBinaryIndex:
         assert matrix.dtype == np.float64 and matrix.shape == (30, 64)
         parsed = np.array([r["values"] for r in records], dtype=np.float64)
         assert np.array_equal(matrix.view(np.uint64), parsed.view(np.uint64))
+
+    @pytest.mark.parametrize("rewritten", ["before_its_read", "after_its_read"])
+    def test_a_run_serves_the_corpus_text_it_hashed_or_none(
+            self, monkeypatch, tmp_path, caplog, corpus30, questions, rules_file,
+            index_dir, rewritten):
+        read, build, indexes = cli.load_paragraphs, cli.build_index, []
+        original = corpus30.read_bytes()
+
+        def rewrite():
+            corpus30.write_bytes(original.replace(b"fact 7 river", b"fact seven river"))
+
+        def read_once(path, *rest):
+            if rewritten == "before_its_read":
+                rewrite()
+            paragraphs = read(path, *rest)
+            if rewritten == "after_its_read":
+                rewrite()
+            return paragraphs
+
+        def kept(*args, **kwargs):
+            indexes.append(build(*args, **kwargs))
+            return indexes[-1]
+
+        monkeypatch.setattr(cli, "load_paragraphs", read_once)
+        monkeypatch.setattr(cli, "build_index", kept)
+        code, out = self.run_precomputed(tmp_path, corpus30, questions, rules_file,
+                                         index_dir, "run")
+        assert corpus30.read_bytes() != original
+        if rewritten == "before_its_read":
+            assert code == 1
+            assert f"{corpus30} is not the corpus" in caplog.text
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert indexes[0].get("p07").text == "boston city fact 7 river 0"
 
     def test_run_reads_no_jsonl(self, tmp_path, corpus30, questions, rules_file,
                                 index_dir):

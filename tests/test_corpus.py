@@ -819,19 +819,27 @@ class TestIndexConstruction:
 
 
 class TestEmbeddingsFile:
-    def test_lines_equal_json_dumps(self, tmp_path):
+    # more batches than embedding._PENDING, of uneven sizes, so that the
+    # lines come back from several helper tasks
+    @pytest.mark.parametrize("sizes", [[13], [1, 4, 2, 3, 1, 2]])
+    def test_lines_equal_json_dumps(self, tmp_path, sizes):
         rng = np.random.default_rng(6)
         vectors = {"b": rng.standard_normal(7) * 1e3,
                    "a\u00e9\"q": np.array([-0.0, 0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.5]),
                    "c": rng.standard_normal(7).astype(np.float32),
-                   "d": [0.1, 1, 2.5, 3, -4, 1e-300, 7]}
+                   "d": [0.1, 1, 2.5, 3, -4, 1e-300, 7],
+                   **{f"\u65e5\"{i}\\": rng.standard_normal(7) * 10.0 ** (i - 4)
+                      for i in range(9)}}
         path = tmp_path / "embeddings.jsonl"
         index = vector_index(vectors)
-        write_embeddings_file(path, index.ids, [index.matrix])
+        bounds = np.cumsum([0] + sizes)
+        written = write_embeddings_file(path, index.ids, [
+            index.matrix[start:end] for start, end in zip(bounds, bounds[1:])])
         want = "".join(
             json.dumps({"id": pid, "values": [float(x) for x in vectors[pid]]},
-                       sort_keys=True) + "\n" for pid in sorted(vectors))
-        assert path.read_bytes() == want.encode("utf-8")
+                       sort_keys=True) + "\n" for pid in sorted(vectors)).encode("utf-8")
+        assert path.read_bytes() == want
+        assert written["checksum"] == hashlib.sha256(want).hexdigest()
 
     @pytest.mark.parametrize("dim", [1, 64])
     @pytest.mark.parametrize("rows", [0, 1, 128, 129])
@@ -989,3 +997,35 @@ def test_load_paragraphs_skips_blank_lines(tmp_path):
     src.write_text('{"id": "a", "title": "", "text": "one"}\n\n'
                    '{"id": "b", "title": "", "text": "two"}\n')
     assert [p.id for p in load_paragraphs(src)] == ["a", "b"]
+
+
+def test_load_paragraphs_hashes_the_bytes_it_parses(tmp_path):
+    src = tmp_path / "c.jsonl"
+    raw = ('{"id": "a", "text": "x"}\r\n\r\n{"id": "b", "text": "y"}\r'
+           '{"id": "c", "text": "\u00e9\u65e5"}').encode("utf-8")
+    src.write_bytes(raw)
+    digest = hashlib.sha256()
+    assert [p.id for p in load_paragraphs(src, digest)] == ["a", "b", "c"]
+    assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"id": "a", "text": "x"}\r\n{"id": "b", "text": "y"\r\n',
+    b'{"id": "a", "text": "x"}\r{"id": "b",\r"text": "y"}\n',
+    b'{"id": "a", "text": "x"}\n\r\n{"id": "b", "text": "y"\r',
+])
+def test_load_paragraphs_ends_lines_as_universal_newlines_do(tmp_path, raw):
+    src = tmp_path / "c.jsonl"
+    src.write_bytes(raw)
+    # the line and message of the first non-blank line a text-mode read refuses
+    with open(src, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            try:
+                if line.strip():
+                    json.loads(line)
+            except json.JSONDecodeError as exc:
+                want = f"{src}: line {lineno}: invalid JSON: {exc}"
+                break
+    with pytest.raises(CorpusError) as refused:
+        load_paragraphs(src, hashlib.sha256())
+    assert str(refused.value) == want

@@ -40,7 +40,6 @@ import signal
 import tempfile
 import threading
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from itertools import chain, filterfalse
 from pathlib import Path
@@ -482,6 +481,9 @@ def write_embeddings_file(path: str | Path, ids: Sequence[str],
     ``checksum`` (of ``path``), ``matrix_sha256`` and ``ids_sha256``.  A
     batch that is not ``(m, dim)`` rows of the first batch's dim is refused.
     """
+    # imported here, as it loads multiprocessing, which only ingest uses
+    from concurrent.futures.process import BrokenProcessPool
+
     path = Path(path)
     digests = {key: hashlib.sha256() for key in ("checksum", "matrix_sha256", "ids_sha256")}
 

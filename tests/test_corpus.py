@@ -819,10 +819,7 @@ class TestIndexConstruction:
 
 
 class TestEmbeddingsFile:
-    # more batches than embedding._PENDING, of uneven sizes, so that the
-    # lines come back from several helper tasks
-    @pytest.mark.parametrize("sizes", [[13], [1, 4, 2, 3, 1, 2]])
-    def test_lines_equal_json_dumps(self, tmp_path, sizes):
+    def test_lines_equal_json_dumps(self, tmp_path):
         rng = np.random.default_rng(6)
         vectors = {"b": rng.standard_normal(7) * 1e3,
                    "a\u00e9\"q": np.array([-0.0, 0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.5]),
@@ -832,7 +829,9 @@ class TestEmbeddingsFile:
                       for i in range(9)}}
         path = tmp_path / "embeddings.jsonl"
         index = vector_index(vectors)
-        bounds = np.cumsum([0] + sizes)
+        # more batches than embedding._PENDING, of uneven sizes, so that the
+        # lines come back from several helper tasks
+        bounds = np.cumsum([0, 1, 4, 2, 3, 1, 2])
         written = write_embeddings_file(path, index.ids, [
             index.matrix[start:end] for start, end in zip(bounds, bounds[1:])])
         want = "".join(

@@ -246,7 +246,7 @@ def retrieve(index: CorpusIndex, query: str, k: int,
         return []
 
     qvec = np.asarray(provider.embed_text(query), dtype=np.float64)
-    if index.dim is not None and qvec.shape[0] != index.dim:
+    if qvec.shape[0] != index.dim:
         raise CorpusError(
             f"query embedding dim {qvec.shape[0]} does not match index dim {index.dim}"
         )
@@ -259,17 +259,14 @@ def retrieve(index: CorpusIndex, query: str, k: int,
     q = qvec / qnorm
     n = len(index)
     k = min(k, n)
-    if k < n:
-        # every row in the exact top k, or tied with the k-th exact score T,
-        # has approx >= T - eps, and the k-th largest approx t is at most
-        # T + eps, so the rows with approx >= t - 2*eps include them all
-        # einsum, not a BLAS matvec, whose OpenBLAS worker threads keep
-        # spinning after each call and make query cost depend on host load
-        approx = np.einsum("ij,j->i", index._unit32, q.astype(np.float32))
-        t = float(np.partition(approx, n - k)[n - k])
-        rows = np.flatnonzero(approx >= t - 2 * _approx_error(index, q))
-    else:
-        rows = np.arange(n)
+    # every row in the exact top k, or tied with the k-th exact score T, has
+    # approx >= T - eps, and the k-th largest approx t is at most T + eps, so
+    # the rows with approx >= t - 2*eps include them all (at k = n, every
+    # row).  einsum, not a BLAS matvec, whose OpenBLAS worker threads keep
+    # spinning after each call and make query cost depend on host load
+    approx = np.einsum("ij,j->i", index._unit32, q.astype(np.float32))
+    t = float(np.partition(approx, n - k)[n - k])
+    rows = np.flatnonzero(approx >= t - 2 * _approx_error(index, q))
     # the contract's own expression on the surviving rows: division and
     # products are elementwise and each row is summed alone, so every score
     # is bit-identical to scoring the whole matrix.  Rows are in ascending-id
@@ -281,7 +278,7 @@ def retrieve(index: CorpusIndex, query: str, k: int,
         raw = np.ldexp(raw, index._shifts[rows, None])
     scores = (raw / index._norms[rows, None] * q).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:k]
-    return [(index.get(index.ids[rows[i]]), float(scores[i])) for i in order]
+    return [(index._paragraphs[rows[i]], float(scores[i])) for i in order]
 
 
 def _approx_error(index: CorpusIndex, q: np.ndarray) -> float:

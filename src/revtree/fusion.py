@@ -38,16 +38,11 @@ class FusionStrategy(str, Enum):
     EVIDENCE = "evidence"
 
 
-_TEMPLATE_FOR = {
-    FusionStrategy.ANALYSIS: "fusion_analysis",
-    FusionStrategy.PARAGRAPH: "fusion_paragraph",
-    FusionStrategy.EVIDENCE: "fusion_evidence",
-}
-
-_SLOT_FOR = {
-    FusionStrategy.ANALYSIS: "Assertions",
-    FusionStrategy.PARAGRAPH: "Documents",
-    FusionStrategy.EVIDENCE: "Evidence",
+# the template of each strategy and the slot its context block fills
+_TEMPLATES = {
+    FusionStrategy.ANALYSIS: ("fusion_analysis", "Assertions"),
+    FusionStrategy.PARAGRAPH: ("fusion_paragraph", "Documents"),
+    FusionStrategy.EVIDENCE: ("fusion_evidence", "Evidence"),
 }
 
 
@@ -137,14 +132,21 @@ def extract_answer(text: str) -> tuple[str, bool]:
     return payload, True
 
 
+def _request(question: str, strategy: FusionStrategy, context: str,
+             demos: Sequence[str]) -> CompletionRequest:
+    """The fusion call for ``question`` with ``context`` as its context
+    block, tagged with the question and the template's name."""
+    name, slot = _TEMPLATES[strategy]
+    prompt = render_prompt(load_template(name, demos), {slot: context, "Question": question})
+    return CompletionRequest(prompt=prompt, tags={"question": question, "template": name})
+
+
 def reserved_tokens(question: str, strategy: FusionStrategy,
                     estimator: TokenEstimator = estimate_tokens,
                     demos: Sequence[str] = ()) -> int:
     """Tokens of ``strategy``'s fusion prompt for ``question`` with an empty
     context: the part of the budget that no evidence can use."""
-    template = load_template(_TEMPLATE_FOR[strategy], demos)
-    return estimator(render_prompt(template, {_SLOT_FOR[strategy]: "",
-                                              "Question": question}))
+    return estimator(_request(question, strategy, "", demos).prompt)
 
 
 def generate_answer(question: str, pool: EvidencePool, strategy: FusionStrategy,
@@ -157,13 +159,10 @@ def generate_answer(question: str, pool: EvidencePool, strategy: FusionStrategy,
     from its own knowledge.
     """
     client = llm if isinstance(llm, LlmClient) else LlmClient(llm)
-    template = load_template(_TEMPLATE_FOR[strategy], demos)
     context, included = pack_evidence(
         pool, strategy, budget_tokens, estimator,
         reserved_tokens=reserved_tokens(question, strategy, estimator, demos))
-    prompt = render_prompt(template, {_SLOT_FOR[strategy]: context, "Question": question})
-    response = client.complete(CompletionRequest(
-        prompt=prompt, tags={"question": question, "template": template.name}))
+    response = client.complete(_request(question, strategy, context, demos))
     extracted, found = extract_answer(response.text)
     return AnswerResult(
         full_response=response.text,

@@ -250,10 +250,12 @@ def render_mpc_output(query: str, answer: str = "",
     return "\n".join(lines)
 
 
-def build_request(template_name: str, bindings: dict, question: str,
+def build_request(template_name: str, slot: str, question: str,
                   path: Sequence[Paragraph], demos: Sequence[str]) -> CompletionRequest:
-    """The request for one review-side call: the rendered template, tagged
-    with the question, the path's ids and the template's name."""
+    """The request for one review-side call: the template rendered with the
+    question and, in its ``slot``, the path's paragraphs, tagged with the
+    question, the path's ids and the template's name."""
+    bindings = {"Question": question, slot: format_documents(path)}
     return CompletionRequest(
         prompt=render_prompt(load_template(template_name, demos), bindings),
         tags={
@@ -269,11 +271,7 @@ def generate_mpc_query(question: str, path: Sequence[Paragraph],
                        demos: Sequence[str] = ()) -> Union[MpcExpansion, ParseFailure]:
     """One missing-paragraph-completion call for a path that needs more
     information.  Only invoked after a search verdict under the MPC strategy."""
-    request = build_request(
-        "mpc",
-        {"Question": question, "References": format_documents(path)},
-        question, path, demos,
-    )
+    request = build_request("mpc", "References", question, path, demos)
     response = client.complete(request)
     return parse_mpc_output(response.text)
 
@@ -291,11 +289,7 @@ def review_path(question: str, path: Sequence[Paragraph],
         raise ValueError("review_path needs a non-empty path")
     template_name = "review_direct" if strategy is ExpansionStrategy.DIRECT \
         else "review_cot"
-    request = build_request(
-        template_name,
-        {"Question": question, "Documents": format_documents(path)},
-        question, path, demos,
-    )
+    request = build_request(template_name, "Documents", question, path, demos)
     response = client.complete(request)
     parsed = parse_review_output(response.text)
     if isinstance(parsed, ParseFailure):

@@ -19,7 +19,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .corpus import CorpusIndex, Paragraph, format_documents, retrieve
+from .corpus import CorpusIndex, Paragraph, retrieve
 from .embedding import EmbeddingProvider
 from .llm import LlmClient
 from .review import (
@@ -515,9 +515,7 @@ def run_chain(question: str, index: CorpusIndex, embedder: EmbeddingProvider,
         if not results:
             break
         context.extend(p for p, _ in results)
-        request = build_request("cor", {"Question": question,
-                                        "Documents": format_documents(context)},
-                                question, context, demos)
+        request = build_request("cor", "Documents", question, context, demos)
         record = {"turn": turn, "query": query,
                   "retrieved": [p.id for p, _ in results],
                   "context_size": len(context), **_UNREVIEWED}

@@ -1313,6 +1313,51 @@ class TestStreamedRun:
         assert caplog.messages[-1] == "interrupted"
         assert "Traceback" not in caplog.text + capsys.readouterr().err
 
+    def run_and_eval(self, corpus, dataset, out, rules) -> None:
+        assert main(run_args(corpus, dataset, out, rules)) == 0
+        assert main(["eval", "--dataset", str(dataset), "--run", str(out)]) == 0
+        assert (out / "report.json").exists()
+
+    def test_a_rerun_with_fewer_questions_leaves_only_its_own_outputs(
+            self, tmp_path, corpus_file, rules_file, six):
+        out = tmp_path / "run"
+        self.run_and_eval(corpus_file, six, out, rules_file)
+        three = tmp_path / "three.jsonl"
+        three.write_bytes(b"".join(six.read_bytes().splitlines(keepends=True)[:3]))
+        assert main(run_args(corpus_file, three, out, rules_file)) == 0
+        alone = tmp_path / "alone"
+        assert main(run_args(corpus_file, three, alone, rules_file)) == 0
+        rerun, fresh = tree_bytes(out), tree_bytes(alone)
+        for run_dir, files in ((out, rerun), (alone, fresh)):
+            assert json.loads(files.pop(Path("config.json")))["output_dir"] == str(run_dir)
+        assert rerun == fresh
+
+    @pytest.mark.parametrize("cut_by", ["failed write", "directory in its place"])
+    def test_a_cut_rerun_leaves_no_summary_report_or_later_trace(
+            self, tmp_path, monkeypatch, corpus_file, rules_file, six, cut_by):
+        whole = tmp_path / "whole"
+        assert main(run_args(corpus_file, six, whole, rules_file)) == 0
+        out = tmp_path / "run"
+        self.run_and_eval(corpus_file, six, out, rules_file)
+        q4 = out / "traces" / "q4.json"
+        if cut_by == "directory in its place":
+            q4.unlink()
+            q4.mkdir()
+        else:
+            to_json = search.RunTrace.to_json
+
+            def failing_to_json(trace):
+                if trace.question == "boston city 4":
+                    raise OSError("disk full")
+                return to_json(trace)
+
+            monkeypatch.setattr(search.RunTrace, "to_json", failing_to_json)
+        assert main(run_args(corpus_file, six, out, rules_file)) == 1
+        if q4.is_dir():
+            q4.rmdir()
+        self.assert_cut_at(out, whole, 4)
+        assert not (out / "report.json").exists()
+
 
 # run as ``python -c BLOCKED_RUN <id> <run args>``: revtree run, in which the
 # question of that id never finishes

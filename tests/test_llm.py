@@ -24,10 +24,11 @@ from revtree import (
     make_token_estimator,
     render_prompt,
 )
-from revtree import cli
+from revtree import cli, fusion
 from revtree.errors import OracleMissError, ProviderConfigError, ProviderError, \
     TransportError
-from revtree.llm import TEMPLATE_NAMES, estimate_tokens_chars, new_session
+from revtree.fusion import FusionStrategy
+from revtree.llm import _LAYOUTS, TEMPLATE_NAMES, estimate_tokens_chars, new_session
 
 
 class TestRenderPrompt:
@@ -84,6 +85,17 @@ class TestRenderPrompt:
             template = load_template(name)
             assert template.instruction
             assert template.slots
+
+    def test_every_layout_has_the_question_and_one_other_slot(self):
+        # review requests and fusion prompts bind exactly these two
+        for name, (_label, slots) in _LAYOUTS.items():
+            names = [slot for slot, _ in slots]
+            assert len(names) == 2 and names.count("Question") == 1, name
+
+    def test_every_fusion_strategy_fills_a_slot_of_its_template(self):
+        assert set(fusion._TEMPLATES) == set(FusionStrategy)
+        for name, slot in fusion._TEMPLATES.values():
+            assert slot in (s for s, _ in _LAYOUTS[name][1]) and slot != "Question", name
 
     @given(
         st.tuples(

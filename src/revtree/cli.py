@@ -197,11 +197,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
-    # a rerun into the same --out replaces the earlier run's outputs, so that
-    # the directory holds no summary, report or trace this run did not write.
-    # The summary goes first, so that a half-cleared directory never reads as
-    # a finished run; a directory in a trace's place is left for that
-    # question's write to fail on
+    # a rerun into the same --out replaces the earlier run's outputs, the
+    # summary first, so that a half-cleared directory never reads as a
+    # finished run; a directory in a trace's place fails that trace's write
     for stale in (out_dir / "stats_summary.json", out_dir / "report.json",
                   *traces_dir.glob("*.json")):
         if not stale.is_dir():

@@ -1324,6 +1324,10 @@ class TestStreamedRun:
         self.run_and_eval(corpus_file, six, out, rules_file)
         three = tmp_path / "three.jsonl"
         three.write_bytes(b"".join(six.read_bytes().splitlines(keepends=True)[:3]))
+        # a rerun refused before its first question leaves the earlier run
+        before = tree_bytes(out)
+        assert main(run_args(corpus_file, three, out, rules_file, "--budget", "1")) == 1
+        assert tree_bytes(out) == before
         assert main(run_args(corpus_file, three, out, rules_file)) == 0
         alone = tmp_path / "alone"
         assert main(run_args(corpus_file, three, alone, rules_file)) == 0

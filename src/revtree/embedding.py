@@ -14,9 +14,10 @@ implementations back the corpus index and query embedding:
   sum over its token multiset.  Its only contract is determinism and a fixed
   dimension, not semantic quality.  Each direction is drawn once into one
   token table; a text gathers its tokens' rows and adds them in text order,
-  so its vector has the bits of adding one token vector at a time.  A
-  batch's new tokens are seeded together in one vectorized pass, which
-  gives each direction the bits of its own ``default_rng`` draw.  A sum
+  so its vector has the bits of adding one token vector at a time.  Every
+  token of a batch is looked up once, and the batch's new tokens are
+  seeded together in one vectorized pass, which gives each direction the
+  bits of its own ``default_rng`` draw.  A sum
   can also be continued from a stored vector over more text
   (:meth:`HashedEmbedder.continue_folds`), which fusion's re-ranking does
   from the rows of an index the embedder built.
@@ -41,7 +42,7 @@ import tempfile
 import threading
 from collections import deque
 from functools import partial
-from itertools import chain, filterfalse
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -159,15 +160,20 @@ class HashedEmbedder(EmbeddingProvider):
 
     The directions drawn so far are rows of one float64 token table.  A text
     gathers its tokens' rows and sums them in text order from ``+0.0``, so
-    the sum's rounding is that of adding one token at a time.
-    :meth:`embed_texts` tokenizes each text once and adds all of the batch's
-    new tokens in one step: from ``_SEED_BATCH`` new tokens on, their
-    generator states are computed in one vectorized pass
-    (:func:`_pcg64_states`) and each direction is drawn from one ``PCG64``
-    set to its state, with the bits of its own ``default_rng`` draw.  Fewer
-    new tokens are drawn one ``default_rng`` at a time.  One embedder may be
-    shared by threads: new tokens are added under a lock, and a token's row
-    id is published only once its row is in ``self._table``.
+    the sum's rounding is that of adding one token at a time.  One routine
+    (:meth:`_row_ids`) looks up the tokens of :meth:`embed_text`,
+    :meth:`embed_texts` and :meth:`continue_folds`: a batch's tokens are
+    split once and each is looked up once; the batch's distinct new tokens
+    are added in one step, and only the positions that missed are looked up
+    again.  Each text of a batch then sums its rows straight into its output
+    row.  From ``_SEED_BATCH`` new tokens on, their generator states are
+    computed in one vectorized pass (:func:`_pcg64_states`) and each
+    direction is drawn from one ``PCG64`` set to its state, with the bits of
+    its own ``default_rng`` draw.  Fewer new tokens are drawn one
+    ``default_rng`` at a time.  One embedder may be shared by threads: new
+    tokens are added under a lock, a token's row id is published only once
+    its row is in ``self._table``, and a reader takes its ids before the
+    table.
     """
 
     # The first table is larger than 32 MiB, glibc's cap on its mmap
@@ -176,9 +182,10 @@ class HashedEmbedder(EmbeddingProvider):
     # index builds peaked ~15% higher in RSS.  Rows not yet written are pages
     # never touched, which cost no memory.
     _INITIAL_BYTES = 2 ** 25 + 1
-    # The vectorized seeding costs ~170 us per batch, and a default_rng draw
-    # ~14 us per token (2-vCPU host, numpy 2.4), so they break even at ~20
-    _SEED_BATCH = 20
+    # Over one default_rng a token, the vectorized seeding took x1.07-1.08
+    # for 20 new tokens, x1.03 for 22, x0.95-0.97 for 24 and x0.55 for 100
+    # (2-vCPU host, numpy 2.4): they break even at ~23
+    _SEED_BATCH = 23
 
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim <= 0:
@@ -220,52 +227,61 @@ class HashedEmbedder(EmbeddingProvider):
             else:
                 bit_generator = np.random.PCG64(0)
                 generator = np.random.Generator(bit_generator)
-                for row, (state, inc) in zip(block, _pcg64_states(seeds)):
-                    bit_generator.state = {
-                        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+                # one mapping, its inner state set in place for each token
+                pcg = {"state": 0, "inc": 0}
+                state = {"bit_generator": "PCG64", "state": pcg,
+                         "has_uint32": 0, "uinteger": 0}
+                for row, (pcg["state"], pcg["inc"]) in zip(block, _pcg64_states(seeds)):
+                    bit_generator.state = state
                     generator.standard_normal(out=row)
             rows.update(zip(new, range(first, first + len(new))))
 
-    def _token_ids(self, texts: Sequence[str],
-                   empty_ok: bool = False) -> list[list[int]]:
-        """Each text's token row ids in text order.  The tokens of the texts
-        that miss a row are added in one :meth:`_add_tokens` call, and only
-        those texts are looked up again.  A text without tokens is refused
-        unless ``empty_ok``."""
+    def _row_ids(self, tokens: list[str]) -> list[int] | np.ndarray:
+        """The row ids of ``tokens``, in order.  Each token is looked up
+        once; the distinct tokens that miss a row are added in one
+        :meth:`_add_tokens` call, in first-seen order, and only their
+        positions are looked up again.
+
+        The ids stay a list when every token has a row: a query's gather
+        takes a list faster than it converts one and takes the array."""
+        rows = self._rows
+        ids = list(map(rows.get, tokens, repeat(-1)))
+        if -1 in ids:
+            ids = np.array(ids, np.intp)
+            missed = np.flatnonzero(ids < 0).tolist()
+            new = [tokens[i] for i in missed]
+            self._add_tokens(dict.fromkeys(new))
+            ids[missed] = list(map(rows.__getitem__, new))
+        return ids
+
+    def _batch_ids(self, texts: Sequence[str],
+                   empty_ok: bool = False) -> tuple[np.ndarray, list[int]]:
+        """The row ids of all of the texts' tokens in text order, and the
+        offsets where each text's ids begin and, last, where they end.  A
+        text without tokens is refused unless ``empty_ok``."""
         tokens = [text.lower().split() for text in texts]
         if not empty_ok and not all(tokens):
             raise ValueError("cannot embed empty or whitespace-only text")
-        rows = self._rows
-        row_of = rows.__getitem__
-        ids, missed = [], []
-        for text_tokens in tokens:
-            try:
-                ids.append(list(map(row_of, text_tokens)))
-            except KeyError:
-                missed.append(len(ids))
-                ids.append([])
-        if missed:
-            self._add_tokens(dict.fromkeys(filterfalse(
-                rows.__contains__, chain.from_iterable(tokens[i] for i in missed))))
-            for i in missed:
-                ids[i] = list(map(row_of, tokens[i]))
-        return ids
+        return (np.asarray(self._row_ids(list(chain.from_iterable(tokens))), np.intp),
+                [0, *accumulate(map(len, tokens))])
 
-    def _sum_rows(self, ids: list[int]) -> np.ndarray:
+    def embed_text(self, text: str) -> np.ndarray:
+        tokens = text.lower().split()
+        if not tokens:
+            raise ValueError("cannot embed empty or whitespace-only text")
+        ids = self._row_ids(tokens)
         # the ids are read before the table, so the table holds their rows
         acc = np.add.reduce(self._table.take(ids, axis=0), axis=0, initial=0.0)
         return acc[:self.dim]
 
-    def embed_text(self, text: str) -> np.ndarray:
-        ids, = self._token_ids([text])
-        return self._sum_rows(ids)
-
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.empty((len(texts), self.dim))
-        for row, ids in zip(out, self._token_ids(texts)):
-            row[:] = self._sum_rows(ids)
-        return out
+        ids, bounds = self._batch_ids(texts)
+        table = self._table   # read after the ids, so it holds their rows
+        out = np.empty((len(texts), table.shape[1]))
+        for row, start, end in zip(out, bounds, bounds[1:]):
+            np.add.reduce(table.take(ids[start:end], axis=0), axis=0, initial=0.0,
+                          out=row)
+        return np.ascontiguousarray(out[:, :self.dim])
 
     def continue_folds(self, starts: np.ndarray, texts: Sequence[str]) -> np.ndarray:
         """Row ``i`` is the sum of ``texts[i]``'s token rows added in text
@@ -278,14 +294,15 @@ class HashedEmbedder(EmbeddingProvider):
         across whitespace, the tokens split there, and a sum from ``+0.0``
         is never ``-0.0``, so starting from it changes no bit.
         """
+        ids, bounds = self._batch_ids(texts, empty_ok=True)
+        table = self._table   # read after the ids, so it holds their rows
         out = np.empty((len(texts), self.dim))
-        width = self._table.shape[1]
-        for row, start, ids in zip(out, starts, self._token_ids(texts, empty_ok=True)):
+        for row, begin, end, start in zip(out, bounds, bounds[1:], starts):
             # the start row, padded as the table is, then the token rows
-            rows = np.empty((len(ids) + 1, width))
+            rows = np.empty((end - begin + 1, table.shape[1]))
             rows[0, :self.dim] = start
             rows[0, self.dim:] = 0.0
-            self._table.take(ids, axis=0, out=rows[1:])
+            table.take(ids[begin:end], axis=0, out=rows[1:])
             row[:] = np.add.reduce(rows, axis=0, initial=0.0)[:self.dim]
         return out
 

@@ -575,28 +575,37 @@ class TestHashedTable:
             assert_same_bits(index.embedding(p.id),
                              loop_embed(format_documents([p]), dim, 3))
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("dim", [1, 2, 7, 64, 384])
     @pytest.mark.parametrize("new_tokens", [1, HashedEmbedder._SEED_BATCH - 1,
                                             HashedEmbedder._SEED_BATCH,
                                             HashedEmbedder._SEED_BATCH + 1, 300])
-    def test_embed_texts_equals_the_token_loop(self, dim, new_tokens, monkeypatch):
-        # a batch of exactly new_tokens distinct tokens, each text repeating
-        # some, embedded by a fresh table
+    def test_embed_texts_equals_the_token_loop(self, dim, new_tokens, warm, monkeypatch):
+        # a batch of exactly new_tokens distinct new tokens, each text
+        # repeating some; over a warm table each sits between known tokens,
+        # so only the positions in the middle of the texts miss
         rng = random.Random(dim * 1000 + new_tokens)
         vocab = [f"v{i}" for i in range(new_tokens)]
         texts = [" ".join(vocab)] + [" ".join(rng.choices(vocab, k=rng.randint(1, 60)))
                                      for _ in range(12)]
+        known = [f"k{i}" for i in range(30)] if warm else []
+        if warm:
+            texts = [" ".join(f"{rng.choice(known)} {token} {rng.choice(known)}"
+                              for token in text.split()) for text in texts]
         single = HashedEmbedder(dim=dim, seed=3)
         singles = [single.embed_text(text) for text in texts]
+        batched = HashedEmbedder(dim=dim, seed=3)
+        if warm:
+            batched.embed_text(" ".join(known))
         passes = []
         states = embedding._pcg64_states
         monkeypatch.setattr(embedding, "_pcg64_states",
                             lambda seeds: passes.append(len(seeds)) or states(seeds))
-        batched = HashedEmbedder(dim=dim, seed=3)
         rows = batched.embed_texts(texts)
         assert passes == ([new_tokens] if new_tokens >= HashedEmbedder._SEED_BATCH
                           else [])
-        assert rows.shape == (len(texts), dim) and len(batched._rows) == new_tokens
+        assert rows.shape == (len(texts), dim)
+        assert len(batched._rows) == len(known) + new_tokens
         for row, text, want in zip(rows, texts, singles):
             assert_same_bits(row, loop_embed(text, dim, 3))
             assert_same_bits(row, want)

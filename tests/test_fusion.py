@@ -454,6 +454,26 @@ class TestReRankingFromIndexRows:
         assert select_scored_paragraphs(pool, response, embedder, index=index) == \
             select_scored_paragraphs(pool, response, HashedEmbedder(dim=dim, seed=3))
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    @pytest.mark.parametrize("new_tokens", [1, HashedEmbedder._SEED_BATCH + 1])
+    def test_rests_of_new_tokens_continue_as_whole_texts(self, dim, new_tokens):
+        # a table warm from the index, and rests made only of tokens it has
+        # not seen, repeating across the rests of the one batch
+        paragraphs = [Paragraph(f"p{i:02d}", f"T{i}", f"word{i} shared")
+                      for i in range(20)]
+        embedder = HashedEmbedder(dim=dim, seed=1)
+        index = build_index(paragraphs, embedder)
+        fresh = [f"new{i}" for i in range(new_tokens)]
+        rests = [" " + " ".join(fresh[(i + j) % new_tokens] for j in range(1 + i % 7))
+                 for i in range(len(paragraphs))]
+        starts = np.array([index.embedding(p.id) for p in paragraphs])
+        continued = embedder.continue_folds(starts, rests)
+        whole = HashedEmbedder(dim=dim, seed=1).embed_texts(
+            [format_documents([p]) + rest for p, rest in zip(paragraphs, rests)])
+        assert continued.tobytes() == whole.tobytes()
+        known = {token for p in paragraphs for token in format_documents([p]).lower().split()}
+        assert len(embedder._rows) == len(known) + new_tokens
+
     def test_an_empty_rest_gives_its_start_row(self):
         embedder = HashedEmbedder(dim=1, seed=0)
         starts = np.array([[1.5], [-2.0]])

@@ -44,10 +44,17 @@ def seed_list(text: str) -> list[int]:
 
 
 def environment() -> dict:
+    """The host and build the runs were made on.  ``blas`` names numpy's BLAS
+    build, which sets the retrieval prefilter's speed; it is ``None`` under a
+    numpy whose ``show_config`` takes no ``mode`` (before 1.25)."""
     import numpy
 
-    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    blas = {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        blas = None
+    else:
+        blas = {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "blas": blas, "cpu_count": os.cpu_count(), "machine": platform.machine(),
             "system": platform.system()}

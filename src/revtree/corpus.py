@@ -11,10 +11,12 @@ the paragraphs in that order (``embed_batches``, which ingest streams to its
 files instead), or adopts from stored vectors, beside their norms and float32
 unit rows.  A score is
 ``(unit * query).sum(axis=1)`` with ``unit = matrix / norms[:, None]``, so
-identical embeddings tie exactly.  Top-k has two stages: one single-threaded
-float32 pass scores every row to within ``_approx_error``, then only
+identical embeddings tie exactly.  Top-k has two stages: one float32 pass
+(``_approx_scores``) scores every row to within ``_approx_error``, then only
 the rows that can still reach the k-th score are scored exactly and sorted,
-so the ranking and every score equal those of a full exact scan.
+so the ranking and every score equal those of a full exact scan.  The pass
+scores the unit rows in blocks small enough that BLAS runs each on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ def format_documents(paragraphs: Iterable[Paragraph]) -> str:
 # the norms and unit rows of an index are taken this many bytes of its
 # matrix at a time
 _BLOCK_BYTES = 1 << 20
+
+# the most float32 unit values in one block of the prefilter.  OpenBLAS runs
+# a matrix-vector product of fewer than 2304 * GEMM_MULTITHREAD_THRESHOLD
+# (9,216 by default) values on the calling thread; a larger one it splits
+# across worker threads, which then spin between queries and make a query's
+# cost depend on the host's load
+_SCORE_BLOCK_VALUES = 8192
 
 
 def _row_norms(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,12 +152,19 @@ class CorpusIndex:
         # unit row and scores of a row whose norm overflows, or underflows to
         # 0, are taken from its scaled row (_row_norms); _shifts is None when
         # no row needs one
-        n = len(self._ids)
+        n, dim = len(self._ids), self._matrix.shape[1]
         self._norms = np.empty(n)
         self._shifts = np.zeros(n, dtype=np.int32)
-        self._unit32 = np.empty(self._matrix.shape, dtype=np.float32)
+        # the float32 unit rows, zero-padded to whole blocks of the prefilter
+        # (_approx_scores); a block has at most n rows, so a small index is
+        # not padded out to a large block, and at least one, which holds more
+        # than _SCORE_BLOCK_VALUES values only above that many dims
+        block_rows = max(1, min(n, _SCORE_BLOCK_VALUES // max(dim, 1)))
+        blocks = -(-n // block_rows)
+        padded = np.zeros((blocks * block_rows, dim), dtype=np.float32)
+        self._unit32 = padded[:n]
         bad = _BadRows()
-        step = max(1, _BLOCK_BYTES // (8 * max(self.dim or 1, 1)))
+        step = max(1, _BLOCK_BYTES // (8 * max(dim, 1)))
         for start in range(0, n, step):
             rows = slice(start, start + step)
             self._norms[rows], self._shifts[rows], block = _row_norms(self._matrix[rows])
@@ -159,8 +175,9 @@ class CorpusIndex:
                 np.divide(block, self._norms[rows, None], out=self._unit32[rows],
                           casting="same_kind")
         bad.refuse()
-        for array in (self._norms, self._shifts, self._unit32):
+        for array in (self._norms, self._shifts, padded, self._unit32):
             array.flags.writeable = False
+        self._blocks = padded.reshape(blocks, block_rows, dim)
         if not self._shifts.any():
             self._shifts = None
         # a tiny vector's norm loses bits in the float64 subnormals, so its
@@ -262,9 +279,8 @@ def retrieve(index: CorpusIndex, query: str, k: int,
     # every row in the exact top k, or tied with the k-th exact score T, has
     # approx >= T - eps, and the k-th largest approx t is at most T + eps, so
     # the rows with approx >= t - 2*eps include them all (at k = n, every
-    # row).  einsum, not a BLAS matvec, whose OpenBLAS worker threads keep
-    # spinning after each call and make query cost depend on host load
-    approx = np.einsum("ij,j->i", index._unit32, q.astype(np.float32))
+    # row)
+    approx = _approx_scores(index, q.astype(np.float32))
     t = float(np.partition(approx, n - k)[n - k])
     rows = np.flatnonzero(approx >= t - 2 * _approx_error(index, q))
     # the contract's own expression on the surviving rows: division and
@@ -279,6 +295,18 @@ def retrieve(index: CorpusIndex, query: str, k: int,
     scores = (raw / index._norms[rows, None] * q).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:k]
     return [(index._paragraphs[rows[i]], float(scores[i])) for i in order]
+
+
+def _approx_scores(index: CorpusIndex, q32: np.ndarray) -> np.ndarray:
+    """The float32 score of every row of ``index`` for the float32 unit
+    query ``q32``, to within :func:`_approx_error`.
+
+    One ``np.matmul`` over the zero-padded ``(blocks, rows, dim)`` unit
+    rows is one BLAS matrix-vector product per block, each of at most
+    ``_SCORE_BLOCK_VALUES`` values, so none wakes a BLAS worker thread.  The
+    padding rows' scores are cut off.
+    """
+    return np.matmul(index._blocks, q32).reshape(-1)[:len(index)]
 
 
 def _approx_error(index: CorpusIndex, q: np.ndarray) -> float:

@@ -64,6 +64,18 @@ def test_summary_records_the_fewest_and_most_questions_attempted():
     assert summary["metrics"]["qps"]["median"] == 16.0
 
 
+def test_environment_names_the_blas_build_or_none_where_numpy_cannot(monkeypatch):
+    import numpy
+
+    blas = bench_record.environment()["blas"]
+    assert blas is None or set(blas) == {"name", "version", "openblas configuration"}
+
+    # numpy before 1.25 has a show_config that takes no argument and prints
+    monkeypatch.setattr(numpy, "show_config", lambda: None)
+    env = bench_record.environment()
+    assert env["blas"] is None and env["numpy"] == numpy.__version__
+
+
 def test_checkout_info_counts_the_source_lines(tmp_path):
     src = tmp_path / "src" / "revtree"
     src.mkdir(parents=True)

@@ -3,7 +3,7 @@ not drift with the host."""
 
 from __future__ import annotations
 
-from revtree import HashedEmbedder, Paragraph, build_index
+from revtree import HashedEmbedder, Paragraph, build_index, corpus, retrieve
 from revtree.corpus import _EMBED_CHUNK, format_documents
 
 
@@ -67,3 +67,26 @@ def test_an_index_build_looks_each_token_up_once(monkeypatch):
     rows.lookups = 0
     embedder.embed_text(" ".join(vocab[:12]))
     assert rows.lookups == 12 and len(given) == len(distinct)
+
+
+def test_a_retrieval_embeds_its_query_once_and_scores_every_row_once(monkeypatch):
+    # an index of several prefilter blocks, which one pass still scores
+    paragraphs = [Paragraph(f"p{i:03d}", "", f"text {i} of {i % 7}") for i in range(300)]
+    embedder = HashedEmbedder(dim=64, seed=0)
+    index = build_index(paragraphs, embedder)
+    assert len(index._blocks) > 1
+    calls = {"embed_text": 0, "_approx_scores": 0}
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(embedder, "embed_text", counted("embed_text", embedder.embed_text))
+    monkeypatch.setattr(corpus, "_approx_scores",
+                        counted("_approx_scores", corpus._approx_scores))
+    for k in (1, 5, len(index)):
+        calls.update(embed_text=0, _approx_scores=0)
+        assert len(retrieve(index, "text 3 of 3", k, embedder)) == k
+        assert calls == {"embed_text": 1, "_approx_scores": 1}

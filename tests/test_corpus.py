@@ -379,7 +379,9 @@ def row_sum_topk(matrix, qvec, k):
 
 
 def assert_matches_row_sum(matrix, qvec, ks):
-    ids = [f"p{i:04d}" for i in range(len(matrix))]
+    """Retrieves each k from an index of ``matrix`` and checks the ids and
+    score bits against :func:`row_sum_topk`; returns the index."""
+    ids = [f"p{i:06d}" for i in range(len(matrix))]
     index = vector_index(dict(zip(ids, matrix)))
     for k in ks:
         got = retrieve(index, "q", k, FixedQuery(qvec))
@@ -387,6 +389,7 @@ def assert_matches_row_sum(matrix, qvec, ks):
         assert [p.id for p, _ in got] == [ids[i] for i in order], k
         assert np.array_equal(np.array([s for _, s in got]).view(np.uint64),
                               scores.view(np.uint64)), k
+    return index
 
 
 @st.composite
@@ -484,19 +487,63 @@ class TestTwoStageTopK:
         rng = np.random.default_rng(dim)
         draws = [rng.standard_normal, rng.random,  # one sign: errors add up
                  lambda shape: tiny_vectors(rng, shape)]
-        rows = np.vstack([draw((700, dim)) for draw in draws])
+        # row counts that end in a part-filled, padded block
+        per_draw = 701 if dim > 1 else 2731
+        rows = np.vstack([draw((per_draw, dim)) for draw in draws])
         ids = [f"p{i:04d}" for i in range(len(rows))]
         index = vector_index(dict(zip(ids, rows)))
+        assert len(rows) % index._blocks.shape[1]
         unit = rows / np.linalg.norm(rows, axis=1)[:, None]
         worst = 0.0  # the largest error as a share of the bound
         for draw in draws:
             for _ in range(10):
                 qvec = draw(dim)
                 q = qvec / np.linalg.norm(qvec)
-                approx = np.einsum("ij,j->i", index._unit32, q.astype(np.float32))
+                approx = corpus._approx_scores(index, q.astype(np.float32))
                 error = np.abs(approx - (unit * q).sum(axis=1)).max()
                 worst = max(worst, error / _approx_error(index, q))
         assert worst <= 1 / 4
+
+    @pytest.mark.parametrize("dim", [1, 64, 384])
+    @pytest.mark.parametrize("size", ["one", "short", "whole", "over", "many"])
+    def test_row_counts_around_a_prefilter_block(self, dim, size):
+        # the prefilter scores zero-padded blocks of block_rows rows; a block
+        # holds at most n rows, so a small index is one unpadded block
+        block_rows = corpus._SCORE_BLOCK_VALUES // dim
+        n = {"one": 1, "short": block_rows - 1, "whole": block_rows,
+             "over": block_rows + 1, "many": 3 * block_rows + 17}[size]
+        rng = np.random.default_rng(n * dim)
+        matrix = rng.standard_normal((n, dim))
+        queries = [rng.standard_normal(dim), matrix[-1]]  # the top row is the last
+        if n > block_rows:  # a tie on the query's top row across a block boundary
+            matrix[block_rows] = matrix[block_rows - 1]
+            queries.append(matrix[block_rows])
+        for qvec in queries:
+            index = assert_matches_row_sum(matrix, qvec, [1, 5, n])
+
+        blocks = index._blocks
+        assert blocks.shape[1] == min(n, block_rows)
+        assert blocks[0].size <= corpus._SCORE_BLOCK_VALUES
+        assert index._unit32.shape == (n, dim)
+        assert np.shares_memory(blocks, index._unit32)
+        padding = blocks.reshape(-1, dim)[n:]
+        assert len(padding) < blocks.shape[1] and not padding.any()
+        for array in (blocks, index._unit32):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("dim", [1, 64, 384])
+    def test_no_padding_row_is_returned(self, dim):
+        # every row scores below 0, and so below the padding rows' 0
+        block_rows = corpus._SCORE_BLOCK_VALUES // dim
+        rng = np.random.default_rng(dim)
+        matrix = np.abs(rng.standard_normal((2 * block_rows + 1, dim))) + 0.1
+        qvec = -np.ones(dim)
+        index = assert_matches_row_sum(matrix, qvec, [1, 5, len(matrix)])
+        assert len(index._blocks.reshape(-1, dim)) == 3 * block_rows
+        got = retrieve(index, "q", len(matrix) + 3, FixedQuery(qvec))
+        assert sorted(p.id for p, _ in got) == list(index.ids)
+        assert all(score < 0 for _, score in got)
 
     def test_concurrent_retrievals_equal_serial_ones(self):
         rng = np.random.default_rng(4)
